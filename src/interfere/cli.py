@@ -55,9 +55,18 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise ConfigError(f"{what}: cannot parse number {text!r} ({exc})") from None
 
 
+def _as_float(value) -> float:
+    """float(value), with magnitudes beyond the float range read as +/-inf
+    (as float("1e400") reads), so that the domain checks reject them."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_number(text: str, mode: str, what: str):
     value = _parse_fraction(text, what)
-    return value if mode == "exact" else float(value)
+    return value if mode == "exact" else _as_float(value)
 
 
 def _parse_angle(text: str, what: str) -> float:
@@ -66,9 +75,11 @@ def _parse_angle(text: str, what: str) -> float:
     if m:
         num = int(m.group("num") or 1)
         den = int(m.group("den") or 1)
-        value = math.pi * num / den
+        if den == 0:
+            raise ConfigError(f"{what}: zero denominator in angle {text!r}")
+        value = math.pi * _as_float(num) / _as_float(den)
         return -value if m.group("sign") == "-" else value
-    return float(_parse_fraction(s, what))
+    return _as_float(_parse_fraction(s, what))
 
 
 def _parse_sign(text: str, what: str) -> int:
@@ -104,8 +115,11 @@ def _jsonable(value):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as stream:
-            stream.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as stream:
+                stream.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -185,8 +199,8 @@ def _parse_intervals(text: str):
             raise ConfigError(
                 f"--intervals: expected 'lo:hi:sign' got {chunk!r}"
             )
-        lo = float(_parse_fraction(parts[0], "--intervals lo"))
-        hi = float(_parse_fraction(parts[1], "--intervals hi"))
+        lo = _as_float(_parse_fraction(parts[0], "--intervals lo"))
+        hi = _as_float(_parse_fraction(parts[1], "--intervals hi"))
         pieces.append((lo, hi, _parse_sign(parts[2], "--intervals sign")))
     return pieces
 

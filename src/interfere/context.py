@@ -151,13 +151,20 @@ def total_prob_hyperbolic(t: ContextTransform):
 
     Requires hyperbolic mode.  Equals norm_sq of the split-complex amplitude
     transform on its validity window; outside it a component escapes [0, 1]
-    and NotAProbabilityError is raised naming the component.
+    and NotAProbabilityError is raised naming the component.  A phase whose
+    cosh leaves the float range raises ValidationError.
     """
     if t.mode != "hyp":
         raise ValidationError("total_prob_hyperbolic needs a hyperbolic-mode transform")
     out = []
     for j in (0, 1):
-        lam = t.signs[j] * math.cosh(t.phases[j])
+        try:
+            lam = t.signs[j] * math.cosh(t.phases[j])
+        except OverflowError:
+            raise ValidationError(
+                f"phases[{j}] = {t.phases[j]!r} is out of range: cosh overflows "
+                f"the float range beyond |theta| ~ 710"
+            ) from None
         raw = _mixture(t, j) + cross_term(_cross_weight(t, j), lam)
         out.append(as_probability(raw, what="hyperbolic total probability", component=j + 1))
     return tuple(out)

@@ -7,60 +7,117 @@ zero divisors.  Unit-norm elements are +/-(cosh t + j sinh t), the hyperbolic
 Euler formula, and every element of positive norm factors uniquely as
 sign(x) * modulus * exp(j * phase).
 
-Ring operations preserve exact (int / Fraction) components; ``exp`` and the
-polar decomposition are float-valued.
+A number whose components are both exact (int / Fraction) is held as three
+integers, x = a/d and y = b/d with d > 0 and gcd(a, b, d) = 1, so each ring
+operation and ``inverse`` costs one gcd and stays exact; ``x`` and ``y`` read
+back as int or Fraction.  Any other number keeps its components as given and
+takes the float formulas.  ``exp`` and the polar decomposition are
+float-valued.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import NonPositiveNormError
-from .numeric import is_exact
+
+_EXACT = (int, Fraction)
+_SCALARS = (int, float, Fraction)
 
 
-@dataclass(frozen=True)
-class HyperbolicNumber:
-    """x + j*y with j*j = +1."""
+class _Slots:
+    # A float number sets x, y and _d = 0; an exact one sets _a, _b, _d and
+    # is a _Exact, whose x and y are properties.  New numbers are filled in
+    # here, where attributes are writable, and then retyped.
+    __slots__ = ("x", "y", "_a", "_b", "_d")
 
-    x: float | Fraction
-    y: float | Fraction = 0
+
+class HyperbolicNumber(_Slots):
+    """x + j*y with j*j = +1; immutable."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y=0):
+        if isinstance(x, _EXACT) and isinstance(y, _EXACT):
+            (a, m), (b, n) = x.as_integer_ratio(), y.as_integer_ratio()
+            return _exact(a * n, b * m, m * n)
+        return _float(x, y)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return HyperbolicNumber, (self.x, self.y)
+
+    def __repr__(self):
+        return f"HyperbolicNumber(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, HyperbolicNumber):
+            return NotImplemented
+        if self._d and other._d:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __add__(self, other):
         if not isinstance(other, HyperbolicNumber):
             return NotImplemented
-        return HyperbolicNumber(self.x + other.x, self.y + other.y)
+        d1, d2 = self._d, other._d
+        if d1 and d2:
+            return _exact(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+        return _float(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other):
         if not isinstance(other, HyperbolicNumber):
             return NotImplemented
-        return HyperbolicNumber(self.x - other.x, self.y - other.y)
+        d1, d2 = self._d, other._d
+        if d1 and d2:
+            return _exact(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+        return _float(self.x - other.x, self.y - other.y)
 
     def __neg__(self):
-        return HyperbolicNumber(-self.x, -self.y)
+        if self._d:
+            return _exact(-self._a, -self._b, self._d)
+        return _float(-self.x, -self.y)
 
     def __mul__(self, other):
         if isinstance(other, HyperbolicNumber):
-            return HyperbolicNumber(
+            if self._d and other._d:
+                a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+                return _exact(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1, self._d * other._d)
+            return _float(
                 self.x * other.x + self.y * other.y,
                 self.x * other.y + other.x * self.y,
             )
-        if isinstance(other, (int, float, Fraction)):
-            return HyperbolicNumber(self.x * other, self.y * other)
+        if isinstance(other, _SCALARS):
+            if self._d and not isinstance(other, float):
+                n = other.numerator
+                return _exact(self._a * n, self._b * n, self._d * other.denominator)
+            return _float(self.x * other, self.y * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return HyperbolicNumber(self.x * other, self.y * other)
-        return NotImplemented
+    # only scalars reach the reflected product
+    __rmul__ = __mul__
 
     def conjugate(self) -> "HyperbolicNumber":
-        return HyperbolicNumber(self.x, -self.y)
+        if self._d:
+            return _exact(self._a, -self._b, self._d)
+        return _float(self.x, -self.y)
 
     def norm_sq(self):
         """The indefinite norm x**2 - y**2 (= z * conj(z)); may be negative."""
+        d = self._d
+        if d:
+            n = self._a * self._a - self._b * self._b
+            return n if d == 1 else Fraction(n, d * d)
         return self.x * self.x - self.y * self.y
 
     def in_positive_cone(self) -> bool:
@@ -70,6 +127,45 @@ class HyperbolicNumber:
     def on_light_cone(self) -> bool:
         """x = +/-y, the locus of zero divisors."""
         return self.norm_sq() == 0
+
+
+class _Exact(HyperbolicNumber):
+    """An exact number x = _a/_d, y = _b/_d with _d > 0, gcd(_a, _b, _d) = 1."""
+
+    __slots__ = ()
+
+    @property
+    def x(self):
+        return self._a if self._d == 1 else Fraction(self._a, self._d)
+
+    @property
+    def y(self):
+        return self._b if self._d == 1 else Fraction(self._b, self._d)
+
+
+_new = object.__new__
+
+
+def _exact(a: int, b: int, d: int) -> HyperbolicNumber:
+    """(a + j*b) / d for d > 0, reduced by one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(_Slots)
+    z._a = a
+    z._b = b
+    z._d = d
+    z.__class__ = _Exact
+    return z
+
+
+def _float(x, y) -> HyperbolicNumber:
+    z = _new(_Slots)
+    z.x = x
+    z.y = y
+    z._d = 0
+    z.__class__ = HyperbolicNumber
+    return z
 
 
 ZERO = HyperbolicNumber(0, 0)
@@ -86,7 +182,7 @@ def exp(theta: float) -> HyperbolicNumber:
     """
     if not math.isfinite(theta):
         raise ValueError(f"phase must be finite, got {theta!r}")
-    return HyperbolicNumber(math.cosh(theta), math.sinh(theta))
+    return _float(math.cosh(theta), math.sinh(theta))
 
 
 @dataclass(frozen=True)
@@ -123,11 +219,14 @@ def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
     Only elements with norm_sq > 0 are invertible: the light cone consists of
     zero divisors and negative-norm elements fall outside the positive cone.
     """
-    n = z.norm_sq()
+    d = z._d
+    n = z._a * z._a - z._b * z._b if d else z.norm_sq()  # d*d * norm_sq when exact
     if n == 0:
         raise NonPositiveNormError(f"{z!r} is a zero divisor (light cone), not invertible")
     if n < 0:
-        raise NonPositiveNormError(f"{z!r} has negative norm_sq {n!r}, not invertible here")
-    if is_exact(z.x) and is_exact(z.y):
-        return HyperbolicNumber(Fraction(z.x) / n, -Fraction(z.y) / n)
-    return HyperbolicNumber(z.x / n, -z.y / n)
+        raise NonPositiveNormError(
+            f"{z!r} has negative norm_sq {z.norm_sq()!r}, not invertible here"
+        )
+    if d:
+        return _exact(z._a * d, -z._b * d, n)
+    return _float(z.x / n, -z.y / n)

@@ -63,12 +63,44 @@ def prime_multiplicity(p: int, n: int) -> int:
     return k
 
 
+def _require_prime(p) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValidationError(f"modulus must be a prime number, got {p!r}")
+
+
+def _fraction(value) -> Fraction:
+    """An exact value as a Fraction; floats are refused."""
+    if isinstance(value, float):
+        # Fraction(0.1) is the exact dyadic 3602879701896397/2**55, almost
+        # never the rational the caller had in mind; valuations built on it
+        # would be silently wrong.
+        raise ValidationError(
+            f"refusing float {value!r}: pass an int, Fraction, or "
+            f"string like '1/10' for exact values"
+        )
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _order(p: int, value: Fraction):
+    """The p-order of value (math.inf for 0)."""
+    num = value.numerator
+    if not num:
+        return math.inf
+    if num % p == 0:
+        return prime_multiplicity(p, num)
+    den = value.denominator
+    return -prime_multiplicity(p, den) if den % p == 0 else 0
+
+
 @dataclass(frozen=True, repr=False)
 class PadicRational:
     """An exact rational seen through the p-adic valuation.
 
     The p-order (the exponent v with |x|_p = p**-v) is computed once at
     construction; the order of zero is the explicit sentinel math.inf.
+    Arithmetic results skip the validation, since their prime is already
+    checked; products, quotients and negations also take their order from
+    the operands' orders.
     """
 
     p: int
@@ -76,40 +108,25 @@ class PadicRational:
     order: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValidationError(f"modulus must be a prime number, got {self.p!r}")
-        if isinstance(self.value, float):
-            # Fraction(0.1) is the exact dyadic 3602879701896397/2**55, almost
-            # never the rational the caller had in mind; valuations built on
-            # it would be silently wrong.
-            raise ValidationError(
-                f"refusing float {self.value!r}: pass an int, Fraction, or "
-                f"string like '1/10' for exact values"
-            )
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        v = self.value
-        if v == 0:
-            order = math.inf
-        else:
-            order = prime_multiplicity(self.p, v.numerator) - prime_multiplicity(
-                self.p, v.denominator
-            )
-        object.__setattr__(self, "order", order)
+        _require_prime(self.p)
+        value = _fraction(self.value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "order", _order(self.p, value))
 
     # -- valuation ---------------------------------------------------------
 
     def abs(self) -> Fraction:
         """|x|_p = p**(-order), exactly (Fraction; 0 for x = 0)."""
-        if self.value == 0:
+        order = self.order
+        if order == math.inf:
             return Fraction(0)
-        return Fraction(self.p) ** -self.order
+        return Fraction(1, self.p**order) if order >= 0 else Fraction(self.p**-order)
 
     def unit_part(self) -> "PadicRational":
         """The unit e in x = p**order * e (so |e|_p = 1); undefined for 0."""
         if self.value == 0:
             raise ValidationError("0 has no unit decomposition")
-        return PadicRational(self.p, self.value / Fraction(self.p) ** self.order)
+        return _trusted(self.p, self.value * self.abs(), 0)
 
     # -- field arithmetic ----------------------------------------------------
 
@@ -119,14 +136,14 @@ class PadicRational:
                 raise PrimeMismatchError(f"mixed primes {self.p} and {other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicRational(self.p, Fraction(other))
+            return _trusted(self.p, Fraction(other))
         return None
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, self.value + other.value)
+        return _trusted(self.p, self.value + other.value)
 
     __radd__ = __add__
 
@@ -134,19 +151,19 @@ class PadicRational:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, self.value - other.value)
+        return _trusted(self.p, self.value - other.value)
 
     def __rsub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, other.value - self.value)
+        return _trusted(self.p, other.value - self.value)
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, self.value * other.value)
+        return _trusted(self.p, self.value * other.value, self.order + other.order)
 
     __rmul__ = __mul__
 
@@ -154,16 +171,16 @@ class PadicRational:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, self.value / other.value)
+        return _trusted(self.p, self.value / other.value, self.order - other.order)
 
     def __rtruediv__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return PadicRational(self.p, other.value / self.value)
+        return _trusted(self.p, other.value / self.value, other.order - self.order)
 
     def __neg__(self):
-        return PadicRational(self.p, -self.value)
+        return _trusted(self.p, -self.value, self.order)
 
     # -- canonical digits ----------------------------------------------------
 
@@ -178,16 +195,21 @@ class PadicRational:
             raise ValidationError(f"digit count must be >= 1, got {count}")
         if self.value == 0:
             return PadicExpansion(self.p, 0, ())
-        start = int(self.order)
-        residue = self.value / Fraction(self.p) ** start
+        p, start = self.p, int(self.order)
+        # the residue x / p**start = num/den has den coprime to p, and den
+        # stays fixed: subtracting a digit leaves a numerator divisible by p
+        num, den = self.value.numerator, self.value.denominator
+        if start >= 0:
+            num //= p**start
+        else:
+            den //= p**-start
+        inverse = pow(den, -1, p)
         out = []
         for _ in range(count):
-            # residue has denominator coprime to p, so it reduces mod p
-            num, den = residue.numerator, residue.denominator
-            digit = num * pow(den, -1, self.p) % self.p
+            digit = num * inverse % p
             out.append(digit)
-            residue = (residue - digit) / self.p
-        return PadicExpansion(self.p, start, tuple(out))
+            num = (num - digit * den) // p
+        return PadicExpansion(p, start, tuple(out))
 
     # -- housekeeping --------------------------------------------------------
 
@@ -196,6 +218,20 @@ class PadicRational:
 
     def __repr__(self):
         return f"PadicRational({self.p}, {self.value})"
+
+
+_new = object.__new__
+
+
+def _trusted(p: int, value: Fraction, order=None) -> PadicRational:
+    """PadicRational(p, value) for a prime p already checked and a Fraction
+    value, without the checks; the order is computed unless given."""
+    x = _new(PadicRational)
+    state = x.__dict__
+    state["p"] = p
+    state["value"] = value
+    state["order"] = _order(p, value) if order is None else order
+    return x
 
 
 @dataclass(frozen=True)

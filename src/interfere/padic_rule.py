@@ -22,16 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateContextError, ValidationError
-from .numeric import exact_sqrt
-from .padic import PadicRational, is_prime, prime_multiplicity
+from .padic import (
+    PadicRational,
+    _fraction,
+    _require_prime,
+    _trusted,
+    prime_multiplicity,
+)
 
 
 def _lift(p: int, value, name: str) -> PadicRational:
+    """value as a PadicRational of the prime p, which the caller has checked."""
     if isinstance(value, PadicRational):
         if value.p != p:
             raise ValidationError(f"{name} carries prime {value.p}, expected {p}")
         return value
-    return PadicRational(p, Fraction(value))
+    return _trusted(p, _fraction(value))
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,7 @@ class PadicAmplitudePair:
     epsilon: PadicRational
 
     def __post_init__(self):
+        _require_prime(self.p)
         object.__setattr__(self, "alpha1", _lift(self.p, self.alpha1, "alpha1"))
         object.__setattr__(self, "alpha2", _lift(self.p, self.alpha2, "alpha2"))
         object.__setattr__(self, "epsilon", _lift(self.p, self.epsilon, "epsilon"))
@@ -60,10 +67,15 @@ class PadicAmplitudePair:
                     f"{name} must be a p-adic integer (order >= 0) so that "
                     f"|{name}|_p**2 is a probability; got order {amp.order}"
                 )
-        if self.epsilon.abs() != 1:
+        if self.epsilon.order != 0:
             raise ValidationError(
                 f"epsilon must be a p-adic unit (|eps|_p = 1), got |eps|_p = {self.epsilon.abs()}"
             )
+
+
+def _squared_abs(p: int, order) -> Fraction:
+    """|x|_p**2 = p**(-2*order) for order >= 0 (0 when x = 0)."""
+    return Fraction(0) if order == math.inf else Fraction(1, p ** (2 * order))
 
 
 @dataclass(frozen=True)
@@ -90,20 +102,17 @@ def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
     Everything is computed with exact valuations; the deviation lam is the
     exact rational that makes P = P1 + P2 + 2*sqrt(P1*P2)*lam hold.
     """
-    p1 = pair.alpha1.abs() ** 2
-    p2 = pair.alpha2.abs() ** 2
+    p, o1, o2 = pair.p, pair.alpha1.order, pair.alpha2.order
+    p1, p2 = _squared_abs(p, o1), _squared_abs(p, o2)
     total = pair.alpha1 + pair.epsilon * pair.alpha2
-    probability = total.abs() ** 2
-    if p1 > p2:
+    probability = _squared_abs(p, total.order)
+    cross = None
+    if o1 < o2:
         case = "A"
-        ratio_root = exact_sqrt(p2 / p1)
-        lam = -ratio_root / 2
-        cross = None
-    elif p1 < p2:
+        lam = Fraction(-1, 2 * p ** (o2 - o1))  # -sqrt(P2/P1) / 2
+    elif o1 > o2:
         case = "B"
-        ratio_root = exact_sqrt(p1 / p2)
-        lam = -ratio_root / 2
-        cross = None
+        lam = Fraction(-1, 2 * p ** (o1 - o2))  # -sqrt(P1/P2) / 2
     else:
         case = "C"
         cross = probability / p1
@@ -146,17 +155,19 @@ def padic_slit_profile(p: int, l: int, eps_max: int):
     exactly: brightness drops precisely where 1 + eps is divisible by p, by
     two orders of magnitude in base p per power.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValidationError(f"p must be prime, got {p!r}")
+    _require_prime(p)
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}")
     if eps_max < 1:
         raise ValidationError(f"eps_max must be >= 1, got {eps_max}")
-    amplitude_scale = Fraction(p) ** (-2 * l)
+    brightness = {}  # v -> p**(-2*(l + v)), built once per distinct v
     samples = []
     for eps in range(1, eps_max + 1):
         if eps % p == 0:
             continue
-        v = prime_multiplicity(p, 1 + eps)
-        samples.append(SlitSample(eps, v, amplitude_scale * Fraction(p) ** (-2 * v)))
+        v = prime_multiplicity(p, 1 + eps) if (1 + eps) % p == 0 else 0
+        probability = brightness.get(v)
+        if probability is None:
+            probability = brightness[v] = _squared_abs(p, l + v)
+        samples.append(SlitSample(eps, v, probability))
     return samples

@@ -306,3 +306,24 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+class TestBoundaryInputs:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("fit 1e400 0.1 0.2", 3),  # reads as inf in float mode
+            ("totalprob --config {config} --theta1 pi/0", 2),
+            ("totalprob --kind hyp --config {config} --theta1 1000", 3),  # cosh overflows
+            ("fit 0.36 0.16 0.76 --out {missing}", 2),
+        ],
+    )
+    def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
+        config = tmp_path / "two_slit.cfg"
+        config.write_text(TWO_SLIT_CONFIG)
+        missing = tmp_path / "missing" / "dir" / "x.csv"
+        code, out, err = run(capsys, *argv.format(config=config, missing=missing).split())
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -65,6 +65,66 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
 
 
+exact_values = st.one_of(st.integers(min_value=-60, max_value=60), rationals)
+# values a float carries exactly, so int, Fraction and float spellings agree
+dyadics = st.builds(
+    lambda n, k: Fraction(n, 2**k),
+    st.integers(min_value=-(2**20), max_value=2**20),
+    st.integers(min_value=0, max_value=8),
+)
+
+
+def exact_components(z):
+    assert isinstance(z.x, (int, Fraction)) and isinstance(z.y, (int, Fraction))
+    return z.x, z.y
+
+
+class TestExactKernel:
+    """Exact numbers against the Fraction component formulas."""
+
+    @given(exact_values, exact_values, exact_values, exact_values, exact_values)
+    def test_ring_operations(self, x1, y1, x2, y2, k):
+        a, b = HyperbolicNumber(x1, y1), HyperbolicNumber(x2, y2)
+        x1, y1, x2, y2, k = map(Fraction, (x1, y1, x2, y2, k))
+        assert exact_components(a) == (x1, y1)
+        assert exact_components(a + b) == (x1 + x2, y1 + y2)
+        assert exact_components(a - b) == (x1 - x2, y1 - y2)
+        assert exact_components(-a) == (-x1, -y1)
+        assert exact_components(a * b) == (x1 * x2 + y1 * y2, x1 * y2 + x2 * y1)
+        assert exact_components(a.conjugate()) == (x1, -y1)
+        assert exact_components(a * k) == exact_components(k * a) == (x1 * k, y1 * k)
+        norm = a.norm_sq()
+        assert isinstance(norm, (int, Fraction)) and norm == x1 * x1 - y1 * y1
+        if norm > 0:
+            assert exact_components(hyperbolic.inverse(a)) == (x1 / norm, -y1 / norm)
+
+    @given(dyadics, dyadics)
+    def test_equality_and_hash_across_component_types(self, x, y):
+        spellings = [
+            HyperbolicNumber(x, y),
+            HyperbolicNumber(float(x), float(y)),
+            HyperbolicNumber(x, float(y)),
+        ]
+        if x.denominator == 1 and y.denominator == 1:
+            spellings.append(HyperbolicNumber(int(x), int(y)))
+        for z in spellings:
+            assert z == spellings[0]
+            assert hash(z) == hash(spellings[0])
+
+    def test_equality_and_hash_example(self):
+        a, b = HyperbolicNumber(1, 2), HyperbolicNumber(Fraction(2, 2), 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert HyperbolicNumber(1, 2) != HyperbolicNumber(1, 2.5)
+
+    @pytest.mark.parametrize("z", [HyperbolicNumber(Fraction(1, 3), 2), HyperbolicNumber(0.5, 1.5)])
+    def test_components_are_read_only(self, z):
+        with pytest.raises(AttributeError):
+            z.x = 3
+        with pytest.raises(AttributeError):
+            del z.y
+        assert z == HyperbolicNumber(z.x, z.y)
+
+
 class TestNorm:
     def test_values(self):
         assert HyperbolicNumber(5, 4).norm_sq() == 9  # 25 - 16

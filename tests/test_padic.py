@@ -135,6 +135,30 @@ class TestArithmetic:
         assert str(PadicRational(3, "5/27")) == "5/27"
         assert str(PadicRational(3, 7)) == "7"
 
+    @given(
+        small_fractions,
+        small_fractions,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-5, max_value=5),
+        st.sampled_from([2, 3, 5, 7, 10**9 + 7]),
+    )
+    def test_results_match_a_fresh_construction(self, a, b, shift, n, p):
+        # arithmetic results skip validation and may take their order from
+        # the operands; a validated construction recomputes it from the value
+        x = PadicRational(p, a * Fraction(p) ** shift)
+        y = PadicRational(p, b)
+        results = [x + y, x - y, x * y, -x, x + n, n - x, n * x, x - x, x * 0, y * x]
+        if y.value != 0:
+            results += [x / y, n / y]
+        if x.value != 0:
+            results.append(x.unit_part())
+        for r in results:
+            fresh = PadicRational(p, r.value)
+            assert r == fresh
+            assert r.value == fresh.value and r.order == fresh.order
+            assert r.abs() == fresh.abs() == (0 if r.value == 0 else Fraction(p) ** -r.order)
+        assert (x - x).order == (x * 0).order == math.inf
+
     @given(small_fractions, primes)
     def test_unit_decomposition(self, a, p):
         x = PadicRational(p, a)

@@ -51,6 +51,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             pair(3, PadicRational(5, 1), 1, 1)
 
+    def test_composite_prime_rejected(self):
+        with pytest.raises(ValidationError, match="prime"):
+            pair(9, 1, 1, 1)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_float_values_refused_as_by_padic_rational(self, slot):
+        # Fraction(0.1) is the dyadic 3602879701896397/2**55, not 1/10
+        args = [1, 1, 1]
+        args[slot] = 0.1
+        with pytest.raises(ValidationError, match="refusing float"):
+            pair(3, *args)
+        with pytest.raises(ValidationError, match="refusing float"):
+            PadicRational(3, 0.1)
+
 
 class TestCases:
     def test_case_a_dominant_first_amplitude(self):
