@@ -15,6 +15,9 @@ valuation arithmetic), ``engine`` (the deviation calculus), ``context``
 ``profiles`` (brightness curves), ``cli`` (command-line front end).
 """
 
+# before the submodule imports, which read it during package import
+__version__ = "0.1.0"
+
 from .context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -68,8 +71,6 @@ from .profiles import (
     theta_bounds,
     uniform_grid,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BrightnessProfile",

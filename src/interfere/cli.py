@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import checks, engine, profiles
+from . import __version__, engine, profiles
 from .context import (
     ContextTransform,
     normalization_defect,
@@ -31,8 +31,6 @@ from .errors import InterfereError, NotAProbabilityError
 from .numeric import fmt_float, round12
 from .padic import PadicRational
 from .padic_rule import PadicAmplitudePair, lambda_range_check, padic_interfere, padic_slit_profile
-
-VERSION = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -328,7 +326,7 @@ def _cmd_padic(args) -> int:
             "# kind=padic-slit-table",
             f"# l={args.l}",
             f"# p={args.p}",
-            f"# version={VERSION}",
+            f"# version={__version__}",
             "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float",
         ]
         lines.extend(
@@ -372,6 +370,8 @@ def _cmd_padic(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    from . import checks  # imported here: only this command needs it
+
     results = checks.run_all(full=not args.fast)
     lines = []
     failures = 0
@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interference of probabilistic alternatives over complex, "
         "split-complex, and p-adic amplitudes.",
     )
-    parser.add_argument("--version", action="version", version=f"interfere {VERSION}")
+    parser.add_argument("--version", action="version", version=f"interfere {__version__}")
     sub = parser.add_subparsers(dest="command")
 
     fit = sub.add_parser("fit", help="fit the deviation form to a (p1, p2, p) triple")

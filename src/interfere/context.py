@@ -57,8 +57,11 @@ class ContextTransform:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if len(self.prior) != 2 or len(self.cond) != 2 or len(self.phases) != 2:
             raise ValidationError("prior, cond rows, and phases must all be pairs")
+        # require_probability only to raise: a name is formatted only for a
+        # value out of range
         for i, value in enumerate(self.prior):
-            require_probability(value, f"prior[{i}]")
+            if not 0 <= value <= 1:
+                require_probability(value, f"prior[{i}]")
         prior_sum = self.prior[0] + self.prior[1]
         if abs(prior_sum - 1) > TOLERANCE:
             raise ValidationError(f"prior sums to {prior_sum!r}, expected 1")
@@ -66,7 +69,8 @@ class ContextTransform:
             if len(row) != 2:
                 raise ValidationError(f"cond row {i} must have 2 entries")
             for j, value in enumerate(row):
-                require_probability(value, f"cond[{i}][{j}]")
+                if not 0 <= value <= 1:
+                    require_probability(value, f"cond[{i}][{j}]")
             row_sum = row[0] + row[1]
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {row_sum!r}, expected 1")

@@ -92,6 +92,15 @@ def combine(p1, p2, lam):
     return p1 + p2 + cross_term(2 * sqrt_keeping_exact(p1 * p2), lam)
 
 
+def _rule(base, weight, lam, what):
+    """The rule base + weight*lam, for base = p1 + p2 and weight =
+    2*sqrt(p1*p2) of already validated inputs, checked as a probability.
+
+    Sweeps compute base and weight once and call this at every point.
+    """
+    return as_probability(base + cross_term(weight, lam), what=what)
+
+
 def interfere_trig(p1, p2, theta):
     """Trigonometric rule p1 + p2 + 2*sqrt(p1*p2)*cos(theta).
 
@@ -101,8 +110,8 @@ def interfere_trig(p1, p2, theta):
     """
     require_probability(p1, "p1")
     require_probability(p2, "p2")
-    raw = combine(p1, p2, phase_cos(theta))
-    return as_probability(raw, what="trigonometric interference")
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
+    return _rule(p1 + p2, weight, phase_cos(theta), "trigonometric interference")
 
 
 def interfere_hyp(p1, p2, theta, sign):
@@ -116,8 +125,8 @@ def interfere_hyp(p1, p2, theta, sign):
     require_probability(p2, "p2")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
-    raw = combine(p1, p2, sign * math.cosh(theta))
-    return as_probability(raw, what="hyperbolic interference")
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
+    return _rule(p1 + p2, weight, sign * math.cosh(theta), "hyperbolic interference")
 
 
 def amplitudes_trig(p1, p2, theta):

@@ -17,7 +17,8 @@ TOLERANCE = 1e-10
 
 def is_exact(value) -> bool:
     """True for values carried exactly (int or Fraction)."""
-    return isinstance(value, (int, Fraction))
+    # floats first: a miss on Fraction costs an ABCMeta.__instancecheck__
+    return not isinstance(value, float) and isinstance(value, (int, Fraction))
 
 
 def exact_sqrt(value):
@@ -70,11 +71,11 @@ def cross_term(weight, lam):
 
 def require_probability(value, name):
     """Validate an input probability in [0, 1]; returns it unchanged."""
+    if 0 <= value <= 1:  # NaN and +/-inf fail this and reach the messages
+        return value
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    if not 0 <= value <= 1:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def as_probability(value, what="result", component=None):
@@ -107,6 +108,6 @@ def round12(value) -> float:
 
 def fmt_number(value) -> str:
     """Exact values as 'num/den' or plain integers, floats via fmt_float."""
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    return fmt_float(value)
+    if isinstance(value, float) or not isinstance(value, (int, Fraction)):
+        return fmt_float(value)
+    return str(value)

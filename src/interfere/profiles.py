@@ -23,18 +23,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import interfere_hyp, interfere_trig
+from . import __version__
+from .engine import _rule
 from .errors import DegenerateContextError, ProfileError
 from .numeric import (
     TOLERANCE,
     fmt_float,
     fmt_number,
+    is_exact,
+    phase_cos,
     require_probability,
     sqrt_keeping_exact,
 )
 from .padic_rule import padic_slit_profile
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -95,13 +96,17 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     """
     require_probability(p1, "p1")
     require_probability(p2, "p2")
-    peak = p1 + p2 + 2 * sqrt_keeping_exact(p1 * p2)
+    base = p1 + p2
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
+    peak = base + weight
     if peak > 1 + TOLERANCE:
         raise ProfileError(
             f"trigonometric profile would peak at {peak!r} > 1; "
             "reduce p1, p2 so that (sqrt(p1)+sqrt(p2))**2 <= 1"
         )
-    values = tuple(interfere_trig(p1, p2, r) for r in grid)
+    values = tuple(
+        _rule(base, weight, phase_cos(r), "trigonometric interference") for r in grid
+    )
     return BrightnessProfile(
         kind="trig",
         grid=tuple(grid),
@@ -143,7 +148,11 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
         raise ProfileError(
             f"empty valid window: no grid points inside [0, {fmt_float(hi)}]"
         )
-    values = tuple(interfere_hyp(p1, p2, r, sign) for r in kept)
+    base = p1 + p2
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
+    values = tuple(
+        _rule(base, weight, sign * math.cosh(r), "hyperbolic interference") for r in kept
+    )
     return BrightnessProfile(
         kind="hyp",
         grid=kept,
@@ -185,6 +194,8 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
                 f"intervals [{lo_a}, {hi_a}] and [{lo_b}, {hi_b}] overlap"
             )
     theta_max, theta_min = theta_bounds(p1, p2)
+    base = p1 + p2
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
     out_grid = []
     out_values = []
     taken = set()
@@ -195,7 +206,9 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
             if i not in taken and lo - TOLERANCE <= r <= hi + TOLERANCE:
                 taken.add(i)
                 out_grid.append(r)
-                out_values.append(interfere_hyp(p1, p2, r, sign))
+                out_values.append(
+                    _rule(base, weight, sign * math.cosh(r), "hyperbolic interference")
+                )
     if not out_grid:
         raise ProfileError("no grid points fall inside the partition")
     return BrightnessProfile(
@@ -232,7 +245,7 @@ def profile_padic(p: int, l: int, eps_max: int) -> BrightnessProfile:
 
 def write_csv(profile: BrightnessProfile, stream) -> None:
     """Self-describing CSV: '#' metadata comments, then r,P_float,P_exact,kind."""
-    meta = {"kind": profile.kind, "version": VERSION}
+    meta = {"kind": profile.kind, "version": __version__}
     for key, value in profile.metadata.items():
         meta[str(key)] = fmt_number(value) if not isinstance(value, str) else value
     if profile.theta_max is not None:
@@ -244,9 +257,18 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
     for key in sorted(meta):
         stream.write(f"# {key}={meta[key]}\n")
     stream.write("r,P_float,P_exact,kind\n")
+    # "P_float,P_exact" cells keyed by identity: a p-adic profile shares one
+    # Fraction per brightness, and hashing a Fraction costs more than formatting it
+    cells = {}
     for r, value in zip(profile.grid, profile.values):
-        exact = str(value) if isinstance(value, (int, Fraction)) else ""
-        stream.write(f"{fmt_number(r)},{fmt_float(value)},{exact},{profile.kind}\n")
+        if isinstance(value, float):
+            text = f"{fmt_float(value)},"
+        else:
+            text = cells.get(id(value))
+            if text is None:
+                exact = str(value) if is_exact(value) else ""
+                text = cells[id(value)] = f"{fmt_float(value)},{exact}"
+        stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")
 
 
 def to_json_dict(profile: BrightnessProfile) -> dict:

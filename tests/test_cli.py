@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from interfere.cli import main
 
@@ -326,4 +328,91 @@ class TestBoundaryInputs:
         assert code == expected
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+# -- generated argvs ---------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "1/16", "0.36", "-0.1", "1.5", "1/0", "nan", "inf", "-inf",
+         "1e400", "-1e400", "1e-400", "0x10", "", "pi"]
+    ),
+    st.floats().map(repr),
+    st.integers(min_value=-(10**400), max_value=10**400).map(str),
+    st.fractions().map(str),
+)
+_ANGLES = st.one_of(
+    _NUMBERS,
+    st.sampled_from(
+        ["pi", "-pi", "pi/2", "2pi/3", "-pi/4", "3*pi", "pi/0", "0pi",
+         "99999999999999999999999999pi", "pi/99999999999999999999999999",
+         "9" * 400 + "pi"]
+    ),
+)
+_SIGNS = st.sampled_from(["+", "-", "+1", "-1", "1", "0", "x", ""])
+# grid sizes and table lengths stay small: each point is real work
+_COUNTS = st.sampled_from(["-1", "0", "1", "5", "40", "1e3", "x"])
+_PRIMES = st.sampled_from(["2", "3", "5", "1000000007", "0", "1", "4", "-3", "x"])
+_MODES = st.sampled_from([[], ["--mode", "exact"], ["--mode", "float"]])
+_OUTS = st.sampled_from([[], ["--out", "{missing}"], ["--out", "{file}"]])
+
+
+def _flag(name, values, optional=False):
+    """['--name=value'], so that values such as '-inf' stay values."""
+    flag = values.map(lambda value: [f"--{name}={value}"])
+    return st.one_of(st.just([]), flag) if optional else flag
+
+
+def _argv(*pieces):
+    """One argv from fixed words and drawn lists of words."""
+    parts = [st.just([piece]) if isinstance(piece, str) else piece for piece in pieces]
+    return st.tuples(*parts).map(lambda drawn: [word for part in drawn for word in part])
+
+
+_POSITIONAL = _NUMBERS.map(lambda value: [value])
+_INTERVALS = st.lists(
+    st.tuples(_NUMBERS, _NUMBERS, _SIGNS).map(":".join), min_size=1, max_size=3
+).map(",".join)
+_TOTALPROB_KEYS = ("pb1", "pb2", "p11", "p12", "p21", "p22")
+
+ARGVS = st.one_of(
+    _argv("fit", _MODES, _POSITIONAL, _POSITIONAL, _POSITIONAL, _OUTS),
+    _argv("profile", "trig", _flag("p1", _NUMBERS), _flag("p2", _NUMBERS),
+          _flag("min", _NUMBERS, True), _flag("max", _NUMBERS), _flag("n", _COUNTS, True),
+          _MODES, _OUTS),
+    _argv("profile", "hyp", _flag("p1", _NUMBERS), _flag("p2", _NUMBERS),
+          _flag("sign", _SIGNS),
+          st.one_of(st.just([]), st.just(["--auto-window"]), _flag("max", _NUMBERS)),
+          _flag("n", _COUNTS, True), _MODES, _OUTS),
+    _argv("profile", "piecewise", _flag("p1", _NUMBERS), _flag("p2", _NUMBERS),
+          _flag("intervals", _INTERVALS), _flag("n", _COUNTS, True), _MODES, _OUTS),
+    _argv("profile", "padic", _flag("p", _PRIMES), _flag("l", _COUNTS, True),
+          _flag("eps-max", _COUNTS), _OUTS),
+    _argv("totalprob", _flag("kind", st.sampled_from(["trig", "hyp", "x"]), True),
+          *(_flag(key, _NUMBERS) for key in _TOTALPROB_KEYS),
+          _flag("theta1", _ANGLES), _flag("theta2", _ANGLES),
+          _flag("sign1", _SIGNS, True), _flag("sign2", _SIGNS, True), _MODES, _OUTS),
+    _argv("padic", _flag("p", _PRIMES), _flag("alpha1", _NUMBERS, True),
+          _flag("alpha2", _NUMBERS, True), _flag("eps", _NUMBERS, True), _OUTS),
+    _argv("padic", _flag("p", _PRIMES), "--table", _flag("l", _COUNTS, True),
+          _flag("eps-max", _COUNTS, True), _OUTS),
+)
+
+
+class TestExitCodeContract:
+    """Any argv ends with exit code 0, 2, 3 or 4 and no exception escapes.
+    `check` is left out: its sweeps take seconds whatever the argv."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=ARGVS)
+    def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing" / "dir" / "x.csv"
+        argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
         assert "Traceback" not in err

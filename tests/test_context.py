@@ -53,6 +53,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"cond\[0\]\[0\]"):
             make(cond=((1.5, -0.5), (0.5, 0.5)))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cond": ((0.5, 0.5), (1.5, -0.5))}, "cond[1][0] must lie in [0, 1], got 1.5"),
+            ({"cond": ((0.5, 0.5), (math.nan, 0.5))}, "cond[1][0] must be finite, got nan"),
+            ({"prior": (0.5, -0.5)}, "prior[1] must lie in [0, 1], got -0.5"),
+            ({"prior": (0.5, math.inf)}, "prior[1] must be finite, got inf"),
+        ],
+    )
+    def test_out_of_range_value_is_named(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            make(**kwargs)
+        assert str(info.value) == message
+
     def test_mode_and_signs(self):
         with pytest.raises(ValidationError):
             make(mode="weird")

@@ -27,6 +27,7 @@ from interfere.errors import (
     NotAProbabilityError,
     ValidationError,
 )
+from interfere.numeric import fmt_number, is_exact, require_probability
 
 # oracle for the worked example: |0.6 + 0.4 e^{i pi/3}|^2 = 0.76
 _EXAMPLE_P = abs(0.6 + 0.4 * cmath.exp(1j * math.pi / 3)) ** 2
@@ -347,3 +348,45 @@ class TestPhasesFromDeviation:
     def test_out_of_range_parameterization_rejected(self):
         with pytest.raises(ValidationError):
             phases_from_deviation(lambda s: 1.5, [0.0])
+
+
+class TestNumericChecks:
+    """The float checks come first; answers and messages stay as they were."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "p1 must be finite, got nan"),
+            (math.inf, "p1 must be finite, got inf"),
+            (-math.inf, "p1 must be finite, got -inf"),
+            (-0.1, "p1 must lie in [0, 1], got -0.1"),
+            (1.5, "p1 must lie in [0, 1], got 1.5"),
+            (Fraction(3, 2), "p1 must lie in [0, 1], got Fraction(3, 2)"),
+        ],
+    )
+    def test_require_probability_messages(self, value, message):
+        with pytest.raises(ValidationError) as info:
+            require_probability(value, "p1")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, 0.25, Fraction(1, 3), True])
+    def test_require_probability_returns_its_input(self, value):
+        assert require_probability(value, "p1") is value
+
+    @pytest.mark.parametrize(
+        "value, exact, text",
+        [
+            (True, True, "True"),
+            (3, True, "3"),
+            (Fraction(1, 3), True, "1/3"),
+            (0.25, False, "0.25"),
+        ],
+    )
+    def test_is_exact_and_fmt_number(self, value, exact, text):
+        assert is_exact(value) is exact
+        assert fmt_number(value) == text
+
+    def test_numpy_float_is_a_float(self):
+        numpy = pytest.importorskip("numpy")
+        assert is_exact(numpy.float64(0.25)) is False
+        assert fmt_number(numpy.float64(0.25)) == "0.25"

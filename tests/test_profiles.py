@@ -2,13 +2,16 @@
 
 import io
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from interfere.engine import interfere_hyp, interfere_trig
 from interfere.errors import DegenerateContextError, ProfileError
 from interfere.padic_rule import padic_slit_profile
 from interfere.profiles import (
+    BrightnessProfile,
     profile_hyp,
     profile_padic,
     profile_piecewise,
@@ -185,6 +188,60 @@ class TestPiecewiseProfile:
         assert profile.grid == (1.5,)
 
 
+class TestSweepMatchesPointwise:
+    """A sweep validates its inputs once; every value must still equal, in
+    value and in type, what the public rule gives at that point."""
+
+    EXACT = (Fraction(1, 4), Fraction(1, 16))  # p1*p2 = 1/64, a perfect square
+
+    @staticmethod
+    def _same(got, want):
+        want = tuple(want)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    @pytest.mark.parametrize("p1, p2", [(0.2, 0.05), (1 / 4, 1 / 16), EXACT])
+    def test_trig(self, p1, p2):
+        grid = (0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.0, 2 * math.pi)
+        profile = profile_trig(p1, p2, grid)
+        self._same(profile.values, (interfere_trig(p1, p2, r) for r in grid))
+        if isinstance(p1, Fraction):  # cos = 1, 0, -1 keep the rule exact
+            assert profile.values[0] == Fraction(9, 16)
+            assert profile.values[2] == Fraction(5, 16)
+            assert profile.values[4] == Fraction(1, 16)
+            assert all(isinstance(profile.values[i], Fraction) for i in (0, 2, 4))
+
+    @pytest.mark.parametrize("p1, p2", [(0.2, 0.05), (1 / 4, 1 / 16), EXACT])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_hyp(self, p1, p2, sign):
+        hi = theta_bounds(p1, p2)[0 if sign == 1 else 1]
+        grid = uniform_grid(0.0, hi, 17)
+        profile = profile_hyp(p1, p2, sign, grid)
+        self._same(profile.values, (interfere_hyp(p1, p2, r, sign) for r in grid))
+        if isinstance(p1, Fraction):  # cosh(0) = 1 keeps the rule exact
+            assert profile.values[0] == (Fraction(9, 16) if sign == 1 else Fraction(1, 16))
+
+    @pytest.mark.parametrize("p1, p2", [(1 / 4, 1 / 16), EXACT])
+    def test_piecewise(self, p1, p2):
+        partition = [(0.0, 0.5, -1), (0.8, 1.5, 1)]
+        grid = uniform_grid(0.0, 1.5, 40)
+        profile = profile_piecewise(p1, p2, partition, grid)
+        signs = [-1 if r <= 0.5 + 1e-10 else 1 for r in profile.grid]
+        self._same(
+            profile.values,
+            (interfere_hyp(p1, p2, r, s) for r, s in zip(profile.grid, signs)),
+        )
+        assert profile.values[0] == p1 + p2 - 2 * math.sqrt(p1 * p2)
+
+    def test_bad_signs_keep_their_messages(self):
+        with pytest.raises(ProfileError) as info:
+            profile_hyp(1 / 4, 1 / 16, 0, (0.0,))
+        assert str(info.value) == "sign must be +1 or -1, got 0"
+        with pytest.raises(ProfileError) as info:
+            profile_piecewise(1 / 4, 1 / 16, [(0.0, 0.5, 2)], (0.0,))
+        assert str(info.value) == "interval sign must be +1 or -1, got 2"
+
+
 class TestPadicProfile:
     def test_radii_and_values(self):
         profile = profile_padic(3, 0, 8)
@@ -240,6 +297,25 @@ class TestEmission:
         assert rows[0] == "r,P_float,P_exact,kind"
         assert rows[1] == "2,1,1,padic"
         assert rows[2] == "3,0.111111111111,1/9,padic"
+
+    def test_csv_cells_for_shared_equal_and_mixed_values(self):
+        # one object repeated, equal values in distinct objects, and values
+        # of every kind: float, int, Fraction, and a number that is neither
+        ninth = Fraction(1, 9)
+        values = (ninth, Fraction(1, 9), 0.5, 1, Fraction(1, 3), Decimal("0.5"), ninth)
+        profile = BrightnessProfile("padic", tuple(range(2, 9)), values)
+        buffer = io.StringIO()
+        write_csv(profile, buffer)
+        rows = [line for line in buffer.getvalue().splitlines() if not line.startswith("#")]
+        assert rows[1:] == [
+            "2,0.111111111111,1/9,padic",
+            "3,0.111111111111,1/9,padic",
+            "4,0.5,,padic",
+            "5,1,1,padic",
+            "6,0.333333333333,1/3,padic",
+            "7,0.5,,padic",
+            "8,0.111111111111,1/9,padic",
+        ]
 
     def test_json_dict(self):
         data = to_json_dict(profile_padic(3, 0, 8))
