@@ -4,6 +4,10 @@ Every check runs a deterministic sweep (seeded RNG or exhaustive enumeration)
 and reports how many cases it tried and how many violated the invariant it
 guards.  The CLI prints one line per check; the acceptance tests rerun the
 same sweeps at their full sizes.
+
+A case costs its invariant and no more: its counterexample message is passed
+as a zero-argument callable and formatted only if the case is the sweep's
+first violation.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import hyperbolic
 from .context import (
@@ -28,7 +33,7 @@ from .context import (
 from .engine import amplitudes_hyp, amplitudes_trig, combine, interfere_hyp, interfere_trig
 from .numeric import exact_sqrt
 from .padic import PadicBall, PadicRational, prime_multiplicity
-from .padic_rule import PadicAmplitudePair, lambda_range_check, padic_interfere, padic_slit_profile
+from .padic_rule import PadicAmplitudePair, padic_interfere, padic_slit_profile
 from .profiles import profile_hyp, profile_padic, profile_trig, theta_bounds, uniform_grid
 
 
@@ -53,12 +58,14 @@ class _Tally:
         self.violations = 0
         self.detail = ""
 
-    def case(self, ok: bool, detail: str = ""):
+    def case(self, ok: bool, detail: str | Callable[[], str] = ""):
+        """Count one case.  `detail` describes the first violation; when it
+        is a callable, it is called then and only then."""
         self.cases += 1
         if not ok:
             self.violations += 1
-            if not self.detail:
-                self.detail = detail
+            if self.violations == 1:
+                self.detail = detail() if callable(detail) else detail
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.cases, self.violations, self.detail)
@@ -85,9 +92,12 @@ def _random_fraction(rng, span=60, nonzero=False) -> Fraction:
 # split-complex algebra
 # ---------------------------------------------------------------------------
 
-def _hyperbola_point(t: Fraction) -> hyperbolic.HyperbolicNumber:
-    """Exact rational point ((t + 1/t)/2, (t - 1/t)/2) on x**2 - y**2 = 1."""
-    return hyperbolic.HyperbolicNumber((t + 1 / t) / 2, (t - 1 / t) / 2)
+def _hyperbola_point(m: int, n: int) -> hyperbolic.HyperbolicNumber:
+    """Exact rational point ((t + 1/t)/2, (t - 1/t)/2) on x**2 - y**2 = 1 for
+    t = m/n, that is ((m**2 + n**2)/2mn, (m**2 - n**2)/2mn); scaling (m, n)
+    leaves it unchanged."""
+    d = 2 * m * n
+    return hyperbolic.HyperbolicNumber(Fraction(m * m + n * n, d), Fraction(m * m - n * n, d))
 
 
 def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckResult:
@@ -111,7 +121,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
             and a.conjugate().conjugate() == a
             and a * a.conjugate() == H(a.norm_sq(), 0)
         )
-        tally.case(ok, f"ring law failed for {a}, {b}, {c}")
+        tally.case(ok, lambda: f"ring law failed for {a}, {b}, {c}")
 
     # Euler group law and unit norm, float phases.  Opposite-sign phases
     # cancel catastrophically in cosh*cosh - sinh*sinh terms, so the float
@@ -133,11 +143,11 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
         norm = (unit * sign).norm_sq()
         ok = ok and abs(norm - 1) <= 1e-10 * max(1.0, unit.x * unit.x)
         # exact unit circle via rational points on the hyperbola
-        ta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        tb = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        za, zb = _hyperbola_point(ta), _hyperbola_point(tb)
-        ok = ok and za.norm_sq() == 1 and za * zb == _hyperbola_point(ta * tb)
-        tally.case(ok, f"Euler/unit-circle failed at t1={t1}, t2={t2}")
+        ma, na = rng.randint(1, 40), rng.randint(1, 40)
+        mb, nb = rng.randint(1, 40), rng.randint(1, 40)
+        za, zb = _hyperbola_point(ma, na), _hyperbola_point(mb, nb)
+        ok = ok and za.norm_sq() == 1 and za * zb == _hyperbola_point(ma * mb, na * nb)
+        tally.case(ok, lambda: f"Euler/unit-circle failed at t1={t1}, t2={t2}")
 
     # polar decomposition round trip on positive-norm elements
     for _ in range(cases_per_law):
@@ -156,7 +166,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
             and abs(back.y - z.y) <= 1e-10 * scale
             and hyperbolic.inverse(z) * z == z * hyperbolic.inverse(z)
         )
-        tally.case(ok, f"polar round trip failed for sign={sign} m={modulus} t={phase}")
+        tally.case(ok, lambda: f"polar round trip failed for sign={sign} m={modulus} t={phase}")
 
     # zero divisors live exactly on the light cone
     for _ in range(cases_per_law):
@@ -173,7 +183,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
             and (off * off).norm_sq() == off.norm_sq() ** 2
             and off * off != hyperbolic.ZERO
         )
-        tally.case(ok, f"zero-divisor characterization failed for a={a}, b={b}")
+        tally.case(ok, lambda: f"zero-divisor characterization failed for a={a}, b={b}")
 
     return tally.result()
 
@@ -216,7 +226,7 @@ def check_ultrametric(cases: int = 10000, seed: int = 211) -> CheckResult:
                 and unit.abs() == 1
                 and unit.value * Fraction(p) ** x.order == x.value
             )
-        tally.case(ok, f"ultrametric failed for p={p}, x={x}, y={y}")
+        tally.case(ok, lambda: f"ultrametric failed for p={p}, x={x}, y={y}")
     return tally.result()
 
 
@@ -255,7 +265,7 @@ def check_ball_geometry(cases: int = 2000, seed: int = 223) -> CheckResult:
         else:
             ok = ok and not any(large.contains(z) for z in small_members)
             ok = ok and not other.contains(center) and not ball.contains(other_center)
-        tally.case(ok, f"ball geometry failed for p={p}, n={n}, m={m}")
+        tally.case(ok, lambda: f"ball geometry failed for p={p}, n={n}, m={m}")
     return tally.result()
 
 
@@ -280,7 +290,7 @@ def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) 
             if previous_gap is not None and expansion.digits[k - 1] != 0:
                 ok = ok and gap < previous_gap
             previous_gap = gap
-        tally.case(ok, f"digit expansion failed for p={p}, x={x}")
+        tally.case(ok, lambda: f"digit expansion failed for p={p}, x={x}")
     return tally.result()
 
 
@@ -301,7 +311,7 @@ def check_amplitude_oracle_trig(n: int = 50) -> CheckResult:
                 oracle = abs(a1 + a2) ** 2
                 tally.case(
                     _close(direct, oracle),
-                    f"trig oracle mismatch at p1={p1}, p2={p2}, theta={theta}: "
+                    lambda: f"trig oracle mismatch at p1={p1}, p2={p2}, theta={theta}: "
                     f"{direct} vs {oracle}",
                 )
     return tally.result()
@@ -322,7 +332,7 @@ def check_amplitude_oracle_hyp(n: int = 50) -> CheckResult:
                     oracle = (a1 + a2).norm_sq()
                     tally.case(
                         _close(direct, oracle),
-                        f"hyp oracle mismatch at p1={p1}, p2={p2}, theta={theta}, "
+                        lambda: f"hyp oracle mismatch at p1={p1}, p2={p2}, theta={theta}, "
                         f"sign={sign}: {direct} vs {oracle}",
                     )
     return tally.result()
@@ -358,8 +368,8 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
         def run(alpha1, alpha2, eps):
             pair = PadicAmplitudePair(p, alpha1, alpha2, eps)
             result = padic_interfere(pair)
-            lam, theta, within = lambda_range_check(pair)
-            ok = within and Fraction(-1) <= lam <= 0
+            lam, theta = result.lam, result.theta
+            ok = result.within_claimed_range and Fraction(-1) <= lam <= 0
             ok = ok and math.pi / 2 - 1e-12 <= theta <= math.pi + 1e-12
             if result.case == "C":
                 ok = ok and result.cross_factor is not None
@@ -371,7 +381,7 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
             ok = ok and result.probability == result.p1 + result.p2 + 2 * root * lam
             tally.case(
                 ok,
-                f"lambda range violated for p={p}, alpha1={alpha1}, "
+                lambda: f"lambda range violated for p={p}, alpha1={alpha1}, "
                 f"alpha2={alpha2}, eps={eps}: lam={lam}",
             )
 
@@ -401,14 +411,14 @@ def check_slit_fluctuations() -> CheckResult:
         7: Fraction(1),
         8: Fraction(1, 81),
     }
-    tally.case(table == expected, f"p=3 slit table mismatch: {table}")
+    tally.case(table == expected, lambda: f"p=3 slit table mismatch: {table}")
 
     sample = padic_slit_profile(5, 1, 24)
     by_eps = {s.epsilon: s.probability for s in sample}
-    tally.case(by_eps[24] == Fraction(1, 15625), f"p=5,l=1,eps=24 gave {by_eps[24]}")
+    tally.case(by_eps[24] == Fraction(1, 15625), lambda: f"p=5,l=1,eps=24 gave {by_eps[24]}")
 
     p2 = {s.epsilon: s.probability for s in padic_slit_profile(2, 0, 1)}
-    tally.case(p2[1] == Fraction(1, 4), f"p=2 eps=1 gave {p2[1]}")
+    tally.case(p2[1] == Fraction(1, 4), lambda: f"p=2 eps=1 gave {p2[1]}")
 
     # agreement with the general amplitude rule
     for p, l in ((2, 0), (3, 1), (5, 0)):
@@ -417,7 +427,7 @@ def check_slit_fluctuations() -> CheckResult:
             pair = PadicAmplitudePair(p, scale, scale, PadicRational(p, s.epsilon))
             tally.case(
                 padic_interfere(pair).probability == s.probability,
-                f"slit profile disagrees with the rule at p={p}, eps={s.epsilon}",
+                lambda: f"slit profile disagrees with the rule at p={p}, eps={s.epsilon}",
             )
 
     # consecutive radii can differ by an unbounded factor p**(-2m)
@@ -428,7 +438,7 @@ def check_slit_fluctuations() -> CheckResult:
             ok = profile[eps] == Fraction(p) ** (-2 * m)
             if eps + 1 in profile:
                 ok = ok and profile[eps + 1] == 1
-            tally.case(ok, f"Euclidean jump witness failed at p={p}, m={m}")
+            tally.case(ok, lambda: f"Euclidean jump witness failed at p={p}, m={m}")
 
     # p-adic local constancy: |eps - eps'|_p <= p**-k with v_p(1+eps) < k
     for p in (2, 3, 5):
@@ -441,7 +451,7 @@ def check_slit_fluctuations() -> CheckResult:
                     s.epsilon: s.probability for s in padic_slit_profile(p, 0, other)
                 }
                 ok = table_now[eps] == table_now[other]
-                tally.case(ok, f"local constancy failed at p={p}, eps={eps}, t={t}")
+                tally.case(ok, lambda: f"local constancy failed at p={p}, eps={eps}, t={t}")
     return tally.result()
 
 
@@ -469,19 +479,19 @@ def check_theta_bounds(cases: int = 1000, seed: int = 307) -> CheckResult:
         # of overshoot) and land within 1e-12 of the closed-form targets
         ok = ok and abs(interfere_hyp(p1, p2, theta_max, 1) - 1) <= 1e-12
         ok = ok and abs(interfere_hyp(p1, p2, theta_min, -1)) <= 1e-12
-        tally.case(ok, f"window endpoints failed at p1={p1}, p2={p2}")
+        tally.case(ok, lambda: f"window endpoints failed at p1={p1}, p2={p2}")
         done += 1
 
     # closed-form witnesses
     theta_max, theta_min = theta_bounds(1 / 16, 1 / 16)
     tally.case(
         abs(theta_max - math.log(7 + 4 * math.sqrt(3))) <= 1e-12 and theta_min == 0.0,
-        f"q+=7 witness gave theta_max={theta_max}, theta_min={theta_min}",
+        lambda: f"q+=7 witness gave theta_max={theta_max}, theta_min={theta_min}",
     )
     theta_max2, theta_min2 = theta_bounds(1 / 4, 1 / 16)
     tally.case(
         abs(theta_min2 - math.log(2)) <= 1e-12,
-        f"q-=5/4 witness gave theta_min={theta_min2}",
+        lambda: f"q-=5/4 witness gave theta_min={theta_min2}",
     )
     return tally.result()
 
@@ -502,14 +512,14 @@ def check_profiles() -> CheckResult:
         best = max(window, key=lambda i: trig.values[i])
         tally.case(
             abs(grid[best] - 2 * math.pi * k) <= step + 1e-9,
-            f"trig maximum near 2*pi*{k} found at r={grid[best]}",
+            lambda: f"trig maximum near 2*pi*{k} found at r={grid[best]}",
         )
     for k in (1, 3):
         window = [i for i, r in enumerate(grid) if abs(r - math.pi * k) <= math.pi / 2]
         worst = min(window, key=lambda i: trig.values[i])
         tally.case(
             abs(grid[worst] - math.pi * k) <= step + 1e-9,
-            f"trig minimum near pi*{k} found at r={grid[worst]}",
+            lambda: f"trig minimum near pi*{k} found at r={grid[worst]}",
         )
 
     for p1, p2 in ((1 / 16, 1 / 16), (1 / 4, 1 / 16), (0.1, 0.02)):
@@ -523,13 +533,13 @@ def check_profiles() -> CheckResult:
             ok = ok and _close((v - plus.values[0]) / weight, math.cosh(r) - 1)
             if r >= math.log(2):
                 ok = ok and math.cosh(r) - 1 >= math.exp(r) / 2 - 1 - 1e-12
-        tally.case(ok, f"plus-branch profile failed for p1={p1}, p2={p2}")
+        tally.case(ok, lambda: f"plus-branch profile failed for p1={p1}, p2={p2}")
         if theta_min > 0:
             minus = profile_hyp(p1, p2, -1, uniform_grid(0.0, theta_min, 101))
             ok = all(0 <= v <= 1 for v in minus.values)
             ok = ok and all(a >= b - 1e-15 for a, b in zip(minus.values, minus.values[1:]))
             ok = ok and abs(minus.values[-1]) <= 1e-12
-            tally.case(ok, f"minus-branch profile failed for p1={p1}, p2={p2}")
+            tally.case(ok, lambda: f"minus-branch profile failed for p1={p1}, p2={p2}")
 
     # clipping is reported, never silent
     theta_max, _ = theta_bounds(1 / 16, 1 / 16)
@@ -604,7 +614,8 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
         )
         tally.case(
             abs(normalization_defect(t)) <= 1e-12,
-            f"doubly stochastic defect {normalization_defect(t)} at a={a}, theta1={theta1}",
+            lambda: f"doubly stochastic defect {normalization_defect(t)} "
+            f"at a={a}, theta1={theta1}",
         )
 
     for _ in range(cases):

@@ -30,7 +30,7 @@ from .context import (
 from .errors import InterfereError, NotAProbabilityError
 from .numeric import fmt_float, round12
 from .padic import PadicRational
-from .padic_rule import PadicAmplitudePair, lambda_range_check, padic_interfere, padic_slit_profile
+from .padic_rule import PadicAmplitudePair, padic_interfere, padic_slit_profile
 
 
 class ConfigError(Exception):
@@ -344,7 +344,6 @@ def _cmd_padic(args) -> int:
         PadicRational(args.p, _parse_fraction(args.eps, "--eps")),
     )
     result = padic_interfere(pair)
-    lam, theta, within = lambda_range_check(pair)
     payload = {
         "p": result.p,
         "alpha1": pair.alpha1.value,
@@ -356,10 +355,10 @@ def _cmd_padic(args) -> int:
         "P1": result.p1,
         "P2": result.p2,
         "c": result.cross_factor,
-        "lambda": lam,
-        "lambda_float": float(lam),
-        "theta": theta,
-        "within_range": within,
+        "lambda": result.lam,
+        "lambda_float": float(result.lam),
+        "theta": result.theta,
+        "within_range": result.within_claimed_range,
     }
     _emit_json(payload, args.out)
     return 0

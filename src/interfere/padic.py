@@ -252,14 +252,11 @@ class PadicExpansion:
 
     def partial_sum(self, count: int | None = None) -> Fraction:
         """Exact value of the first `count` digits (all of them by default)."""
-        if count is None:
-            count = len(self.digits)
-        total = Fraction(0)
-        scale = Fraction(self.p) ** self.exponent
-        for digit in self.digits[:count]:
-            total += digit * scale
-            scale *= self.p
-        return total
+        p, e = self.p, self.exponent
+        total = 0  # Horner's rule on ints: sum(digit_i * p**i)
+        for digit in reversed(self.digits[:count]):
+            total = total * p + digit
+        return Fraction(total * p**e) if e >= 0 else Fraction(total, p**-e)
 
     def __str__(self):
         """Right-to-left rendering '...a2a1a0.a-1...' of the known digits."""

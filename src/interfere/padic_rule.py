@@ -95,6 +95,14 @@ class PadicInterference:
         """Equivalent trigonometric phase arccos(lam), in [pi/2, pi]."""
         return math.acos(self.lam)
 
+    @property
+    def within_claimed_range(self) -> bool:
+        """lam in (-1/2, 0) for cases A/B and in [-1, -1/2] for case C, which
+        pins theta = arccos(lam) inside [pi/2, pi]; True on every valid input."""
+        if self.case == "C":
+            return Fraction(-1) <= self.lam <= Fraction(-1, 2)
+        return Fraction(-1, 2) < self.lam < 0
+
 
 def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
     """Apply P = |alpha1 + eps*alpha2|_p**2 and classify the case.
@@ -121,18 +129,10 @@ def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
 
 
 def lambda_range_check(pair: PadicAmplitudePair):
-    """(lam, theta, within_claimed_range) for an amplitude pair.
-
-    The claimed range is (-1/2, 0) for cases A/B and [-1, -1/2] for case C,
-    which pins theta = arccos(lam) inside [pi/2, pi]; the boolean is True on
-    every valid input.
-    """
+    """(lam, theta, within_claimed_range) of padic_interfere(pair); see
+    PadicInterference.within_claimed_range."""
     result = padic_interfere(pair)
-    if result.case == "C":
-        within = Fraction(-1) <= result.lam <= Fraction(-1, 2)
-    else:
-        within = Fraction(-1, 2) < result.lam < 0
-    return result.lam, result.theta, within
+    return result.lam, result.theta, result.within_claimed_range
 
 
 @dataclass(frozen=True)

@@ -274,12 +274,29 @@ class TestPadic:
 
 
 class TestCheck:
+    # per-check case counts of checks.run_all(full=False), the sweeps behind
+    # `check --fast`; a change to any sweep's size shows here
+    FAST_CASES = {
+        "hyperbolic-algebra-laws": 4000,
+        "ultrametric-valuation": 1000,
+        "ball-geometry": 200,
+        "digit-expansion-convergence": 200,
+        "amplitude-oracle-trig": 3375,
+        "amplitude-oracle-hyp": 6750,
+        "padic-lambda-range": 24665,
+        "padic-slit-fluctuations": 69,
+        "theta-window-bounds": 102,
+        "profile-invariants": 13,
+        "total-probability-coherence": 1170,
+    }
+
     def test_fast_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "--fast")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[-1] == "11/11 checks passed"
-        assert all(line.startswith("PASS") for line in lines[:-1])
+        assert out.splitlines() == [
+            f"PASS  {name}: {cases} cases, 0 violations"
+            for name, cases in self.FAST_CASES.items()
+        ] + ["11/11 checks passed"]
 
     def test_failures_use_a_distinct_exit_code(self, capsys, monkeypatch):
         from interfere import checks

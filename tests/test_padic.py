@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from interfere.errors import PrimeMismatchError, ValidationError
-from interfere.padic import PadicBall, PadicRational, is_prime
+from interfere.padic import PadicBall, PadicExpansion, PadicRational, is_prime
 
 primes = st.sampled_from([2, 3, 5, 7, 11])
 small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=40)
@@ -229,6 +229,32 @@ class TestDigits:
             if previous is not None and expansion.digits[k - 1] != 0:
                 assert gap < previous
             previous = gap
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10**9 + 7])
+    @pytest.mark.parametrize("exponent", [-3, 0, 2])
+    def test_partial_sum_matches_fraction_accumulation(self, p, exponent):
+        def reference(expansion, count):
+            # the digit-by-digit Fraction sum that partial_sum must reproduce
+            total = Fraction(0)
+            scale = Fraction(expansion.p) ** expansion.exponent
+            for digit in expansion.digits[:count]:
+                total += digit * scale
+                scale *= expansion.p
+            return total
+
+        digits = (p - 1, 0, 1, p // 2, p - 1)
+        expansions = [
+            PadicExpansion(p, exponent, digits),
+            PadicExpansion(p, exponent, (0,) + digits[:2]),
+            PadicExpansion(p, 0, ()),  # the zero sentinel
+            PadicRational(p, Fraction(-5, 4) * Fraction(p) ** exponent).digits(6),
+        ]
+        for expansion in expansions:
+            n = len(expansion.digits)
+            for count in (None, 0, 1, n, n + 3):
+                got = expansion.partial_sum() if count is None else expansion.partial_sum(count)
+                assert type(got) is Fraction
+                assert got == reference(expansion, count), (expansion, count)
 
 
 class TestBalls:

@@ -1,5 +1,6 @@
 """The p-adic amplitude rule: case analysis, lambda range, slit table."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -140,6 +141,25 @@ class TestLambdaRange:
         assert lam == Fraction(-1, 2)
         assert theta == pytest.approx(2 * math.pi / 3)
         assert within
+
+    @pytest.mark.parametrize(
+        "args, case",
+        [((3, 3, 9, 1), "A"), ((3, 9, 3, 1), "B"), ((3, 1, 1, 2), "C"), ((3, 1, 1, 1), "C")],
+    )
+    def test_check_reads_the_result(self, args, case):
+        r = padic_interfere(pair(*args))
+        assert r.case == case
+        assert lambda_range_check(pair(*args)) == (r.lam, r.theta, r.within_claimed_range)
+        assert r.within_claimed_range
+
+    def test_claimed_range_edges(self):
+        # lam = -1/2 belongs to case C's band [-1, -1/2], not to (-1/2, 0)
+        a, c = padic_interfere(pair(3, 3, 9, 1)), padic_interfere(pair(3, 1, 1, 2))
+        assert dataclasses.replace(c, lam=Fraction(-1, 2)).within_claimed_range
+        assert not dataclasses.replace(a, lam=Fraction(-1, 2)).within_claimed_range
+        assert not dataclasses.replace(c, lam=Fraction(-1, 4)).within_claimed_range
+        assert not dataclasses.replace(a, lam=Fraction(0)).within_claimed_range
+        assert not dataclasses.replace(c, lam=Fraction(-9, 8)).within_claimed_range
 
     def test_unreachable_lambda_zero(self):
         # nonzero amplitudes keep cases A/B strictly below zero
