@@ -57,7 +57,6 @@ from .padic import PadicBall, PadicExpansion, PadicRational, is_prime, prime_mul
 from .padic_rule import (
     PadicAmplitudePair,
     PadicInterference,
-    SlitSample,
     lambda_range_check,
     padic_interfere,
     padic_slit_profile,
@@ -90,7 +89,6 @@ __all__ = [
     "PrimeMismatchError",
     "ProfileError",
     "Regime",
-    "SlitSample",
     "ValidationError",
     "amplitudes_hyp",
     "amplitudes_trig",

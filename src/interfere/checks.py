@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import hyperbolic
+from . import engine, hyperbolic
 from .context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -298,44 +298,41 @@ def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) 
 # interference engine vs amplitude oracles
 # ---------------------------------------------------------------------------
 
-def check_amplitude_oracle_trig(n: int = 50) -> CheckResult:
-    """Direct cosine rule vs squared modulus of the complex amplitude sum."""
-    tally = _Tally("amplitude-oracle-trig")
+def _oracle_sweep(algebra, rule, amplitudes, phases, n) -> CheckResult:
+    """Direct rule vs N(amplitude sum) at each phases(p1, p2) of an n-point grid."""
+    tally = _Tally(f"amplitude-oracle-{algebra.name}")
     ps = uniform_grid(0.005, 0.25, n)
-    thetas = uniform_grid(0.0, 2 * math.pi, n)
     for p1 in ps:
         for p2 in ps:
-            for theta in thetas:
-                direct = interfere_trig(p1, p2, theta)
-                a1, a2 = amplitudes_trig(p1, p2, theta)
-                oracle = abs(a1 + a2) ** 2
+            for phase in phases(p1, p2):
+                direct = rule(p1, p2, *phase)
+                a1, a2 = amplitudes(p1, p2, *phase)
+                oracle = algebra.norm(a1 + a2)
                 tally.case(
                     _close(direct, oracle),
-                    lambda: f"trig oracle mismatch at p1={p1}, p2={p2}, theta={theta}: "
-                    f"{direct} vs {oracle}",
+                    lambda: f"{algebra.name} oracle mismatch at p1={p1}, p2={p2}, "
+                    + ", ".join(f"{k}={v}" for k, v in zip(("theta", "sign"), phase))
+                    + f": {direct} vs {oracle}",
                 )
     return tally.result()
+
+
+def check_amplitude_oracle_trig(n: int = 50) -> CheckResult:
+    """Direct cosine rule vs squared modulus of the complex amplitude sum."""
+    thetas = [(theta,) for theta in uniform_grid(0.0, 2 * math.pi, n)]
+    return _oracle_sweep(engine.TRIG, interfere_trig, amplitudes_trig, lambda p1, p2: thetas, n)
 
 
 def check_amplitude_oracle_hyp(n: int = 50) -> CheckResult:
     """Direct cosh rule vs split-complex norm of the amplitude sum, swept over
     each pair's validity window for both signs."""
-    tally = _Tally("amplitude-oracle-hyp")
-    ps = uniform_grid(0.005, 0.25, n)
-    for p1 in ps:
-        for p2 in ps:
-            theta_max, theta_min = theta_bounds(p1, p2)
-            for sign, hi in ((1, theta_max), (-1, theta_min)):
-                for theta in uniform_grid(0.0, hi, n):
-                    direct = interfere_hyp(p1, p2, theta, sign)
-                    a1, a2 = amplitudes_hyp(p1, p2, theta, sign)
-                    oracle = (a1 + a2).norm_sq()
-                    tally.case(
-                        _close(direct, oracle),
-                        lambda: f"hyp oracle mismatch at p1={p1}, p2={p2}, theta={theta}, "
-                        f"sign={sign}: {direct} vs {oracle}",
-                    )
-    return tally.result()
+
+    def phases(p1, p2):
+        theta_max, theta_min = theta_bounds(p1, p2)
+        windows = ((1, theta_max), (-1, theta_min))
+        return [(theta, sign) for sign, hi in windows for theta in uniform_grid(0.0, hi, n)]
+
+    return _oracle_sweep(engine.HYP, interfere_hyp, amplitudes_hyp, phases, n)
 
 
 # ---------------------------------------------------------------------------

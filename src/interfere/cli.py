@@ -13,6 +13,7 @@ failures from `check`.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from . import __version__, engine, profiles
 from .context import (
+    CONFIG_KEYS,
     ContextTransform,
     normalization_defect,
     total_prob_classical,
@@ -88,13 +90,6 @@ def _parse_sign(text: str, what: str) -> int:
         raise ConfigError(f"{what}: sign must be '+' or '-', got {text!r}") from None
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ConfigError(f"{what}: expected an integer, got {text!r}") from None
-
-
 def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
@@ -155,19 +150,17 @@ def _cmd_fit(args) -> int:
 # profile
 # ---------------------------------------------------------------------------
 
-def _profile_to_text(profile) -> str:
-    import io
-
+def _emit_profile(profile, out_path):
     buffer = io.StringIO()
     profiles.write_csv(profile, buffer)
-    return buffer.getvalue()
+    _emit(buffer.getvalue(), out_path)
 
 
 def _cmd_profile_trig(args) -> int:
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     grid = profiles.uniform_grid(args.min, args.max, args.n)
-    _emit(_profile_to_text(profiles.profile_trig(p1, p2, grid)), args.out)
+    _emit_profile(profiles.profile_trig(p1, p2, grid), args.out)
     return 0
 
 
@@ -185,7 +178,7 @@ def _cmd_profile_hyp(args) -> int:
     else:
         raise ConfigError("profile hyp needs --max or --auto-window")
     grid = profiles.uniform_grid(0.0, hi, args.n)
-    _emit(_profile_to_text(profiles.profile_hyp(p1, p2, sign, grid)), args.out)
+    _emit_profile(profiles.profile_hyp(p1, p2, sign, grid), args.out)
     return 0
 
 
@@ -209,18 +202,12 @@ def _cmd_profile_piecewise(args) -> int:
     partition = _parse_intervals(args.intervals)
     hi = max(piece[1] for piece in partition)
     grid = profiles.uniform_grid(0.0, hi, args.n)
-    _emit(
-        _profile_to_text(profiles.profile_piecewise(p1, p2, partition, grid)),
-        args.out,
-    )
+    _emit_profile(profiles.profile_piecewise(p1, p2, partition, grid), args.out)
     return 0
 
 
 def _cmd_profile_padic(args) -> int:
-    _emit(
-        _profile_to_text(profiles.profile_padic(args.p, args.l, args.eps_max)),
-        args.out,
-    )
+    _emit_profile(profiles.profile_padic(args.p, args.l, args.eps_max), args.out)
     return 0
 
 
@@ -228,19 +215,6 @@ def _cmd_profile_padic(args) -> int:
 # totalprob
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "mode",
-    "pb1",
-    "pb2",
-    "p11",
-    "p12",
-    "p21",
-    "p22",
-    "theta1",
-    "theta2",
-    "sign1",
-    "sign2",
-)
 _REQUIRED_KEYS = ("pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2")
 
 
@@ -259,7 +233,7 @@ def _read_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         values[key] = (value.strip(), f"{path}:{lineno}")
     return values
@@ -267,7 +241,7 @@ def _read_config(path: str) -> dict:
 
 def _cmd_totalprob(args) -> int:
     raw = _read_config(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         override = args.kind if key == "mode" else getattr(args, key, None)
         if override is not None:
             raw[key] = (override, "--kind" if key == "mode" else f"--{key}")
@@ -320,20 +294,17 @@ def _cmd_totalprob(args) -> int:
 
 def _cmd_padic(args) -> int:
     if args.table:
-        samples = padic_slit_profile(args.p, args.l, args.eps_max)
-        lines = [
-            f"# A={Fraction(args.p) ** (-2 * args.l)}",
-            "# kind=padic-slit-table",
-            f"# l={args.l}",
-            f"# p={args.p}",
-            f"# version={__version__}",
-            "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float",
-        ]
-        lines.extend(
-            f"{s.epsilon},{s.multiplicity},{s.probability},{fmt_float(s.probability)}"
-            for s in samples
+        rows = (
+            f"{s.epsilon},{s.multiplicity},{s.probability},{fmt_float(s.probability)}\n"
+            for s in padic_slit_profile(args.p, args.l, args.eps_max)
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        meta = {"A": Fraction(args.p) ** (-2 * args.l), "l": args.l, "p": args.p}
+        buffer = io.StringIO()
+        profiles._write_header(
+            buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
+        )
+        buffer.writelines(rows)
+        _emit(buffer.getvalue(), args.out)
         return 0
     if args.alpha1 is None or args.alpha2 is None or args.eps is None:
         raise ConfigError("padic needs --alpha1, --alpha2 and --eps (or --table)")
@@ -466,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the config field 'mode' (trig or hyp)",
     )
-    for key in _CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         if key == "mode":
             continue
         totalprob.add_argument(f"--{key}", default=None, help=f"override config field {key}")

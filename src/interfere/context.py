@@ -11,26 +11,30 @@ roots of probabilities over the complex (resp. split-complex) numbers.
 Outputs are never renormalized: the perturbed formulas do not guarantee that
 the two components sum to one, and ``normalization_defect`` reports by how
 much they miss.
+
+Each public function chooses its algebra, ``engine.TRIG`` with signs +1 or
+``engine.HYP`` with the transform's signs, for steps written once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
-from . import hyperbolic
+from .engine import HYP, TRIG, _amplitudes, _at_phase, _rule
 from .errors import ValidationError
 from .numeric import (
     TOLERANCE,
     as_probability,
-    cross_term,
-    phase_cos,
     require_probability,
     sqrt_keeping_exact,
 )
 
-_MODES = ("trig", "hyp")
+_MODES = (TRIG.name, HYP.name)
+#: Keys of the flat form of a transform, in the order of its fields.
+CONFIG_KEYS = (
+    "mode", "pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2", "sign1", "sign2"
+)
 
 
 @dataclass(frozen=True)
@@ -82,30 +86,9 @@ class ContextTransform:
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
     def to_dict(self) -> dict:
-        """Flat key-value form (config-file and JSON schema)."""
-        return {
-            "mode": self.mode,
-            "pb1": self.prior[0],
-            "pb2": self.prior[1],
-            "p11": self.cond[0][0],
-            "p12": self.cond[0][1],
-            "p21": self.cond[1][0],
-            "p22": self.cond[1][1],
-            "theta1": self.phases[0],
-            "theta2": self.phases[1],
-            "sign1": self.signs[0],
-            "sign2": self.signs[1],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContextTransform":
-        return cls(
-            prior=(data["pb1"], data["pb2"]),
-            cond=((data["p11"], data["p12"]), (data["p21"], data["p22"])),
-            phases=(data.get("theta1", 0.0), data.get("theta2", 0.0)),
-            signs=(data.get("sign1", 1), data.get("sign2", 1)),
-            mode=data.get("mode", "trig"),
-        )
+        """Flat key-value form (config-file and JSON schema), keyed by CONFIG_KEYS."""
+        values = (self.mode, *self.prior, *self.cond[0], *self.cond[1], *self.phases, *self.signs)
+        return dict(zip(CONFIG_KEYS, values))
 
     def with_mode(self, mode: str) -> "ContextTransform":
         return replace(self, mode=mode)
@@ -119,8 +102,21 @@ def _cross_weight(t: ContextTransform, j: int):
     return 2 * sqrt_keeping_exact(t.prior[0] * t.cond[0][j] * t.prior[1] * t.cond[1][j])
 
 
-def _raw_trig(t: ContextTransform, j: int):
-    return _mixture(t, j) + cross_term(_cross_weight(t, j), phase_cos(t.phases[j]))
+_PHASES = ("phases[0]", "phases[1]")  # names in errors
+
+
+def _perturbed(t: ContextTransform, algebra, signs, j: int):
+    """Component j, mixture + sign_j * cross weight * cross(theta_j), unchecked."""
+    factor = _at_phase(algebra, algebra.cross, t.phases[j], _PHASES[j])
+    return _rule(_mixture(t, j), _cross_weight(t, j), signs[j] * factor)
+
+
+def _totals(t: ContextTransform, algebra, signs, what: str):
+    """Both components, each checked before the next is computed: one outside
+    [0, 1] raises NotAProbabilityError naming the component, a phase whose
+    cross factor overflows raises ValidationError."""
+    first = as_probability(_perturbed(t, algebra, signs, 0), what=what, component=1)
+    return first, as_probability(_perturbed(t, algebra, signs, 1), what=what, component=2)
 
 
 def total_prob_classical(t: ContextTransform):
@@ -129,16 +125,9 @@ def total_prob_classical(t: ContextTransform):
 
 
 def total_prob_quantum(t: ContextTransform):
-    """Mixture perturbed by 2*sqrt(...) * cos(theta_j) per component.
-
-    Quarter-turn phases collapse the cross term exactly, so theta = pi/2
-    reproduces total_prob_classical bit for bit.  Components outside [0, 1]
-    raise NotAProbabilityError naming the component.
-    """
-    return tuple(
-        as_probability(_raw_trig(t, j), what="perturbed total probability", component=j + 1)
-        for j in (0, 1)
-    )
+    """Mixture perturbed by 2*sqrt(...) * cos(theta_j) per component; see
+    _totals.  theta = pi/2 reproduces total_prob_classical bit for bit."""
+    return _totals(t, TRIG, (1, 1), "perturbed total probability")
 
 
 def raw_quantum_components(t: ContextTransform):
@@ -147,80 +136,50 @@ def raw_quantum_components(t: ContextTransform):
     Diagnostic view: arbitrary phases can push these outside [0, 1], which
     total_prob_quantum treats as an error rather than clamping.
     """
-    return _raw_trig(t, 0), _raw_trig(t, 1)
+    return _perturbed(t, TRIG, (1, 1), 0), _perturbed(t, TRIG, (1, 1), 1)
 
 
 def total_prob_hyperbolic(t: ContextTransform):
-    """Mixture perturbed by sign_j * 2*sqrt(...) * cosh(theta_j).
-
-    Requires hyperbolic mode.  Equals norm_sq of the split-complex amplitude
-    transform on its validity window; outside it a component escapes [0, 1]
-    and NotAProbabilityError is raised naming the component.  A phase whose
-    cosh leaves the float range raises ValidationError.
-    """
+    """Mixture perturbed by sign_j * 2*sqrt(...) * cosh(theta_j), in
+    hyperbolic mode; a component escapes [0, 1] outside its validity window.
+    See _totals."""
     if t.mode != "hyp":
         raise ValidationError("total_prob_hyperbolic needs a hyperbolic-mode transform")
-    out = []
-    for j in (0, 1):
-        try:
-            lam = t.signs[j] * math.cosh(t.phases[j])
-        except OverflowError:
-            raise ValidationError(
-                f"phases[{j}] = {t.phases[j]!r} is out of range: cosh overflows "
-                f"the float range beyond |theta| ~ 710"
-            ) from None
-        raw = _mixture(t, j) + cross_term(_cross_weight(t, j), lam)
-        out.append(as_probability(raw, what="hyperbolic total probability", component=j + 1))
-    return tuple(out)
+    return _totals(t, HYP, t.signs, "hyperbolic total probability")
+
+
+def _sqrt_transform(t: ContextTransform, algebra, signs):
+    """The amplitude form: a 2x2 matrix acting on sqrt-probabilities.
+
+    x_i = sqrt(prior_i); column j is the amplitude pair of (cond[0][j],
+    cond[1][j]), whose relative phase on the second row reproduces the cross
+    term, so y_j = sum_i x_i d_ij has N(y_j) = perturbed component j.  (On
+    both rows it would be a global phase of the column and cancel.)
+    """
+    x = (math.sqrt(t.prior[0]), math.sqrt(t.prior[1]))
+    columns = [
+        _amplitudes(algebra, t.cond[0][j], t.cond[1][j], t.phases[j], signs[j], _PHASES[j])
+        for j in (0, 1)
+    ]
+    outputs = tuple(first * x[0] + second * x[1] for first, second in columns)
+    return tuple(zip(*columns)), outputs
 
 
 def sqrt_linear_transform(t: ContextTransform):
-    """The amplitude form: a 2x2 complex matrix acting on sqrt-probabilities.
-
-    x_i = sqrt(prior_i); the matrix rows carry sqrt(cond[i][j]) with the
-    relative phase e^{i theta_j} on the second row, so y_j = sum_i x_i d_ij
-    satisfies |y_j|**2 = total_prob_quantum component j.  (Putting the phase
-    on both rows would be a per-column global phase and would cancel from
-    |y_j|**2; the relative placement is the one that reproduces the cross
-    term.)
-    """
+    """The complex amplitude form: |y_j|**2 = total_prob_quantum component
+    j; see _sqrt_transform."""
     if t.mode != "trig":
         raise ValidationError("sqrt_linear_transform needs a trigonometric-mode transform")
-    x = (math.sqrt(t.prior[0]), math.sqrt(t.prior[1]))
-    matrix = (
-        (complex(math.sqrt(t.cond[0][0])), complex(math.sqrt(t.cond[0][1]))),
-        (
-            cmath.exp(1j * t.phases[0]) * math.sqrt(t.cond[1][0]),
-            cmath.exp(1j * t.phases[1]) * math.sqrt(t.cond[1][1]),
-        ),
-    )
-    outputs = tuple(x[0] * matrix[0][j] + x[1] * matrix[1][j] for j in (0, 1))
-    return matrix, outputs
+    return _sqrt_transform(t, TRIG, (1, 1))
 
 
 def hyperbolic_sqrt_transform(t: ContextTransform):
-    """Split-complex analogue of sqrt_linear_transform.
-
-    Second-row entries are sign_j * e^{j theta_j} * sqrt(cond[1][j]);
-    norm_sq(y_j) = total_prob_hyperbolic component j.
-    """
+    """The split-complex amplitude form, second-row entries sign_j * e^{j
+    theta_j} * sqrt(cond[1][j]): norm_sq(y_j) = total_prob_hyperbolic
+    component j."""
     if t.mode != "hyp":
         raise ValidationError("hyperbolic_sqrt_transform needs a hyperbolic-mode transform")
-    x = (math.sqrt(t.prior[0]), math.sqrt(t.prior[1]))
-    matrix = (
-        (
-            hyperbolic.HyperbolicNumber(math.sqrt(t.cond[0][0]), 0),
-            hyperbolic.HyperbolicNumber(math.sqrt(t.cond[0][1]), 0),
-        ),
-        (
-            hyperbolic.exp(t.phases[0]) * (t.signs[0] * math.sqrt(t.cond[1][0])),
-            hyperbolic.exp(t.phases[1]) * (t.signs[1] * math.sqrt(t.cond[1][1])),
-        ),
-    )
-    outputs = tuple(
-        matrix[0][j] * x[0] + matrix[1][j] * x[1] for j in (0, 1)
-    )
-    return matrix, outputs
+    return _sqrt_transform(t, HYP, t.signs)
 
 
 def phases_from_state_expansion(xi_cond, xi_prior):

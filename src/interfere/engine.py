@@ -10,6 +10,11 @@ realized by complex amplitudes sqrt(p1) + e^{i theta} sqrt(p2); |lam| >= 1
 admits the hyperbolic one lam = +/-cosh(theta), realized by split-complex
 amplitudes sqrt(p1) +/- e^{j theta} sqrt(p2).  |lam| = 1 sits on the shared
 boundary and fits both pictures.
+
+Both are one rule, p = N(sqrt(p1) + sign * u(theta) * sqrt(p2)), in two
+algebras.  ``TRIG`` and ``HYP`` are where the algebra is chosen; every step
+here and in ``context``, ``profiles`` and ``checks`` is written once and takes
+one of them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import hyperbolic
 from .errors import DegenerateContextError, ValidationError
@@ -28,6 +34,46 @@ from .numeric import (
     require_probability,
     sqrt_keeping_exact,
 )
+
+
+class _Algebra(NamedTuple):
+    """A reading of N(sqrt(p1) + sign*u(theta)*sqrt(p2)), cross term 2*sqrt(p1*p2)*sign*cross."""
+
+    name: str  # as in the CLI
+    what: str  # names a result in NotAProbabilityError
+    cross: Callable  # theta -> cross factor
+    unit: Callable  # theta -> u(theta)
+    lift: Callable  # real number -> amplitude
+    norm: Callable  # amplitude -> N(amplitude)
+    overflow: str  # why a finite phase can be out of range
+
+
+TRIG = _Algebra(
+    "trig", "trigonometric interference", phase_cos, lambda theta: cmath.exp(1j * theta),
+    complex, lambda z: abs(z) ** 2, "it does not fit in a float",
+)
+HYP = _Algebra(
+    "hyp", "hyperbolic interference", math.cosh, hyperbolic.exp, hyperbolic.HyperbolicNumber,
+    hyperbolic.HyperbolicNumber.norm_sq, "cosh overflows the float range beyond |theta| ~ 710",
+)
+
+
+def _at_phase(algebra: _Algebra, f, theta, name="theta"):
+    """f(theta) for f = algebra.cross or algebra.unit, with ValidationError
+    naming the phase when theta is not finite or f(theta) overflows."""
+    try:
+        if math.isfinite(theta):
+            return f(theta)
+    except OverflowError:
+        raise ValidationError(f"{name} = {theta!r} is out of range: {algebra.overflow}") from None
+    raise ValidationError(f"{name} must be finite, got {theta!r}")
+
+
+def _require_inputs(p1, p2, sign):
+    require_probability(p1, "p1")
+    require_probability(p2, "p2")
+    if sign not in (1, -1):
+        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
 
 
 class Regime(enum.Enum):
@@ -89,68 +135,59 @@ def combine(p1, p2, lam):
     preserved for exact inputs with lam in {0, +1, -1} or a perfect-square
     p1*p2.
     """
-    return p1 + p2 + cross_term(2 * sqrt_keeping_exact(p1 * p2), lam)
+    return _rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam)
 
 
-def _rule(base, weight, lam, what):
-    """The rule base + weight*lam, for base = p1 + p2 and weight =
-    2*sqrt(p1*p2) of already validated inputs, checked as a probability.
+def _rule(base, weight, lam):
+    """The deviation kernel base + weight*lam, unvalidated (see combine)."""
+    return base + cross_term(weight, lam)
 
-    Sweeps compute base and weight once and call this at every point.
-    """
-    return as_probability(base + cross_term(weight, lam), what=what)
+
+def _sweep(algebra: _Algebra, base, weight, sign, phases):
+    """Checked results of the rule at each phase of a sweep, for base and
+    weight computed once; the phases themselves are not checked."""
+    cross, what = algebra.cross, algebra.what
+    return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
+
+
+def _interfere(algebra: _Algebra, p1, p2, theta, sign):
+    """p1 + p2 + 2*sqrt(p1*p2) * sign * cross(theta) = N(sqrt(p1) + sign *
+    u(theta) * sqrt(p2)).  A result outside [0, 1] raises NotAProbabilityError
+    with the raw value attached, never a clamp; a theta that is not finite or
+    whose cross factor overflows raises ValidationError."""
+    _require_inputs(p1, p2, sign)
+    lam = sign * _at_phase(algebra, algebra.cross, theta)
+    return as_probability(_rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam), what=algebra.what)
 
 
 def interfere_trig(p1, p2, theta):
-    """Trigonometric rule p1 + p2 + 2*sqrt(p1*p2)*cos(theta).
-
-    Equals the squared modulus |sqrt(p1) + e^{i theta} sqrt(p2)|**2.  A result
-    outside [0, 1] (possible once p1 + p2 + 2*sqrt(p1*p2) > 1) raises
-    NotAProbabilityError with the raw value attached, never a clamp.
-    """
-    require_probability(p1, "p1")
-    require_probability(p2, "p2")
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    return _rule(p1 + p2, weight, phase_cos(theta), "trigonometric interference")
+    """Trigonometric rule p1 + p2 + 2*sqrt(p1*p2)*cos(theta), the squared
+    modulus |sqrt(p1) + e^{i theta} sqrt(p2)|**2; see _interfere."""
+    return _interfere(TRIG, p1, p2, theta, 1)
 
 
 def interfere_hyp(p1, p2, theta, sign):
-    """Hyperbolic rule p1 + p2 + sign * 2*sqrt(p1*p2)*cosh(theta).
+    """Hyperbolic rule p1 + p2 + sign * 2*sqrt(p1*p2)*cosh(theta), the
+    split-complex norm_sq(sqrt(p1) + sign * e^{j theta} sqrt(p2)), which
+    leaves [0, 1] outside the validity window; see _interfere."""
+    return _interfere(HYP, p1, p2, theta, sign)
 
-    Equals norm_sq(sqrt(p1) + sign * e^{j theta} sqrt(p2)) over the
-    split-complex numbers.  Outside the validity window the result escapes
-    [0, 1] and NotAProbabilityError is raised with the raw value.
-    """
-    require_probability(p1, "p1")
-    require_probability(p2, "p2")
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    return _rule(p1 + p2, weight, sign * math.cosh(theta), "hyperbolic interference")
+
+def _amplitudes(algebra: _Algebra, p1, p2, theta, sign, name="theta"):
+    """(sqrt(p1), sign * u(theta) * sqrt(p2)), whose sum has norm _interfere."""
+    _require_inputs(p1, p2, sign)
+    unit = _at_phase(algebra, algebra.unit, theta, name)
+    return algebra.lift(math.sqrt(p1)), unit * (sign * math.sqrt(p2))
 
 
 def amplitudes_trig(p1, p2, theta):
-    """Complex amplitude pair (sqrt(p1), e^{i theta} * sqrt(p2)).
-
-    The squared modulus of their sum reproduces interfere_trig.
-    """
-    require_probability(p1, "p1")
-    require_probability(p2, "p2")
-    return complex(math.sqrt(p1)), cmath.exp(1j * theta) * math.sqrt(p2)
+    """Complex amplitude pair (sqrt(p1), e^{i theta} * sqrt(p2))."""
+    return _amplitudes(TRIG, p1, p2, theta, 1)
 
 
 def amplitudes_hyp(p1, p2, theta, sign):
-    """Split-complex amplitude pair (sqrt(p1), sign * e^{j theta} * sqrt(p2)).
-
-    norm_sq of their sum reproduces interfere_hyp.
-    """
-    require_probability(p1, "p1")
-    require_probability(p2, "p2")
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
-    first = hyperbolic.HyperbolicNumber(math.sqrt(p1), 0)
-    second = hyperbolic.exp(theta) * (sign * math.sqrt(p2))
-    return first, second
+    """Split-complex amplitude pair (sqrt(p1), sign * e^{j theta} * sqrt(p2))."""
+    return _amplitudes(HYP, p1, p2, theta, sign)
 
 
 @dataclass(frozen=True)
@@ -166,10 +203,12 @@ class InterferenceRecord:
     sign: int
 
     def reconstruct(self):
-        """Recompute p from the fitted phase; inverse of the fit."""
-        if self.regime is Regime.HYPERBOLIC:
-            return interfere_hyp(self.p1, self.p2, self.phase, self.sign)
-        return interfere_trig(self.p1, self.p2, self.phase)
+        """Recompute p from the fitted phase; inverse of the fit.  The fit
+        has validated p1 and p2, and its phase is finite."""
+        algebra = HYP if self.regime is Regime.HYPERBOLIC else TRIG
+        lam = self.sign * algebra.cross(self.phase)
+        weight = 2 * sqrt_keeping_exact(self.p1 * self.p2)
+        return as_probability(_rule(self.p1 + self.p2, weight, lam), what=algebra.what)
 
     def residual(self) -> float:
         return abs(self.reconstruct() - self.p)

@@ -124,10 +124,6 @@ class HyperbolicNumber(_Slots):
         """norm_sq >= 0; closed under products since the norm is multiplicative."""
         return self.norm_sq() >= 0
 
-    def on_light_cone(self) -> bool:
-        """x = +/-y, the locus of zero divisors."""
-        return self.norm_sq() == 0
-
 
 class _Exact(HyperbolicNumber):
     """An exact number x = _a/_d, y = _b/_d with _d > 0, gcd(_a, _b, _d) = 1."""

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .engine import _rule
+from .engine import HYP, TRIG, _sweep
 from .errors import DegenerateContextError, ProfileError
 from .numeric import (
     TOLERANCE,
     fmt_float,
     fmt_number,
     is_exact,
-    phase_cos,
     require_probability,
     sqrt_keeping_exact,
 )
@@ -104,27 +103,33 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
             f"trigonometric profile would peak at {peak!r} > 1; "
             "reduce p1, p2 so that (sqrt(p1)+sqrt(p2))**2 <= 1"
         )
-    values = tuple(
-        _rule(base, weight, phase_cos(r), "trigonometric interference") for r in grid
-    )
     return BrightnessProfile(
         kind="trig",
         grid=tuple(grid),
-        values=values,
+        values=_sweep(TRIG, base, weight, 1, grid),
         metadata={"p1": p1, "p2": p2},
     )
 
 
-def _window(p1, p2, sign):
-    theta_max, theta_min = theta_bounds(p1, p2)
-    if sign == 1:
-        if theta_max is None:
+class _HyperbolicBranches:
+    """Both hyperbolic branches of one (p1, p2): their windows, and values
+    from p1 + p2 and 2*sqrt(p1*p2) computed once."""
+
+    def __init__(self, p1, p2):
+        self.theta_max, self.theta_min = theta_bounds(p1, p2)
+        self.base, self.weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
+
+    def window(self, sign):
+        """Upper end of the sign branch's validity window [0, hi]."""
+        if sign == 1 and self.theta_max is None:
             raise ProfileError(
                 "plus branch has no valid window: p1 + p2 + 2*sqrt(p1*p2) > 1 "
                 "already at theta = 0"
             )
-        return theta_max, theta_max, theta_min
-    return theta_min, theta_max, theta_min
+        return self.theta_max if sign == 1 else self.theta_min
+
+    def sample(self, sign, points):
+        return _sweep(HYP, self.base, self.weight, sign, points)
 
 
 def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
@@ -136,7 +141,8 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
     """
     if sign not in (1, -1):
         raise ProfileError(f"sign must be +1 or -1, got {sign!r}")
-    hi, theta_max, theta_min = _window(p1, p2, sign)
+    branches = _HyperbolicBranches(p1, p2)
+    hi = branches.window(sign)
     kept = tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
     warnings = ()
     dropped = len(tuple(grid)) - len(kept)
@@ -148,18 +154,13 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
         raise ProfileError(
             f"empty valid window: no grid points inside [0, {fmt_float(hi)}]"
         )
-    base = p1 + p2
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    values = tuple(
-        _rule(base, weight, sign * math.cosh(r), "hyperbolic interference") for r in kept
-    )
     return BrightnessProfile(
         kind="hyp",
         grid=kept,
-        values=values,
+        values=branches.sample(sign, kept),
         metadata={"p1": p1, "p2": p2, "sign": sign},
-        theta_max=theta_max,
-        theta_min=theta_min,
+        theta_max=branches.theta_max,
+        theta_min=branches.theta_min,
         warnings=warnings,
     )
 
@@ -176,12 +177,15 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
     pieces = [(float(lo), float(hi), sign) for lo, hi, sign in partition]
     if not pieces:
         raise ProfileError("partition must contain at least one interval")
+    branches = None
     for lo, hi, sign in pieces:
         if sign not in (1, -1):
             raise ProfileError(f"interval sign must be +1 or -1, got {sign!r}")
         if not 0 <= lo <= hi:
             raise ProfileError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi")
-        window_hi, _, _ = _window(p1, p2, sign)
+        # p1 and p2 are validated after the first interval's own checks
+        branches = branches or _HyperbolicBranches(p1, p2)
+        window_hi = branches.window(sign)
         if hi > window_hi + TOLERANCE:
             raise ProfileError(
                 f"interval [{lo}, {hi}] leaves the sign {sign:+d} validity window "
@@ -193,22 +197,15 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
             raise ProfileError(
                 f"intervals [{lo_a}, {hi_a}] and [{lo_b}, {hi_b}] overlap"
             )
-    theta_max, theta_min = theta_bounds(p1, p2)
-    base = p1 + p2
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    out_grid = []
-    out_values = []
-    taken = set()
+    out_grid, out_values, taken = [], [], set()
     for lo, hi, sign in pieces:
         # the same slack as the window test, so grid endpoints computed as
         # lo + k*step may overshoot an interval edge by an ulp and still count
-        for i, r in enumerate(grid):
-            if i not in taken and lo - TOLERANCE <= r <= hi + TOLERANCE:
-                taken.add(i)
-                out_grid.append(r)
-                out_values.append(
-                    _rule(base, weight, sign * math.cosh(r), "hyperbolic interference")
-                )
+        mine = [i for i, r in enumerate(grid) if lo - TOLERANCE <= r <= hi + TOLERANCE]
+        points = [grid[i] for i in mine if i not in taken]
+        taken.update(mine)
+        out_grid += points
+        out_values += branches.sample(sign, points)
     if not out_grid:
         raise ProfileError("no grid points fall inside the partition")
     return BrightnessProfile(
@@ -222,8 +219,8 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
                 f"{fmt_float(lo)}:{fmt_float(hi)}:{sign:+d}" for lo, hi, sign in pieces
             ),
         },
-        theta_max=theta_max,
-        theta_min=theta_min,
+        theta_max=branches.theta_max,
+        theta_min=branches.theta_min,
     )
 
 
@@ -243,20 +240,27 @@ def profile_padic(p: int, l: int, eps_max: int) -> BrightnessProfile:
     )
 
 
-def write_csv(profile: BrightnessProfile, stream) -> None:
-    """Self-describing CSV: '#' metadata comments, then r,P_float,P_exact,kind."""
-    meta = {"kind": profile.kind, "version": __version__}
-    for key, value in profile.metadata.items():
-        meta[str(key)] = fmt_number(value) if not isinstance(value, str) else value
-    if profile.theta_max is not None:
-        meta["theta_max"] = fmt_float(profile.theta_max)
-    if profile.theta_min is not None:
-        meta["theta_min"] = fmt_float(profile.theta_min)
-    for i, warning in enumerate(profile.warnings, 1):
-        meta[f"warning{i}"] = warning
+def _write_header(stream, kind: str, metadata: dict, columns: str) -> None:
+    """The head of a self-describing CSV: sorted '# key=value' comments (kind,
+    version and the metadata, exact values as num/den), then the column names."""
+    meta = {"kind": kind, "version": __version__}
+    for key, value in metadata.items():
+        meta[str(key)] = value if isinstance(value, str) else fmt_number(value)
     for key in sorted(meta):
         stream.write(f"# {key}={meta[key]}\n")
-    stream.write("r,P_float,P_exact,kind\n")
+    stream.write(f"{columns}\n")
+
+
+def write_csv(profile: BrightnessProfile, stream) -> None:
+    """Self-describing CSV: '#' metadata comments, then r,P_float,P_exact,kind."""
+    meta = dict(profile.metadata)
+    if profile.theta_max is not None:
+        meta["theta_max"] = profile.theta_max
+    if profile.theta_min is not None:
+        meta["theta_min"] = profile.theta_min
+    for i, warning in enumerate(profile.warnings, 1):
+        meta[f"warning{i}"] = warning
+    _write_header(stream, profile.kind, meta, "r,P_float,P_exact,kind")
     # "P_float,P_exact" cells keyed by identity: a p-adic profile shares one
     # Fraction per brightness, and hashing a Fraction costs more than formatting it
     cells = {}
@@ -269,24 +273,3 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
                 exact = str(value) if is_exact(value) else ""
                 text = cells[id(value)] = f"{fmt_float(value)},{exact}"
         stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")
-
-
-def to_json_dict(profile: BrightnessProfile) -> dict:
-    """JSON-ready dict with floats and exact strings side by side."""
-    out = {
-        "kind": profile.kind,
-        "grid": [float(r) for r in profile.grid],
-        "values": [float(v) for v in profile.values],
-        "metadata": {
-            str(k): (v if isinstance(v, (str, int)) else fmt_number(v))
-            for k, v in profile.metadata.items()
-        },
-        "warnings": list(profile.warnings),
-    }
-    if any(isinstance(v, (int, Fraction)) for v in profile.values):
-        out["values_exact"] = [str(v) for v in profile.values]
-    if profile.theta_max is not None:
-        out["theta_max"] = profile.theta_max
-    if profile.theta_min is not None:
-        out["theta_min"] = profile.theta_min
-    return out

@@ -78,10 +78,6 @@ class TestValidation:
         with pytest.raises(FrozenInstanceError):
             t.mode = "hyp"
 
-    def test_dict_round_trip(self):
-        t = make(prior=(0.3, 0.7), cond=((0.5, 0.5), (0.2, 0.8)), phases=(0.1, 0.2))
-        assert ContextTransform.from_dict(t.to_dict()) == t
-
 
 class TestClassical:
     def test_worked_mixture(self):

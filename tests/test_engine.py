@@ -244,6 +244,28 @@ class TestInterfereHyp:
         )
 
 
+class TestPhaseContract:
+    """A phase that is not finite, or whose cross factor leaves the float
+    range, is refused by name in both readings."""
+
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (interfere_hyp, (0.1, 0.1, 1000, 1), "theta = 1000 is out of range: cosh overflows"),
+            (amplitudes_hyp, (0.1, 0.1, 1000, 1), "theta = 1000 is out of range: cosh overflows"),
+            (interfere_trig, (0.1, 0.1, math.inf), "theta must be finite, got inf"),
+            (interfere_hyp, (0.1, 0.1, math.nan, 1), "theta must be finite, got nan"),
+            (amplitudes_trig, (0.1, 0.1, math.inf), "theta must be finite, got inf"),
+        ],
+        ids=["interfere_hyp-overflow", "amplitudes_hyp-overflow", "interfere_trig-inf",
+             "interfere_hyp-nan", "amplitudes_trig-inf"],
+    )
+    def test_bad_phase_is_a_validation_error(self, func, args, message):
+        with pytest.raises(ValidationError) as info:
+            func(*args)
+        assert str(info.value).startswith(message)
+
+
 class TestAmplitudes:
     def test_single_alternative(self):
         first, second = amplitudes_trig(1.0, 0.0, 2.3)

@@ -17,7 +17,6 @@ from interfere.profiles import (
     profile_piecewise,
     profile_trig,
     theta_bounds,
-    to_json_dict,
     uniform_grid,
     write_csv,
 )
@@ -317,21 +316,11 @@ class TestEmission:
             "8,0.111111111111,1/9,padic",
         ]
 
-    def test_json_dict(self):
-        data = to_json_dict(profile_padic(3, 0, 8))
-        assert data["kind"] == "padic"
-        assert data["values_exact"][1] == "1/9"
-        assert data["values"][1] == pytest.approx(1 / 9)
-        data2 = to_json_dict(profile_hyp(1 / 4, 1 / 16, -1, (0.0,)))
-        assert "values_exact" not in data2
-        assert data2["theta_min"] == pytest.approx(math.log(2))
-
     def test_warning_records_survive_emission(self):
         profile = profile_hyp(1 / 16, 1 / 16, 1, uniform_grid(0.0, THETA_MAX_7 + 2, 30))
         buffer = io.StringIO()
         write_csv(profile, buffer)
         assert "# warning1=clipped" in buffer.getvalue()
-        assert to_json_dict(profile)["warnings"]
 
 
 class TestGrowthIdentity:
