@@ -57,7 +57,6 @@ from .padic import PadicBall, PadicExpansion, PadicRational, is_prime, prime_mul
 from .padic_rule import (
     PadicAmplitudePair,
     PadicInterference,
-    lambda_range_check,
     padic_interfere,
     padic_slit_profile,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "inverse",
     "is_prime",
     "lambda_of",
-    "lambda_range_check",
     "normalization_defect",
     "padic_interfere",
     "padic_slit_profile",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import engine, hyperbolic
+from . import engine, hyperbolic, profiles
 from .context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -328,9 +328,8 @@ def check_amplitude_oracle_hyp(n: int = 50) -> CheckResult:
     each pair's validity window for both signs."""
 
     def phases(p1, p2):
-        theta_max, theta_min = theta_bounds(p1, p2)
-        windows = ((1, theta_max), (-1, theta_min))
-        return [(theta, sign) for sign, hi in windows for theta in uniform_grid(0.0, hi, n)]
+        window = profiles._HyperbolicBranches(p1, p2).window
+        return [(theta, sign) for sign in (1, -1) for theta in uniform_grid(0.0, window(sign), n)]
 
     return _oracle_sweep(engine.HYP, interfere_hyp, amplitudes_hyp, phases, n)
 
@@ -561,7 +560,7 @@ def check_profiles() -> CheckResult:
 # total probability
 # ---------------------------------------------------------------------------
 
-def _random_transform(rng, phases=(0.0, 0.0), signs=(1, 1), mode="trig") -> ContextTransform:
+def _random_transform(rng, phases=(0.0, 0.0)) -> ContextTransform:
     pb1 = rng.uniform(0.05, 0.95)
     r0 = rng.uniform(0.02, 0.98)
     r1 = rng.uniform(0.02, 0.98)
@@ -569,8 +568,6 @@ def _random_transform(rng, phases=(0.0, 0.0), signs=(1, 1), mode="trig") -> Cont
         prior=(pb1, 1 - pb1),
         cond=((r0, 1 - r0), (r1, 1 - r1)),
         phases=phases,
-        signs=signs,
-        mode=mode,
     )
 
 

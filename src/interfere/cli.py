@@ -2,7 +2,8 @@
 
 Subcommands: fit, profile (trig | hyp | piecewise | padic), totalprob, padic,
 check.  Numbers parse as exact rationals ("1/16", "0.36") and are kept exact
-with --mode exact or converted to floats with the default --mode float.
+with --mode exact or converted to floats with the default --mode float.  The
+p-adic commands take no --mode: their values are always exact.
 Output is deterministic: floats render with 12 significant digits, exact
 values as num/den, CSV rows in a fixed order with '#' metadata comments.
 
@@ -31,8 +32,7 @@ from .context import (
 )
 from .errors import InterfereError, NotAProbabilityError
 from .numeric import fmt_float, round12
-from .padic import PadicRational
-from .padic_rule import PadicAmplitudePair, padic_interfere, padic_slit_profile
+from .padic_rule import PadicAmplitudePair, _squared_abs, padic_interfere, padic_slit_profile
 
 
 class ConfigError(Exception):
@@ -97,8 +97,6 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, float):
         return round12(value)
-    if isinstance(value, engine.Regime):
-        return value.value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -136,7 +134,7 @@ def _cmd_fit(args) -> int:
             "p2": record.p2,
             "p": record.p,
             "lambda": record.lam,
-            "regime": record.regime,
+            "regime": record.regime.value,
             "phase": record.phase,
             "sign": record.sign,
             "residual": float(record.residual()),
@@ -169,10 +167,7 @@ def _cmd_profile_hyp(args) -> int:
     p2 = _parse_number(args.p2, args.mode, "--p2")
     sign = _parse_sign(args.sign, "--sign")
     if args.auto_window:
-        theta_max, theta_min = profiles.theta_bounds(p1, p2)
-        hi = theta_max if sign == 1 else theta_min
-        if hi is None:
-            raise ConfigError("--auto-window: the plus branch has no valid window here")
+        hi = profiles._HyperbolicBranches(p1, p2).window(sign)
     elif args.max is not None:
         hi = args.max
     else:
@@ -298,7 +293,7 @@ def _cmd_padic(args) -> int:
             f"{s.epsilon},{s.multiplicity},{s.probability},{fmt_float(s.probability)}\n"
             for s in padic_slit_profile(args.p, args.l, args.eps_max)
         )
-        meta = {"A": Fraction(args.p) ** (-2 * args.l), "l": args.l, "p": args.p}
+        meta = {"A": _squared_abs(args.p, args.l), "l": args.l, "p": args.p}
         buffer = io.StringIO()
         profiles._write_header(
             buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
@@ -310,9 +305,9 @@ def _cmd_padic(args) -> int:
         raise ConfigError("padic needs --alpha1, --alpha2 and --eps (or --table)")
     pair = PadicAmplitudePair(
         args.p,
-        PadicRational(args.p, _parse_fraction(args.alpha1, "--alpha1")),
-        PadicRational(args.p, _parse_fraction(args.alpha2, "--alpha2")),
-        PadicRational(args.p, _parse_fraction(args.eps, "--eps")),
+        _parse_fraction(args.alpha1, "--alpha1"),
+        _parse_fraction(args.alpha2, "--alpha2"),
+        _parse_fraction(args.eps, "--eps"),
     )
     result = padic_interfere(pair)
     payload = {
@@ -362,6 +357,10 @@ def _cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_out(parser):
+    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
 def _add_common(parser):
     parser.add_argument(
         "--mode",
@@ -369,7 +368,7 @@ def _add_common(parser):
         default="float",
         help="parse/print numbers as exact rationals or floats (default float)",
     )
-    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    _add_out(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -424,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     padic_profile.add_argument("--p", type=int, required=True)
     padic_profile.add_argument("--l", type=int, default=0)
     padic_profile.add_argument("--eps-max", type=int, required=True)
-    _add_common(padic_profile)
+    _add_out(padic_profile)
     padic_profile.set_defaults(handler=_cmd_profile_padic)
 
     totalprob = sub.add_parser(
@@ -452,12 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
     padic.add_argument("--table", action="store_true", help="emit the two-slit CSV table")
     padic.add_argument("--l", type=int, default=0)
     padic.add_argument("--eps-max", type=int, default=20)
-    _add_common(padic)
+    _add_out(padic)
     padic.set_defaults(handler=_cmd_padic)
 
     check = sub.add_parser("check", help="run the invariant suite")
     check.add_argument("--fast", action="store_true", help="smaller sweeps")
-    check.add_argument("--out", default=None)
+    _add_out(check)
     check.set_defaults(handler=_cmd_check)
 
     return parser

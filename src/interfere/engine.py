@@ -29,7 +29,6 @@ from . import hyperbolic
 from .errors import DegenerateContextError, ValidationError
 from .numeric import (
     as_probability,
-    cross_term,
     phase_cos,
     require_probability,
     sqrt_keeping_exact,
@@ -82,7 +81,6 @@ class Regime(enum.Enum):
     TRIGONOMETRIC = "trigonometric"
     HYPERBOLIC = "hyperbolic"
     BOUNDARY = "boundary"  # |lam| = 1: compatible with both parameterizations
-    DEGENERATE = "degenerate"  # p1*p2 = 0: lam undefined
 
 
 def lambda_of(p1, p2, p):
@@ -139,8 +137,20 @@ def combine(p1, p2, lam):
 
 
 def _rule(base, weight, lam):
-    """The deviation kernel base + weight*lam, unvalidated (see combine)."""
-    return base + cross_term(weight, lam)
+    """The deviation kernel base + weight*lam, unvalidated (see combine).
+
+    The cross term at lam = 0 and lam = +/-1 is 0 or +/-weight, so exact
+    base and weight stay exact: phase_cos hits the float 0.0 and +/-1.0 at
+    quarter turns exactly, and multiplying by those would make them floats.
+    """
+    # written as base + cross for cross in (0, weight, -weight), so a zero sum keeps its sign
+    if lam == 0:
+        return base + 0
+    if lam == 1:
+        return base + weight
+    if lam == -1:
+        return base + -weight
+    return base + weight * lam
 
 
 def _sweep(algebra: _Algebra, base, weight, sign, phases):

@@ -53,22 +53,6 @@ def phase_cos(theta):
     return math.sin(math.pi / 2 - theta)
 
 
-def cross_term(weight, lam):
-    """weight * lam, preserving exactness at lam = 0 and lam = +/-1.
-
-    An exact weight multiplied by float 0.0 or 1.0 would silently become a
-    float; the quarter-turn cosines from phase_cos hit those values exactly,
-    and this keeps the product exact.
-    """
-    if lam == 0:
-        return 0
-    if lam == 1:
-        return weight
-    if lam == -1:
-        return -weight
-    return weight * lam
-
-
 def require_probability(value, name):
     """Validate an input probability in [0, 1]; returns it unchanged."""
     if 0 <= value <= 1:  # NaN and +/-inf fail this and reach the messages

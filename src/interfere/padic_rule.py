@@ -128,13 +128,6 @@ def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
     return PadicInterference(pair.p, case, probability, p1, p2, lam, cross)
 
 
-def lambda_range_check(pair: PadicAmplitudePair):
-    """(lam, theta, within_claimed_range) of padic_interfere(pair); see
-    PadicInterference.within_claimed_range."""
-    result = padic_interfere(pair)
-    return result.lam, result.theta, result.within_claimed_range
-
-
 @dataclass(frozen=True)
 class SlitSample:
     """One symmetric two-slit sample: interference factor eps and exact P."""

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .engine import HYP, TRIG, _sweep
-from .errors import DegenerateContextError, ProfileError
+from .errors import DegenerateContextError, ProfileError, ValidationError
 from .numeric import (
     TOLERANCE,
     fmt_float,
@@ -34,7 +33,7 @@ from .numeric import (
     require_probability,
     sqrt_keeping_exact,
 )
-from .padic_rule import padic_slit_profile
+from .padic_rule import _squared_abs, padic_slit_profile
 
 
 @dataclass
@@ -51,9 +50,13 @@ class BrightnessProfile:
 
 
 def uniform_grid(lo: float, hi: float, n: int):
-    """n evenly spaced samples covering [lo, hi] inclusive."""
+    """n evenly spaced samples covering [lo, hi] inclusive; an end or a span
+    hi - lo that is not finite raises ValidationError naming it."""
     if n < 1:
         raise ProfileError(f"grid needs at least one sample, got n = {n}")
+    for name, value in (("end lo", lo), ("end hi", hi), ("span hi - lo", hi - lo)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"grid {name} must be finite, got {value!r}")
     if n == 1:
         return (float(lo),)
     step = (hi - lo) / (n - 1)
@@ -236,7 +239,7 @@ def profile_padic(p: int, l: int, eps_max: int) -> BrightnessProfile:
         kind="padic",
         grid=tuple(1 + s.epsilon for s in samples),
         values=tuple(s.probability for s in samples),
-        metadata={"p": p, "l": l, "A": Fraction(p) ** (-2 * l)},
+        metadata={"p": p, "l": l, "A": _squared_abs(p, l)},
     )
 
 

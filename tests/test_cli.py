@@ -131,6 +131,30 @@ class TestProfile:
         assert code == 2
         assert "--max or --auto-window" in err
 
+    def test_auto_window_without_a_plus_window(self, capsys):
+        argv = "profile hyp --p1 0.5 --p2 0.4 --sign +".split()
+        auto = run(capsys, *argv, "--auto-window")
+        explicit = run(capsys, *argv, "--max", "1")
+        assert auto == explicit
+        assert auto[0] == 3
+        assert auto[2].startswith("error: plus branch has no valid window")
+
+    @pytest.mark.parametrize(
+        "argv, where, value",
+        [
+            ("profile trig --p1 0.25 --p2 0.25 --max inf --n 3", "end hi", "inf"),
+            ("profile trig --p1 0.25 --p2 0.25 --max nan", "end hi", "nan"),
+            ("profile trig --p1 0.25 --p2 0.25 --min=-inf --max 1", "end lo", "-inf"),
+            ("profile trig --p1 0.25 --p2 0.25 --min=inf --max 1 --n 1", "end lo", "inf"),
+            ("profile trig --p1 0.25 --p2 0.25 --min=-1e308 --max 1e308 --n 3", "span hi - lo", "inf"),
+            ("profile hyp --p1 0.25 --p2 0.25 --sign - --max inf", "end hi", "inf"),
+        ],
+    )
+    def test_grid_must_be_finite(self, capsys, argv, where, value):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (3, "")
+        assert err == f"error: grid {where} must be finite, got {value}\n"
+
     def test_piecewise(self, capsys):
         code, out, _ = run(
             capsys,
@@ -271,6 +295,25 @@ class TestPadic:
         )
         assert code == 3
         assert "p-adic integer" in err
+
+    def test_parse_errors_come_before_the_prime_check(self, capsys):
+        code, _, err = run(capsys, *"padic --p 4 --alpha1 1 --alpha2 x --eps 1".split())
+        assert code == 2
+        assert "--alpha2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "profile padic --p 3 --eps-max 8 --mode exact",
+            "padic --p 3 --alpha1 1 --alpha2 1 --eps 2 --mode exact",
+            "padic --p 3 --table --mode exact",
+        ],
+    )
+    def test_p_adic_commands_take_no_mode(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode exact" in capsys.readouterr().err
 
 
 class TestCheck:

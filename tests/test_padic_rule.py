@@ -14,7 +14,6 @@ from interfere.numeric import exact_sqrt
 from interfere.padic import PadicRational, prime_multiplicity
 from interfere.padic_rule import (
     PadicAmplitudePair,
-    lambda_range_check,
     padic_interfere,
     padic_slit_profile,
 )
@@ -22,6 +21,12 @@ from interfere.padic_rule import (
 
 def pair(p, alpha1, alpha2, eps):
     return PadicAmplitudePair(p, alpha1, alpha2, eps)
+
+
+def lambda_range(amplitudes):
+    """(lam, theta, within_claimed_range) of padic_interfere(amplitudes)."""
+    result = padic_interfere(amplitudes)
+    return result.lam, result.theta, result.within_claimed_range
 
 
 class TestValidation:
@@ -126,18 +131,18 @@ class TestCases:
 
 class TestLambdaRange:
     def test_case_a_angle(self):
-        lam, theta, within = lambda_range_check(pair(3, 3, 9, 1))
+        lam, theta, within = lambda_range(pair(3, 3, 9, 1))
         assert lam == Fraction(-1, 6)
         assert theta == pytest.approx(math.acos(-1 / 6))
         assert within
 
     def test_full_destruction_hits_pi(self):
-        lam, theta, within = lambda_range_check(pair(3, 1, 1, -1))
+        lam, theta, within = lambda_range(pair(3, 1, 1, -1))
         assert lam == -1 and theta == pytest.approx(math.pi) and within
 
     def test_case_band_boundary(self):
         # |1 + 1|_3 = 1 gives c = 1, the A/B vs C boundary lam = -1/2
-        lam, theta, within = lambda_range_check(pair(3, 1, 1, 1))
+        lam, theta, within = lambda_range(pair(3, 1, 1, 1))
         assert lam == Fraction(-1, 2)
         assert theta == pytest.approx(2 * math.pi / 3)
         assert within
@@ -149,7 +154,7 @@ class TestLambdaRange:
     def test_check_reads_the_result(self, args, case):
         r = padic_interfere(pair(*args))
         assert r.case == case
-        assert lambda_range_check(pair(*args)) == (r.lam, r.theta, r.within_claimed_range)
+        assert lambda_range(pair(*args)) == (r.lam, r.theta, r.within_claimed_range)
         assert r.within_claimed_range
 
     def test_claimed_range_edges(self):
@@ -172,7 +177,7 @@ class TestLambdaRange:
             units = [u for u in range(1, p ** 3) if u % p]
             for l1, l2 in itertools.product(range(3), repeat=2):
                 for eps in units:
-                    lam, theta, within = lambda_range_check(
+                    lam, theta, within = lambda_range(
                         pair(p, p ** l1, p ** l2, eps)
                     )
                     assert within

@@ -32,12 +32,23 @@ from interfere.engine import (
     interfere_trig,
 )
 from interfere.errors import InterfereError
-from interfere.numeric import as_probability, cross_term, phase_cos, sqrt_keeping_exact
+from interfere.numeric import as_probability, phase_cos, sqrt_keeping_exact
 
 H = hyperbolic.HyperbolicNumber
 
 
 # -- the separate spellings --------------------------------------------------
+
+def cross_term(weight, lam):
+    """weight * lam, kept exact at lam = 0 and lam = +/-1."""
+    if lam == 0:
+        return 0
+    if lam == 1:
+        return weight
+    if lam == -1:
+        return -weight
+    return weight * lam
+
 
 def trig_rule(p1, p2, theta):
     weight = 2 * sqrt_keeping_exact(p1 * p2)
