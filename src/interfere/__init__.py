@@ -13,110 +13,90 @@ Subpackages: ``hyperbolic`` (split-complex algebra), ``padic`` (exact
 valuation arithmetic), ``engine`` (the deviation calculus), ``context``
 (total-probability transforms), ``padic_rule`` (the p-adic amplitude rule),
 ``profiles`` (brightness curves), ``cli`` (command-line front end).
+
+Importing the package loads none of them.  Each public name is listed once
+below under the submodule that defines it; the first access to a name
+imports that submodule (PEP 562) and keeps the value here, so a command or
+caller pays only for the modules it uses.
 """
 
-# before the submodule imports, which read it during package import
 __version__ = "0.1.0"
 
-from .context import (
-    ContextTransform,
-    hyperbolic_sqrt_transform,
-    normalization_defect,
-    phases_from_state_expansion,
-    raw_quantum_components,
-    sqrt_linear_transform,
-    total_prob_classical,
-    total_prob_hyperbolic,
-    total_prob_quantum,
-)
-from .engine import (
-    InterferenceRecord,
-    Regime,
-    amplitudes_hyp,
-    amplitudes_trig,
-    classify,
-    combine,
-    fit_record,
-    interfere_hyp,
-    interfere_trig,
-    lambda_of,
-    phase_of,
-    phases_from_deviation,
-)
-from .errors import (
-    DegenerateContextError,
-    InterfereError,
-    NonPositiveNormError,
-    NotAProbabilityError,
-    PrimeMismatchError,
-    ProfileError,
-    ValidationError,
-)
-from .hyperbolic import HyperbolicNumber, PolarForm, inverse, polar
-from .padic import PadicBall, PadicExpansion, PadicRational, is_prime, prime_multiplicity
-from .padic_rule import (
-    PadicAmplitudePair,
-    PadicInterference,
-    padic_interfere,
-    padic_slit_profile,
-)
-from .profiles import (
-    BrightnessProfile,
-    profile_hyp,
-    profile_padic,
-    profile_piecewise,
-    profile_trig,
-    theta_bounds,
-    uniform_grid,
+#: Keys of the flat form of a context transform, in the order of its fields.
+#: Here rather than in ``context`` because the CLI parser reads them for
+#: every command.
+CONFIG_KEYS = (
+    "mode", "pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2", "sign1", "sign2"
 )
 
-__all__ = [
-    "BrightnessProfile",
-    "ContextTransform",
-    "DegenerateContextError",
-    "HyperbolicNumber",
-    "InterfereError",
-    "InterferenceRecord",
-    "NonPositiveNormError",
-    "NotAProbabilityError",
-    "PadicAmplitudePair",
-    "PadicBall",
-    "PadicExpansion",
-    "PadicInterference",
-    "PadicRational",
-    "PolarForm",
-    "PrimeMismatchError",
-    "ProfileError",
-    "Regime",
-    "ValidationError",
-    "amplitudes_hyp",
-    "amplitudes_trig",
-    "classify",
-    "combine",
-    "fit_record",
-    "hyperbolic_sqrt_transform",
-    "interfere_hyp",
-    "interfere_trig",
-    "inverse",
-    "is_prime",
-    "lambda_of",
-    "normalization_defect",
-    "padic_interfere",
-    "padic_slit_profile",
-    "phase_of",
-    "phases_from_deviation",
-    "phases_from_state_expansion",
-    "polar",
-    "prime_multiplicity",
-    "profile_hyp",
-    "profile_padic",
-    "profile_piecewise",
-    "profile_trig",
-    "raw_quantum_components",
-    "sqrt_linear_transform",
-    "theta_bounds",
-    "total_prob_classical",
-    "total_prob_hyperbolic",
-    "total_prob_quantum",
-    "uniform_grid",
-]
+_EXPORTS = {
+    "context": (
+        "ContextTransform",
+        "hyperbolic_sqrt_transform",
+        "normalization_defect",
+        "phases_from_state_expansion",
+        "raw_quantum_components",
+        "sqrt_linear_transform",
+        "total_prob_classical",
+        "total_prob_hyperbolic",
+        "total_prob_quantum",
+    ),
+    "engine": (
+        "InterferenceRecord",
+        "Regime",
+        "amplitudes_hyp",
+        "amplitudes_trig",
+        "classify",
+        "combine",
+        "fit_record",
+        "interfere_hyp",
+        "interfere_trig",
+        "lambda_of",
+        "phase_of",
+        "phases_from_deviation",
+    ),
+    "errors": (
+        "DegenerateContextError",
+        "InterfereError",
+        "NonPositiveNormError",
+        "NotAProbabilityError",
+        "PrimeMismatchError",
+        "ProfileError",
+        "ValidationError",
+    ),
+    "hyperbolic": ("HyperbolicNumber", "PolarForm", "inverse", "polar"),
+    "padic": ("PadicBall", "PadicExpansion", "PadicRational", "is_prime", "prime_multiplicity"),
+    "padic_rule": (
+        "PadicAmplitudePair",
+        "PadicInterference",
+        "padic_interfere",
+        "padic_slit_profile",
+    ),
+    "profiles": (
+        "BrightnessProfile",
+        "profile_hyp",
+        "profile_padic",
+        "profile_piecewise",
+        "profile_trig",
+        "theta_bounds",
+        "uniform_grid",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

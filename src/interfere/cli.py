@@ -21,18 +21,10 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, engine, profiles
-from .context import (
-    CONFIG_KEYS,
-    ContextTransform,
-    normalization_defect,
-    total_prob_classical,
-    total_prob_hyperbolic,
-    total_prob_quantum,
-)
-from .errors import InterfereError, NotAProbabilityError
-from .numeric import fmt_float, round12
-from .padic_rule import PadicAmplitudePair, _squared_abs, padic_interfere, padic_slit_profile
+# Only what every command needs: each handler imports the modules it runs.
+from . import CONFIG_KEYS, __version__
+from .errors import InterfereError, NotAProbabilityError, ValidationError
+from .numeric import fmt_float, fmt_number, round12
 
 
 class ConfigError(Exception):
@@ -94,7 +86,7 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, Fraction):
-        return str(value)
+        return fmt_number(value)
     if isinstance(value, float):
         return round12(value)
     if isinstance(value, dict):
@@ -124,10 +116,12 @@ def _emit_json(payload: dict, out_path):
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    from .engine import fit_record
+
     p1 = _parse_number(args.p1, args.mode, "p1")
     p2 = _parse_number(args.p2, args.mode, "p2")
     p = _parse_number(args.p, args.mode, "p")
-    record = engine.fit_record(p1, p2, p)
+    record = fit_record(p1, p2, p)
     _emit_json(
         {
             "p1": record.p1,
@@ -149,12 +143,16 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit_profile(profile, out_path):
+    from .profiles import write_csv
+
     buffer = io.StringIO()
-    profiles.write_csv(profile, buffer)
+    write_csv(profile, buffer)
     _emit(buffer.getvalue(), out_path)
 
 
 def _cmd_profile_trig(args) -> int:
+    from . import profiles
+
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     grid = profiles.uniform_grid(args.min, args.max, args.n)
@@ -163,6 +161,8 @@ def _cmd_profile_trig(args) -> int:
 
 
 def _cmd_profile_hyp(args) -> int:
+    from . import profiles
+
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     sign = _parse_sign(args.sign, "--sign")
@@ -192,6 +192,8 @@ def _parse_intervals(text: str):
 
 
 def _cmd_profile_piecewise(args) -> int:
+    from . import profiles
+
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     partition = _parse_intervals(args.intervals)
@@ -201,8 +203,25 @@ def _cmd_profile_piecewise(args) -> int:
     return 0
 
 
+def _require_printable_head(p: int, l: int) -> None:
+    """Reject --l before the power is computed when the head value A =
+    p**(-2l) would have more digits than Python converts an integer to text."""
+    from .padic import _require_prime
+
+    _require_prime(p)  # a prime error comes first, as in padic_slit_profile
+    limit = sys.get_int_max_str_digits()
+    if limit and 2 * l * math.log10(p) >= limit:
+        raise ValidationError(
+            f"--l {l} makes A = {p}**(-{2 * l}) an exact value of more than {limit} "
+            "digits, more than Python converts an integer to text"
+        )
+
+
 def _cmd_profile_padic(args) -> int:
-    _emit_profile(profiles.profile_padic(args.p, args.l, args.eps_max), args.out)
+    from .profiles import profile_padic
+
+    _require_printable_head(args.p, args.l)
+    _emit_profile(profile_padic(args.p, args.l, args.eps_max), args.out)
     return 0
 
 
@@ -235,6 +254,14 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_totalprob(args) -> int:
+    from .context import (
+        ContextTransform,
+        normalization_defect,
+        total_prob_classical,
+        total_prob_hyperbolic,
+        total_prob_quantum,
+    )
+
     raw = _read_config(args.config) if args.config else {}
     for key in CONFIG_KEYS:
         override = args.kind if key == "mode" else getattr(args, key, None)
@@ -288,14 +315,19 @@ def _cmd_totalprob(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_padic(args) -> int:
+    from .padic_rule import PadicAmplitudePair, _squared_abs, padic_interfere, padic_slit_profile
+
     if args.table:
+        from .profiles import _write_header
+
+        _require_printable_head(args.p, args.l)
         rows = (
-            f"{s.epsilon},{s.multiplicity},{s.probability},{fmt_float(s.probability)}\n"
+            f"{s.epsilon},{s.multiplicity},{fmt_number(s.probability)},{fmt_float(s.probability)}\n"
             for s in padic_slit_profile(args.p, args.l, args.eps_max)
         )
         meta = {"A": _squared_abs(args.p, args.l), "l": args.l, "p": args.p}
         buffer = io.StringIO()
-        profiles._write_header(
+        _write_header(
             buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
         )
         buffer.writelines(rows)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import CONFIG_KEYS
 from .engine import HYP, TRIG, _amplitudes, _at_phase, _rule
 from .errors import ValidationError
 from .numeric import (
@@ -31,10 +32,6 @@ from .numeric import (
 )
 
 _MODES = (TRIG.name, HYP.name)
-#: Keys of the flat form of a transform, in the order of its fields.
-CONFIG_KEYS = (
-    "mode", "pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2", "sign1", "sign2"
-)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from . import hyperbolic
 from .errors import DegenerateContextError, ValidationError
 from .numeric import (
     as_probability,
+    is_exact,
     phase_cos,
     require_probability,
     sqrt_keeping_exact,
@@ -87,16 +88,24 @@ def lambda_of(p1, p2, p):
     """Normalized deviation (p - p1 - p2) / (2*sqrt(p1*p2)).
 
     Exact when the inputs are exact and p1*p2 is a perfect square; never
-    clamped.  Undefined (DegenerateContextError) when p1*p2 = 0.
+    clamped.  Undefined (DegenerateContextError) when p1*p2 = 0; out of reach
+    (ValidationError) when p1 and p2 are nonzero but p1*p2 underflows in floats.
     """
     require_probability(p1, "p1")
     require_probability(p2, "p2")
     require_probability(p, "p")
-    if p1 * p2 == 0:
+    if p1 == 0 or p2 == 0:
         raise DegenerateContextError(
             "normalized deviation is undefined when p1*p2 = 0"
         )
-    return (p - (p1 + p2)) / (2 * sqrt_keeping_exact(p1 * p2))
+    weight = 2 * sqrt_keeping_exact(p1 * p2)
+    if weight == 0:  # a float p1*p2, or the float root of an exact one, underflowed
+        hint = "" if is_exact(p1 * p2) else "; --mode exact avoids it for a perfect square p1*p2"
+        raise ValidationError(
+            "p1*p2 underflows to 0 in floats although p1 and p2 are nonzero, so the "
+            "normalized deviation cannot be computed" + hint
+        )
+    return (p - (p1 + p2)) / weight
 
 
 def classify(lam) -> Regime:
@@ -117,13 +126,21 @@ def phase_of(lam):
     |lam| <= 1: (arccos(lam), +1) with phase in [0, pi]; |lam| > 1:
     (arccosh(|lam|), sign(lam)) with phase > 0.  On the boundary |lam| = 1 the
     trigonometric parameterization is returned (phase 0 or pi, sign +1); the
-    hyperbolic reading there would be (0, sign(lam)).
+    hyperbolic reading there would be (0, sign(lam)).  An exact |lam| past the
+    float range has no float phase and raises ValidationError.
     """
     if isinstance(lam, float) and not math.isfinite(lam):
         raise ValidationError(f"deviation must be finite, got {lam!r}")
     if abs(lam) <= 1:
         return math.acos(lam), 1
-    return math.acosh(abs(lam)), (1 if lam > 0 else -1)
+    try:
+        phase = math.acosh(abs(lam))
+    except OverflowError:  # an exact lam past the float range
+        raise ValidationError(
+            "deviation |lam| exceeds the float range (~1.8e308), so its phase "
+            "arccosh(|lam|) cannot be computed"
+        ) from None
+    return phase, (1 if lam > 0 else -1)
 
 
 def combine(p1, p2, lam):

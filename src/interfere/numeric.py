@@ -7,6 +7,7 @@ snap in the package.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import NotAProbabilityError, ValidationError
@@ -91,7 +92,17 @@ def round12(value) -> float:
 
 
 def fmt_number(value) -> str:
-    """Exact values as 'num/den' or plain integers, floats via fmt_float."""
+    """Exact values as 'num/den' or plain integers, floats via fmt_float.
+
+    An exact value too long for Python's int-to-text conversion raises
+    ValidationError; the interpreter's limit stays as it is, since it guards
+    against quadratic-time conversion."""
     if isinstance(value, float) or not isinstance(value, (int, Fraction)):
         return fmt_float(value)
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "more than Python converts an integer to text"
+        ) from None

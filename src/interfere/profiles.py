@@ -33,7 +33,6 @@ from .numeric import (
     require_probability,
     sqrt_keeping_exact,
 )
-from .padic_rule import _squared_abs, padic_slit_profile
 
 
 @dataclass
@@ -234,6 +233,8 @@ def profile_padic(p: int, l: int, eps_max: int) -> BrightnessProfile:
     radius is divisible by powers of p are dimmed, discontinuously in the
     Euclidean metric but continuously in the p-adic one.
     """
+    from .padic_rule import _squared_abs, padic_slit_profile  # only this picture is p-adic
+
     samples = padic_slit_profile(p, l, eps_max)
     return BrightnessProfile(
         kind="padic",
@@ -273,6 +274,6 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
         else:
             text = cells.get(id(value))
             if text is None:
-                exact = str(value) if is_exact(value) else ""
+                exact = fmt_number(value) if is_exact(value) else ""
                 text = cells[id(value)] = f"{fmt_float(value)},{exact}"
         stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")

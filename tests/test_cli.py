@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from interfere.cli import main
@@ -67,6 +67,21 @@ class TestFit:
         assert code == 3
         assert out == ""
         assert "undefined" in err
+
+    def test_float_underflow_is_named(self, capsys):
+        # p1*p2 = 1e-400 underflows to 0.0; neither input is zero
+        code, out, err = run(capsys, "fit", "1e-200", "1e-200", "0.5")
+        assert (code, out) == (3, "")
+        assert "underflows" in err and "--mode exact" in err and "undefined" not in err
+        code, out, _ = run(capsys, "fit", "--mode", "exact", "1e-200", "1e-200", "0.5")
+        assert code == 0
+        assert json.loads(out)["regime"] == "hyperbolic"
+
+    def test_exact_deviation_at_the_float_edge(self, capsys):
+        # lam = 1/(4*1.3907e-309) - 1 still fits in a float
+        code, out, _ = run(capsys, "fit", "--mode", "exact", "1.3907e-309", "1.3907e-309", "1/2")
+        assert code == 0
+        assert json.loads(out)["phase"] == pytest.approx(math.acosh(1.7976e308), rel=1e-3)
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "fit", "0.25", "zebra", "0.3")
@@ -378,13 +393,26 @@ class TestBoundaryInputs:
             ("totalprob --config {config} --theta1 pi/0", 2),
             ("totalprob --kind hyp --config {config} --theta1 1000", 3),  # cosh overflows
             ("fit 0.36 0.16 0.76 --out {missing}", 2),
+            # an exact lam past the float range has no float phase
+            ("fit --mode exact 1e-400 1e-400 1/2", 3),
+            ("fit --mode exact 1e-310 1e-310 1/2", 3),
+            # the float square root of an exact p1*p2 that is no perfect square underflows
+            ("fit --mode exact 0.5 1e-5000 0.5", 3),
+            # exact values longer than Python converts to text (4300 digits):
+            # A = 3**-10000 from --l, a sample 3**-9014 past an A that fits, P1 = 3**-10000
+            ("profile padic --p 3 --l 5000 --eps-max 3", 3),
+            ("padic --p 3 --table --l 5000 --eps-max 3", 3),
+            ("padic --p 3 --table --l 4506 --eps-max 3", 3),
+            ("profile padic --p 3 --l 4506 --eps-max 3", 3),
+            ("padic --p 3 --alpha1 {power} --alpha2 1 --eps 1", 3),
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
         config = tmp_path / "two_slit.cfg"
         config.write_text(TWO_SLIT_CONFIG)
         missing = tmp_path / "missing" / "dir" / "x.csv"
-        code, out, err = run(capsys, *argv.format(config=config, missing=missing).split())
+        argv = argv.format(config=config, missing=missing, power=3**5000)
+        code, out, err = run(capsys, *argv.split())
         assert code == expected
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -413,6 +441,8 @@ _ANGLES = st.one_of(
 _SIGNS = st.sampled_from(["+", "-", "+1", "-1", "1", "0", "x", ""])
 # grid sizes and table lengths stay small: each point is real work
 _COUNTS = st.sampled_from(["-1", "0", "1", "5", "40", "1e3", "x"])
+# --l also reaches past the digit limit: A = p**(-2l) has over 4300 digits
+_LEVELS = st.one_of(_COUNTS, st.just("5000"))
 _PRIMES = st.sampled_from(["2", "3", "5", "1000000007", "0", "1", "4", "-3", "x"])
 _MODES = st.sampled_from([[], ["--mode", "exact"], ["--mode", "float"]])
 _OUTS = st.sampled_from([[], ["--out", "{missing}"], ["--out", "{file}"]])
@@ -447,7 +477,7 @@ ARGVS = st.one_of(
           _flag("n", _COUNTS, True), _MODES, _OUTS),
     _argv("profile", "piecewise", _flag("p1", _NUMBERS), _flag("p2", _NUMBERS),
           _flag("intervals", _INTERVALS), _flag("n", _COUNTS, True), _MODES, _OUTS),
-    _argv("profile", "padic", _flag("p", _PRIMES), _flag("l", _COUNTS, True),
+    _argv("profile", "padic", _flag("p", _PRIMES), _flag("l", _LEVELS, True),
           _flag("eps-max", _COUNTS), _OUTS),
     _argv("totalprob", _flag("kind", st.sampled_from(["trig", "hyp", "x"]), True),
           *(_flag(key, _NUMBERS) for key in _TOTALPROB_KEYS),
@@ -455,7 +485,7 @@ ARGVS = st.one_of(
           _flag("sign1", _SIGNS, True), _flag("sign2", _SIGNS, True), _MODES, _OUTS),
     _argv("padic", _flag("p", _PRIMES), _flag("alpha1", _NUMBERS, True),
           _flag("alpha2", _NUMBERS, True), _flag("eps", _NUMBERS, True), _OUTS),
-    _argv("padic", _flag("p", _PRIMES), "--table", _flag("l", _COUNTS, True),
+    _argv("padic", _flag("p", _PRIMES), "--table", _flag("l", _LEVELS, True),
           _flag("eps-max", _COUNTS, True), _OUTS),
 )
 
@@ -466,6 +496,7 @@ class TestExitCodeContract:
 
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=ARGVS)
+    @example(argv=["fit", "--mode", "exact", "1e-400", "1e-400", "1/2"])
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]
