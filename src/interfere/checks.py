@@ -13,6 +13,7 @@ first violation.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,7 +366,7 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
             pair = PadicAmplitudePair(p, alpha1, alpha2, eps)
             result = padic_interfere(pair)
             lam, theta = result.lam, result.theta
-            ok = result.within_claimed_range and Fraction(-1) <= lam <= 0
+            ok = result.within_claimed_range and -1 <= lam <= 0
             ok = ok and math.pi / 2 - 1e-12 <= theta <= math.pi + 1e-12
             if result.case == "C":
                 ok = ok and result.cross_factor is not None
@@ -681,20 +682,58 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 # suite
 # ---------------------------------------------------------------------------
 
-def run_all(full: bool = True) -> list[CheckResult]:
-    """Run every check; `full=False` shrinks the sweeps for a quick pass."""
+def _sweeps(full: bool) -> list[tuple[str, dict]]:
+    """The suite in its fixed order: (name of a check function, its sizes);
+    `full=False` shrinks the sweeps for a quick pass."""
     scale = 1 if full else 10
     oracle_n = 50 if full else 15
     return [
-        check_hyperbolic_laws(cases_per_law=10000 // scale),
-        check_ultrametric(cases=10000 // scale),
-        check_ball_geometry(cases=2000 // scale),
-        check_digit_expansions(cases=2000 // scale),
-        check_amplitude_oracle_trig(n=oracle_n),
-        check_amplitude_oracle_hyp(n=oracle_n),
-        check_lambda_range(),
-        check_slit_fluctuations(),
-        check_theta_bounds(cases=1000 // scale),
-        check_profiles(),
-        check_total_probability(cases=1000 // scale),
+        ("check_hyperbolic_laws", {"cases_per_law": 10000 // scale}),
+        ("check_ultrametric", {"cases": 10000 // scale}),
+        ("check_ball_geometry", {"cases": 2000 // scale}),
+        ("check_digit_expansions", {"cases": 2000 // scale}),
+        ("check_amplitude_oracle_trig", {"n": oracle_n}),
+        ("check_amplitude_oracle_hyp", {"n": oracle_n}),
+        ("check_lambda_range", {}),
+        ("check_slit_fluctuations", {}),
+        ("check_theta_bounds", {"cases": 1000 // scale}),
+        ("check_profiles", {}),
+        ("check_total_probability", {"cases": 1000 // scale}),
     ]
+
+
+def _run_sweep(name: str, sizes: dict) -> CheckResult:
+    """Run the check function called `name`.  A worker process is sent the
+    name, not the function: a function wrapped at run time (a tracing span)
+    cannot be pickled by reference, its name can."""
+    return globals()[name](**sizes)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_all(full: bool = True) -> list[CheckResult]:
+    """Run every check; `full=False` shrinks the sweeps for a quick pass.
+
+    The sweeps are independent and deterministic, so they share the CPUs
+    available to this process, one worker process per CPU up to one per
+    sweep.  Results come back in the suite's order whatever the worker count.
+    With one CPU, or where no worker process can start, the same sweeps run
+    here one after another."""
+    sweeps = _sweeps(full)
+    workers = min(_available_cpus(), len(sweeps))
+    if workers > 1:
+        import concurrent.futures as futures  # the process pool loads on first use
+
+        try:
+            with futures.ProcessPoolExecutor(workers) as pool:
+                pending = [pool.submit(_run_sweep, *sweep) for sweep in sweeps]
+                return [job.result() for job in pending]
+        except (ImportError, NotImplementedError, OSError, futures.BrokenExecutor):
+            pass  # no worker processes on this platform, or one died: run here
+    return [_run_sweep(*sweep) for sweep in sweeps]

@@ -166,14 +166,16 @@ def _cmd_profile_hyp(args) -> int:
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     sign = _parse_sign(args.sign, "--sign")
+    branches = None
     if args.auto_window:
-        hi = profiles._HyperbolicBranches(p1, p2).window(sign)
+        branches = profiles._HyperbolicBranches(p1, p2)
+        hi = branches.window(sign)
     elif args.max is not None:
         hi = args.max
     else:
         raise ConfigError("profile hyp needs --max or --auto-window")
     grid = profiles.uniform_grid(0.0, hi, args.n)
-    _emit_profile(profiles.profile_hyp(p1, p2, sign, grid), args.out)
+    _emit_profile(profiles.profile_hyp(p1, p2, sign, grid, branches=branches), args.out)
     return 0
 
 

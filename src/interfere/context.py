@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from . import CONFIG_KEYS
 from .engine import HYP, TRIG, _amplitudes, _at_phase, _rule
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .numeric import (
     TOLERANCE,
     as_probability,
@@ -65,7 +65,7 @@ class ContextTransform:
                 require_probability(value, f"prior[{i}]")
         prior_sum = self.prior[0] + self.prior[1]
         if abs(prior_sum - 1) > TOLERANCE:
-            raise ValidationError(f"prior sums to {prior_sum!r}, expected 1")
+            raise ValidationError(f"prior sums to {shown(prior_sum)}, expected 1")
         for i, row in enumerate(self.cond):
             if len(row) != 2:
                 raise ValidationError(f"cond row {i} must have 2 entries")
@@ -74,10 +74,10 @@ class ContextTransform:
                     require_probability(value, f"cond[{i}][{j}]")
             row_sum = row[0] + row[1]
             if abs(row_sum - 1) > TOLERANCE:
-                raise ValidationError(f"cond row {i} sums to {row_sum!r}, expected 1")
+                raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
         for j, sign in enumerate(self.signs):
             if sign not in (1, -1):
-                raise ValidationError(f"signs[{j}] must be +1 or -1, got {sign!r}")
+                raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
         for j, theta in enumerate(self.phases):
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import hyperbolic
-from .errors import DegenerateContextError, ValidationError
+from .errors import DegenerateContextError, ValidationError, shown
 from .numeric import (
     as_probability,
     is_exact,
@@ -65,15 +65,17 @@ def _at_phase(algebra: _Algebra, f, theta, name="theta"):
         if math.isfinite(theta):
             return f(theta)
     except OverflowError:
-        raise ValidationError(f"{name} = {theta!r} is out of range: {algebra.overflow}") from None
-    raise ValidationError(f"{name} must be finite, got {theta!r}")
+        raise ValidationError(
+            f"{name} = {shown(theta)} is out of range: {algebra.overflow}"
+        ) from None
+    raise ValidationError(f"{name} must be finite, got {shown(theta)}")
 
 
 def _require_inputs(p1, p2, sign):
     require_probability(p1, "p1")
     require_probability(p2, "p2")
     if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
+        raise ValidationError(f"sign must be +1 or -1, got {shown(sign)}")
 
 
 class Regime(enum.Enum):
@@ -267,7 +269,7 @@ def phases_from_deviation(u, grid):
         value = u(s)
         if not -1 <= value <= 1:
             raise ValidationError(
-                f"deviation parameterization left [-1, 1]: u({s!r}) = {value!r}"
+                f"deviation parameterization left [-1, 1]: u({shown(s)}) = {shown(value)}"
             )
         thetas.append(math.acos(value))
     jumps = [

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a
+value."""
+
+import sys
+
+
+def shown(value) -> str:
+    """repr(value) for an error message.  A value holding an integer longer
+    than Python converts to text (4300 digits by default) is named by that
+    limit instead, so reporting a bad input cannot itself raise."""
+    try:
+        return repr(value)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        return f"<an exact value of more than {sys.get_int_max_str_digits()} digits>"
 
 
 class InterfereError(Exception):
@@ -22,7 +35,7 @@ class NotAProbabilityError(InterfereError):
         self.what = what
         self.component = component
         where = what if component is None else f"{what} (component {component})"
-        super().__init__(f"{where} = {value!r} is not a probability")
+        super().__init__(f"{where} = {shown(value)} is not a probability")
 
 
 class PrimeMismatchError(InterfereError):

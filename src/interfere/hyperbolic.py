@@ -21,7 +21,7 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .errors import NonPositiveNormError
+from .errors import NonPositiveNormError, shown
 
 _EXACT = (int, Fraction)
 _SCALARS = (int, float, Fraction)
@@ -40,6 +40,9 @@ class HyperbolicNumber(_Slots):
     __slots__ = ()
 
     def __new__(cls, x, y=0):
+        # floats first: a miss on Fraction costs an ABCMeta.__instancecheck__
+        if type(x) is float or type(y) is float:
+            return _float(x, y)
         if isinstance(x, _EXACT) and isinstance(y, _EXACT):
             (a, m), (b, n) = x.as_integer_ratio(), y.as_integer_ratio()
             return _exact(a * n, b * m, m * n)
@@ -203,7 +206,8 @@ def polar(z: HyperbolicNumber) -> PolarForm:
     n = z.norm_sq()
     if n <= 0:
         raise NonPositiveNormError(
-            f"polar form needs norm_sq > 0, got norm_sq({z.x!r} + j*{z.y!r}) = {n!r}"
+            f"polar form needs norm_sq > 0, "
+            f"got norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(n)}"
         )
     sign = 1 if z.x > 0 else -1
     return PolarForm(sign, math.sqrt(n), math.atanh(z.y / z.x))
@@ -218,10 +222,10 @@ def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
     d = z._d
     n = z._a * z._a - z._b * z._b if d else z.norm_sq()  # d*d * norm_sq when exact
     if n == 0:
-        raise NonPositiveNormError(f"{z!r} is a zero divisor (light cone), not invertible")
+        raise NonPositiveNormError(f"{shown(z)} is a zero divisor (light cone), not invertible")
     if n < 0:
         raise NonPositiveNormError(
-            f"{z!r} has negative norm_sq {z.norm_sq()!r}, not invertible here"
+            f"{shown(z)} has negative norm_sq {shown(z.norm_sq())}, not invertible here"
         )
     if d:
         return _exact(z._a * d, -z._b * d, n)

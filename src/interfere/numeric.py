@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import NotAProbabilityError, ValidationError
+from .errors import NotAProbabilityError, ValidationError, shown
 
 #: Single knob for float comparisons, reconstruction checks, boundary snaps.
 TOLERANCE = 1e-10
@@ -26,7 +26,7 @@ def exact_sqrt(value):
     """Exact square root of a nonnegative int/Fraction, or None if irrational."""
     f = Fraction(value)
     if f < 0:
-        raise ValueError(f"square root of negative value {value!r}")
+        raise ValueError(f"square root of negative value {shown(value)}")
     num = math.isqrt(f.numerator)
     den = math.isqrt(f.denominator)
     if num * num == f.numerator and den * den == f.denominator:
@@ -60,7 +60,7 @@ def require_probability(value, name):
         return value
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+    raise ValidationError(f"{name} must lie in [0, 1], got {shown(value)}")
 
 
 def as_probability(value, what="result", component=None):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PrimeMismatchError, ValidationError
+from .errors import PrimeMismatchError, ValidationError, shown
 
 # Deterministic Miller-Rabin witness set; exact for n < 3.3e24, which covers
 # the full 64-bit range.
@@ -65,7 +65,7 @@ def prime_multiplicity(p: int, n: int) -> int:
 
 def _require_prime(p) -> None:
     if not isinstance(p, int) or not is_prime(p):
-        raise ValidationError(f"modulus must be a prime number, got {p!r}")
+        raise ValidationError(f"modulus must be a prime number, got {shown(p)}")
 
 
 def _fraction(value) -> Fraction:

@@ -78,6 +78,9 @@ def _squared_abs(p: int, order) -> Fraction:
     return Fraction(0) if order == math.inf else Fraction(1, p ** (2 * order))
 
 
+_MINUS_HALF = Fraction(-1, 2)  # where the case C range meets cases A/B
+
+
 @dataclass(frozen=True)
 class PadicInterference:
     """Outcome of the p-adic rule: exact probabilities, case, and deviation."""
@@ -100,8 +103,8 @@ class PadicInterference:
         """lam in (-1/2, 0) for cases A/B and in [-1, -1/2] for case C, which
         pins theta = arccos(lam) inside [pi/2, pi]; True on every valid input."""
         if self.case == "C":
-            return Fraction(-1) <= self.lam <= Fraction(-1, 2)
-        return Fraction(-1, 2) < self.lam < 0
+            return -1 <= self.lam <= _MINUS_HALF
+        return _MINUS_HALF < self.lam < 0
 
 
 def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:

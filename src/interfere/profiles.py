@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .engine import HYP, TRIG, _sweep
-from .errors import DegenerateContextError, ProfileError, ValidationError
+from .errors import DegenerateContextError, ProfileError, ValidationError, shown
 from .numeric import (
     TOLERANCE,
     fmt_float,
@@ -102,7 +102,7 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     peak = base + weight
     if peak > 1 + TOLERANCE:
         raise ProfileError(
-            f"trigonometric profile would peak at {peak!r} > 1; "
+            f"trigonometric profile would peak at {shown(peak)} > 1; "
             "reduce p1, p2 so that (sqrt(p1)+sqrt(p2))**2 <= 1"
         )
     return BrightnessProfile(
@@ -134,16 +134,18 @@ class _HyperbolicBranches:
         return _sweep(HYP, self.base, self.weight, sign, points)
 
 
-def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
+def profile_hyp(p1, p2, sign, grid, branches=None) -> BrightnessProfile:
     """Sample one hyperbolic branch on [0, theta_max] (+) or [0, theta_min] (-).
 
     Grid points outside the branch's window are dropped with a warning record
     (the curve is not a probability out there); an empty remainder is an
     error.  Values are strictly monotone: increasing for +, decreasing for -.
+    A caller that has already built the _HyperbolicBranches of (p1, p2), to
+    choose the grid from its window, passes it as `branches`.
     """
     if sign not in (1, -1):
-        raise ProfileError(f"sign must be +1 or -1, got {sign!r}")
-    branches = _HyperbolicBranches(p1, p2)
+        raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
+    branches = branches or _HyperbolicBranches(p1, p2)
     hi = branches.window(sign)
     kept = tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
     warnings = ()
@@ -182,7 +184,7 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
     branches = None
     for lo, hi, sign in pieces:
         if sign not in (1, -1):
-            raise ProfileError(f"interval sign must be +1 or -1, got {sign!r}")
+            raise ProfileError(f"interval sign must be +1 or -1, got {shown(sign)}")
         if not 0 <= lo <= hi:
             raise ProfileError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi")
         # p1 and p2 are validated after the first interval's own checks

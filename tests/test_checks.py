@@ -1,11 +1,14 @@
-"""The invariant suite itself: lazy counterexamples and exact helpers."""
+"""The invariant suite itself: lazy counterexamples, exact helpers, and the
+worker processes that run its sweeps."""
 
+import concurrent.futures
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
-from interfere import checks
+from interfere import checks, cli
 from interfere.engine import amplitudes_hyp, amplitudes_trig
 from interfere.hyperbolic import HyperbolicNumber
 from interfere.profiles import theta_bounds, uniform_grid
@@ -102,3 +105,86 @@ class TestHyperbolaPoint:
                 assert point == HyperbolicNumber((t + 1 / t) / 2, (t - 1 / t) / 2)
                 assert point.norm_sq() == 1
                 assert checks._hyperbola_point(3 * m, 3 * n) == point
+
+
+@pytest.fixture(scope="module")
+def fast_direct():
+    """Each sweep of `check --fast` called directly, in this process."""
+    return [
+        checks.check_hyperbolic_laws(cases_per_law=1000),
+        checks.check_ultrametric(cases=1000),
+        checks.check_ball_geometry(cases=200),
+        checks.check_digit_expansions(cases=200),
+        checks.check_amplitude_oracle_trig(n=15),
+        checks.check_amplitude_oracle_hyp(n=15),
+        checks.check_lambda_range(),
+        checks.check_slit_fluctuations(),
+        checks.check_theta_bounds(cases=100),
+        checks.check_profiles(),
+        checks.check_total_probability(cases=100),
+    ]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool that run_all starts."""
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return started
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(checks, "_available_cpus", lambda: count)
+
+
+class TestPool:
+    def test_workers_return_what_the_sweeps_return_here(self, monkeypatch, pools, fast_direct):
+        cpus(monkeypatch, 2)
+        assert checks.run_all(full=False) == fast_direct  # name, cases, violations, detail
+        assert pools == [2]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch, pools, fast_direct):
+        cpus(monkeypatch, 1)
+        assert checks.run_all(full=False) == fast_direct
+        assert pools == []
+
+    def test_no_more_workers_than_sweeps_and_a_pool_that_cannot_start(
+        self, monkeypatch, fast_direct
+    ):
+        asked = []
+
+        def cannot_fork(max_workers=None, *args, **kwargs):
+            asked.append(max_workers)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_fork)
+        cpus(monkeypatch, 64)
+        assert checks.run_all(full=False) == fast_direct
+        assert asked == [len(fast_direct)] == [11]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the fault is planted in this process, and only forked workers inherit it",
+    )
+    def test_a_failing_sweep_reaches_the_fail_line(self, monkeypatch, capsys, pools):
+        real = checks.interfere_hyp
+        monkeypatch.setattr(
+            checks, "interfere_hyp", lambda p1, p2, theta, sign: real(p1, p2, theta, sign) + 1e-6
+        )
+        expected = checks.check_amplitude_oracle_hyp(n=15)
+        assert expected.violations > 0
+        cpus(monkeypatch, 2)
+        code = cli.main(["check", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert pools == [2]
+        assert (
+            f"FAIL  amplitude-oracle-hyp: 6750 cases, {expected.violations} violations "
+            f"[{expected.detail}]"
+        ) in lines

@@ -405,6 +405,9 @@ class TestBoundaryInputs:
             ("padic --p 3 --table --l 4506 --eps-max 3", 3),
             ("profile padic --p 3 --l 4506 --eps-max 3", 3),
             ("padic --p 3 --alpha1 {power} --alpha2 1 --eps 1", 3),
+            # error messages name such a value without converting it to text
+            ("fit --mode exact 1e5000 0.1 0.2", 3),
+            ("profile trig --mode exact --p1 1e-5000 --p2 1 --max 1", 3),
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -497,6 +500,7 @@ class TestExitCodeContract:
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=ARGVS)
     @example(argv=["fit", "--mode", "exact", "1e-400", "1e-400", "1/2"])
+    @example(argv=["fit", "--mode", "exact", "1e5000", "0.1", "0.2"])
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]
