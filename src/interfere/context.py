@@ -50,35 +50,41 @@ class ContextTransform:
     mode: str = "trig"
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", tuple(self.prior))
-        object.__setattr__(self, "cond", tuple(tuple(row) for row in self.cond))
-        object.__setattr__(self, "phases", tuple(self.phases))
-        object.__setattr__(self, "signs", tuple(self.signs))
+        # a field already held as tuples is kept as it is
+        prior, cond, phases, signs = self.prior, self.cond, self.phases, self.signs
+        if type(prior) is not tuple:
+            object.__setattr__(self, "prior", prior := tuple(prior))
+        if type(cond) is not tuple or {*map(type, cond)} != {tuple}:
+            object.__setattr__(self, "cond", cond := tuple(tuple(row) for row in cond))
+        if type(phases) is not tuple:
+            object.__setattr__(self, "phases", phases := tuple(phases))
+        if type(signs) is not tuple:
+            object.__setattr__(self, "signs", signs := tuple(signs))
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if len(self.prior) != 2 or len(self.cond) != 2 or len(self.phases) != 2:
+        if len(prior) != 2 or len(cond) != 2 or len(phases) != 2:
             raise ValidationError("prior, cond rows, and phases must all be pairs")
-        # require_probability only to raise: a name is formatted only for a
-        # value out of range
-        for i, value in enumerate(self.prior):
-            if not 0 <= value <= 1:
-                require_probability(value, f"prior[{i}]")
-        prior_sum = self.prior[0] + self.prior[1]
+        # ranges tested inline, _require_pair only to raise: a name is
+        # formatted only for a value out of range
+        a, b = prior
+        if not (0 <= a <= 1 and 0 <= b <= 1):
+            _require_pair(prior, "prior")
+        prior_sum = a + b
         if abs(prior_sum - 1) > TOLERANCE:
             raise ValidationError(f"prior sums to {shown(prior_sum)}, expected 1")
-        for i, row in enumerate(self.cond):
+        for i, row in enumerate(cond):
             if len(row) != 2:
                 raise ValidationError(f"cond row {i} must have 2 entries")
-            for j, value in enumerate(row):
-                if not 0 <= value <= 1:
-                    require_probability(value, f"cond[{i}][{j}]")
-            row_sum = row[0] + row[1]
+            a, b = row
+            if not (0 <= a <= 1 and 0 <= b <= 1):
+                _require_pair(row, f"cond[{i}]")
+            row_sum = a + b
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
-        for j, sign in enumerate(self.signs):
+        for j, sign in enumerate(signs):
             if sign not in (1, -1):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
-        for j, theta in enumerate(self.phases):
+        for j, theta in enumerate(phases):
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
@@ -89,6 +95,12 @@ class ContextTransform:
 
     def with_mode(self, mode: str) -> "ContextTransform":
         return replace(self, mode=mode)
+
+
+def _require_pair(pair, name: str) -> None:
+    """Raise ValidationError naming the first entry of pair outside [0, 1]."""
+    for i, value in enumerate(pair):
+        require_probability(value, f"{name}[{i}]")
 
 
 def _mixture(t: ContextTransform, j: int):

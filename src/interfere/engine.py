@@ -176,6 +176,15 @@ def _sweep(algebra: _Algebra, base, weight, sign, phases):
     """Checked results of the rule at each phase of a sweep, for base and
     weight computed once; the phases themselves are not checked."""
     cross, what = algebra.cross, algebra.what
+    if type(base) is float and type(weight) is float and base > 0:
+        # The bare rule gives _rule's floats: (sign*weight)*c is weight*(sign*c),
+        # and a nonzero base absorbs a zero cross term of either sign as base + 0
+        # does.  Only a value outside [0, 1] needs as_probability.
+        signed = sign * weight
+        return tuple([
+            v if 0 <= (v := base + signed * cross(r)) <= 1 else as_probability(v, what=what)
+            for r in phases
+        ])
     return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
 
 
@@ -184,6 +193,19 @@ def _interfere(algebra: _Algebra, p1, p2, theta, sign):
     u(theta) * sqrt(p2)).  A result outside [0, 1] raises NotAProbabilityError
     with the raw value attached, never a clamp; a theta that is not finite or
     whose cross factor overflows raises ValidationError."""
+    # Fast accept: plain floats in range and a result in (0, 1], computed as
+    # _rule computes it.  Everything else (exact inputs, a zero result and its
+    # sign, snaps, errors) takes the validating path below.
+    if (type(p1) is float and type(p2) is float and type(theta) is float
+            and 0 <= p1 <= 1 and 0 <= p2 <= 1 and (sign == 1 or sign == -1)
+            and math.isfinite(theta)):
+        try:
+            v = (p1 + p2) + 2 * math.sqrt(p1 * p2) * (sign * algebra.cross(theta))
+        except OverflowError:  # _at_phase below names the phase
+            pass
+        else:
+            if 0 < v <= 1:
+                return v
     _require_inputs(p1, p2, sign)
     lam = sign * _at_phase(algebra, algebra.cross, theta)
     return as_probability(_rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam), what=algebra.what)

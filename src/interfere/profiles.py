@@ -20,6 +20,7 @@ window are dropped with an explicit warning record on the profile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -76,16 +77,28 @@ def theta_bounds(p1, p2):
     if p1 * p2 == 0:
         raise DegenerateContextError("theta bounds need p1*p2 > 0")
     weight = 2 * sqrt_keeping_exact(p1 * p2)
+    if weight == 0:  # the float root of an exact p1*p2 that is no perfect square underflowed
+        raise ValidationError(
+            "sqrt(p1*p2) underflows to 0 in floats although p1 and p2 are nonzero, "
+            "so the theta bounds cannot be computed"
+        )
     q_plus = (1 - p1 - p2) / weight
     q_minus = (p1 + p2) / weight
-    if q_plus >= 1:
-        theta_max = math.acosh(q_plus)
-    elif q_plus >= 1 - TOLERANCE:
-        theta_max = 0.0
-    else:
-        theta_max = None
-    # q_minus < 1 is impossible; floats may dip a hair below for p1 == p2
-    theta_min = math.acosh(q_minus) if q_minus > 1 else 0.0
+    try:
+        if q_plus >= 1:
+            theta_max = math.acosh(q_plus)
+        elif q_plus >= 1 - TOLERANCE:
+            theta_max = 0.0
+        else:
+            theta_max = None
+        # q_minus < 1 is impossible; floats may dip a hair below for p1 == p2
+        theta_min = math.acosh(q_minus) if q_minus > 1 else 0.0
+    except OverflowError:  # an exact q past the float range
+        top = "1 - p1 - p2" if q_plus > sys.float_info.max else "p1 + p2"
+        raise ValidationError(
+            f"theta bounds: ({top}) / (2*sqrt(p1*p2)) exceeds the float range (~1.8e308), "
+            "so its arccosh cannot be computed"
+        ) from None
     return theta_max, theta_min
 
 
@@ -95,6 +108,7 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     Requires peak = p1 + p2 + 2*sqrt(p1*p2) <= 1, since the curve attains the
     peak at every even multiple of pi.
     """
+    grid = tuple(grid)
     require_probability(p1, "p1")
     require_probability(p2, "p2")
     base = p1 + p2
@@ -107,7 +121,7 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
         )
     return BrightnessProfile(
         kind="trig",
-        grid=tuple(grid),
+        grid=grid,
         values=_sweep(TRIG, base, weight, 1, grid),
         metadata={"p1": p1, "p2": p2},
     )
@@ -143,13 +157,14 @@ def profile_hyp(p1, p2, sign, grid, branches=None) -> BrightnessProfile:
     A caller that has already built the _HyperbolicBranches of (p1, p2), to
     choose the grid from its window, passes it as `branches`.
     """
+    grid = tuple(grid)
     if sign not in (1, -1):
         raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
     branches = branches or _HyperbolicBranches(p1, p2)
     hi = branches.window(sign)
     kept = tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
     warnings = ()
-    dropped = len(tuple(grid)) - len(kept)
+    dropped = len(grid) - len(kept)
     if dropped:
         warnings = (
             f"clipped {dropped} grid point(s) outside the validity window [0, {fmt_float(hi)}]",
@@ -178,6 +193,7 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
     them; points outside every interval are dropped (they are not part of the
     requested picture).
     """
+    grid = tuple(grid)
     pieces = [(float(lo), float(hi), sign) for lo, hi, sign in partition]
     if not pieces:
         raise ProfileError("partition must contain at least one interval")
@@ -267,6 +283,11 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
     for i, warning in enumerate(profile.warnings, 1):
         meta[f"warning{i}"] = warning
     _write_header(stream, profile.kind, meta, "r,P_float,P_exact,kind")
+    if {*map(type, profile.grid), *map(type, profile.values)} <= {float}:
+        # "%.12g" renders a float as fmt_float does; one write for all rows
+        row = "%.12g,%.12g,," + profile.kind.replace("%", "%%") + "\n"
+        stream.write("".join(map(row.__mod__, zip(profile.grid, profile.values))))
+        return
     # "P_float,P_exact" cells keyed by identity: a p-adic profile shares one
     # Fraction per brightness, and hashing a Fraction costs more than formatting it
     cells = {}

@@ -408,6 +408,9 @@ class TestBoundaryInputs:
             # error messages name such a value without converting it to text
             ("fit --mode exact 1e5000 0.1 0.2", 3),
             ("profile trig --mode exact --p1 1e-5000 --p2 1 --max 1", 3),
+            # theta bounds past the float range: arccosh of (p1 + p2)/(2*sqrt(p1*p2)) ~ 10**2500
+            ("profile hyp --mode exact --p1 1e-5000 --p2 1 --max 1 --sign +", 3),
+            ("profile piecewise --mode exact --p1 1e-5000 --p2 1 --intervals 0:1:- --n 3", 3),
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -501,6 +504,10 @@ class TestExitCodeContract:
     @given(argv=ARGVS)
     @example(argv=["fit", "--mode", "exact", "1e-400", "1e-400", "1/2"])
     @example(argv=["fit", "--mode", "exact", "1e5000", "0.1", "0.2"])
+    @example(argv=["profile", "hyp", "--mode", "exact", "--p1", "1e-5000", "--p2", "1",
+                   "--max", "1", "--sign", "+"])
+    @example(argv=["profile", "piecewise", "--mode", "exact", "--p1", "1e-5000", "--p2", "1",
+                   "--intervals", "0:1:-", "--n", "3"])
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]

@@ -1,9 +1,16 @@
-"""Value parity of the shared rule with the separate trig and hyp spellings.
+"""Value parity of the shared rule with the separate trig and hyp spellings,
+and of the float fast lane with the validating path it bypasses.
 
 Each function below once had its own implementation per algebra.  Those
 expressions are written out here, and on seeded float and exact inputs each
 public function must return values that compare ``==`` to them and have the
-same types, or raise the same error with the same message.
+same types and signs of zero, or raise the same error with the same message.
+
+The fast lane accepts plain floats in range with one test and computes the
+bare rule.  The validating spellings it bypasses are written out here too,
+and on generated inputs (signed zeros, snaps, overflowing phases, NaN and
+infinities, int, Fraction, bool and a float subclass) every result must be
+the same in value, type and sign, or the same error.
 """
 
 import cmath
@@ -11,10 +18,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from interfere import hyperbolic
+from interfere import hyperbolic, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -24,6 +34,11 @@ from interfere.context import (
     total_prob_quantum,
 )
 from interfere.engine import (
+    HYP,
+    TRIG,
+    _at_phase,
+    _require_inputs,
+    _rule,
     amplitudes_hyp,
     amplitudes_trig,
     combine,
@@ -31,8 +46,15 @@ from interfere.engine import (
     interfere_hyp,
     interfere_trig,
 )
-from interfere.errors import InterfereError
-from interfere.numeric import as_probability, phase_cos, sqrt_keeping_exact
+from interfere.errors import InterfereError, ValidationError, shown
+from interfere.numeric import (
+    TOLERANCE,
+    as_probability,
+    phase_cos,
+    require_probability,
+    sqrt_keeping_exact,
+)
+from interfere.profiles import profile_hyp, profile_piecewise, profile_trig, theta_bounds
 
 H = hyperbolic.HyperbolicNumber
 
@@ -132,16 +154,18 @@ def hyp_transform(t):
 # -- comparison ---------------------------------------------------------------
 
 def typed(value):
-    """value with the type of every leaf beside it."""
+    """value with the type of every leaf beside it, and the sign of a float."""
     if isinstance(value, tuple):
         return tuple(typed(v) for v in value)
+    if isinstance(value, float):
+        return type(value), value, math.copysign(1, value)
     return type(value), value
 
 
 def outcome(func, *args):
     try:
         return "value", typed(func(*args))
-    except InterfereError as exc:
+    except Exception as exc:
         return "raises", type(exc), str(exc)
 
 
@@ -239,3 +263,188 @@ def test_fit_residuals(pairs):
             if 0 <= p <= 1:
                 record = fit_record(p1, p2, p)
                 assert_same(type(record).residual, separate_residual, record)
+
+
+# -- the float fast lane ------------------------------------------------------
+
+def validating_rule(algebra, p1, p2, theta, sign):
+    """engine._interfere without its fast accept."""
+    _require_inputs(p1, p2, sign)
+    lam = sign * _at_phase(algebra, algebra.cross, theta)
+    return as_probability(_rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam), what=algebra.what)
+
+
+def validating_sweep(algebra, base, weight, sign, phases):
+    """engine._sweep without its float lane."""
+    cross, what = algebra.cross, algebra.what
+    return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
+
+
+class ValidatingTransform(ContextTransform):
+    """ContextTransform with every field made a tuple and every range tested
+    by a loop, as before fields already held as tuples were kept."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "prior", tuple(self.prior))
+        object.__setattr__(self, "cond", tuple(tuple(row) for row in self.cond))
+        object.__setattr__(self, "phases", tuple(self.phases))
+        object.__setattr__(self, "signs", tuple(self.signs))
+        if self.mode not in ("trig", "hyp"):
+            raise ValidationError(f"mode must be one of ('trig', 'hyp'), got {self.mode!r}")
+        if len(self.prior) != 2 or len(self.cond) != 2 or len(self.phases) != 2:
+            raise ValidationError("prior, cond rows, and phases must all be pairs")
+        for i, value in enumerate(self.prior):
+            require_probability(value, f"prior[{i}]")
+        prior_sum = self.prior[0] + self.prior[1]
+        if abs(prior_sum - 1) > TOLERANCE:
+            raise ValidationError(f"prior sums to {shown(prior_sum)}, expected 1")
+        for i, row in enumerate(self.cond):
+            if len(row) != 2:
+                raise ValidationError(f"cond row {i} must have 2 entries")
+            for j, value in enumerate(row):
+                require_probability(value, f"cond[{i}][{j}]")
+            row_sum = row[0] + row[1]
+            if abs(row_sum - 1) > TOLERANCE:
+                raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
+        for j, sign in enumerate(self.signs):
+            if sign not in (1, -1):
+                raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
+        for j, theta in enumerate(self.phases):
+            if isinstance(theta, float) and not math.isfinite(theta):
+                raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
+
+
+class Real(float):
+    """A float subclass, which the fast lane leaves to the validating path."""
+
+
+def fields(profile):
+    return (profile.grid, profile.values, profile.warnings, profile.theta_max, profile.theta_min)
+
+
+def assert_profiles_same(build, *args):
+    """build(*args) against the same call with the validating sweep."""
+    fast = outcome(lambda *a: fields(build(*a)), *args)
+    with mock.patch.object(profiles, "_sweep", validating_sweep):
+        slow = outcome(lambda *a: fields(build(*a)), *args)
+    assert fast == slow, args
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 1.0, 0.25, 0.5, 1e-300, 5e-324, 1 - 2**-53, -1e-12, 1 + 1e-12,
+                  1.5, -0.5, math.nan, math.inf, -math.inf)
+PROBS = st.one_of(
+    st.floats(0, 1),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.fractions(0, 1, max_denominator=64),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.floats(0, 1).map(Real),
+)
+PHASES = st.one_of(
+    st.floats(-8, 8),
+    st.sampled_from((0.0, -0.0, math.pi / 2, math.pi, 709.0, 711.0, -711.0, 1e6,
+                     math.nan, math.inf, -math.inf)),
+    st.integers(-3, 3),
+    st.fractions(-4, 4, max_denominator=8),
+    st.booleans(),
+    st.floats(-8, 8).map(Real),
+)
+SIGNS = st.sampled_from((1, -1, 1.0, -1.0, True, Fraction(-1), 0, 2))
+
+
+@st.composite
+def near_endpoints(draw):
+    """(p1, p2, theta, sign) whose result lies within a few ulps of 0 or 1,
+    where a float may land outside [0, 1] and snap, or be a signed zero."""
+    a = draw(st.floats(0.01, 0.99))
+    kind = draw(st.sampled_from(("trig top", "trig floor", "hyp bound")))
+    if kind == "trig top":  # (sqrt(p1) + sqrt(p2))**2 = 1 at theta = 0
+        return a * a, (1 - a) ** 2, draw(st.sampled_from((0.0, 2 * math.pi))), 1
+    if kind == "trig floor":  # p1 = p2 cancels at theta = pi
+        return a * a, draw(st.sampled_from((a * a, a * a * (1 + 2**-52)))), math.pi, 1
+    p1, p2 = a * a / 2, draw(st.floats(0.001, 0.3))
+    theta_max, theta_min = theta_bounds(p1, p2)
+    sign = draw(st.sampled_from((1, -1))) if theta_max is not None else -1
+    bound = theta_max if sign == 1 else theta_min
+    return p1, p2, bound * (1 + draw(st.integers(-4, 4)) * 2**-52), sign
+
+
+@settings(max_examples=150)
+@given(p1=PROBS, p2=PROBS, theta=PHASES, sign=SIGNS)
+@example(p1=0.25, p2=0.25, theta=math.inf, sign=1)  # sin(-inf) raises
+@example(p1=0.25, p2=0.25, theta=711.0, sign=-1)  # cosh overflows
+@example(p1=1.5, p2=0.25, theta=math.pi, sign=-1)  # in range only as a result
+@example(p1=-0.0, p2=-0.0, theta=math.pi / 2, sign=1)
+@example(p1=0.25, p2=0.25, theta=math.pi, sign=1)  # a zero result
+def test_fast_rules_match_the_validating_path(p1, p2, theta, sign):
+    assert_same(interfere_trig, lambda *a: validating_rule(TRIG, *a, 1), p1, p2, theta)
+    assert_same(interfere_hyp, lambda *a: validating_rule(HYP, *a), p1, p2, theta, sign)
+
+
+@settings(max_examples=100)
+@given(case=near_endpoints())
+def test_fast_rules_match_at_the_endpoints(case):
+    p1, p2, theta, sign = case
+    assert_same(interfere_trig, lambda *a: validating_rule(TRIG, *a, 1), p1, p2, theta)
+    assert_same(interfere_hyp, lambda *a: validating_rule(HYP, *a), p1, p2, theta, sign)
+
+
+GRID_POINTS = st.one_of(st.floats(0, 8), st.sampled_from((0.0, -0.0, math.pi, math.nan, 1e-9)),
+                        st.integers(0, 3), st.fractions(0, 4, max_denominator=8))
+
+
+@settings(max_examples=50)
+@given(pair=st.one_of(st.tuples(PROBS, PROBS), near_endpoints().map(lambda case: case[:2])),
+       sign=SIGNS, extra=st.lists(GRID_POINTS, max_size=6), n=st.integers(1, 12),
+       stretch=st.sampled_from((1.0, 1 + 2**-52, 1 - 2**-52, 1.5)))
+@example(pair=(0.36, 0.16), sign=1, extra=[], n=5, stretch=1.0)  # the trig peak snaps to 1
+@example(pair=(1 / 16, 1 / 16), sign=1, extra=[], n=9, stretch=1.0)
+def test_fast_profiles_match_the_validating_sweep(pair, sign, extra, n, stretch):
+    """Grids run to each branch's window end, where values snap, and past it."""
+    p1, p2 = pair
+    try:
+        theta_max, theta_min = theta_bounds(p1, p2)
+    except InterfereError:
+        theta_max, theta_min = 1.0, 1.0
+    for hi in (theta_max or 1.0, theta_min or 1.0, 2 * math.pi):
+        grid = tuple(hi * stretch * i / max(n - 1, 1) for i in range(n)) + tuple(extra)
+        assert_profiles_same(profile_trig, p1, p2, grid)
+        assert_profiles_same(profile_hyp, p1, p2, sign, grid)
+        partition = [(0.0, hi / 3, -1), (hi / 2, hi, sign)]
+        assert_profiles_same(profile_piecewise, p1, p2, partition, grid)
+
+
+def as_transform(cls, prior, cond, phases, signs, mode):
+    t = cls(prior, cond, phases, signs, mode)
+    return t.prior, t.cond, t.phases, t.signs, t.mode
+
+
+PAIRS = st.one_of(
+    PROBS.map(lambda p: (p, 1 - p) if isinstance(p, (int, float, Fraction)) else (p, p)),
+    st.tuples(PROBS, PROBS),
+)
+
+
+@settings(max_examples=120)
+@given(prior=PAIRS, rows=st.tuples(PAIRS, PAIRS), phases=st.tuples(PHASES, PHASES),
+       signs=st.tuples(SIGNS, SIGNS), mode=st.sampled_from(("trig", "hyp", "x")),
+       shape=st.sampled_from(("tuples", "lists", "rows as lists")))
+@example(prior=(0.5, math.nan), rows=((0.5, 0.5), (1.0, -1e-12)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # out of range, and still summing to 1
+@example(prior=(1.0, -1e-12), rows=((0.5, 0.5), (math.nan, 0.5)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="rows as lists")
+def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs, mode, shape):
+    cond = rows if shape == "tuples" else tuple(list(row) for row in rows)
+    if shape == "lists":
+        prior, cond, phases, signs = list(prior), list(cond), list(phases), list(signs)
+    args = (prior, cond, phases, signs, mode)
+    assert outcome(as_transform, ContextTransform, *args) == outcome(
+        as_transform, ValidatingTransform, *args
+    )
+    try:
+        fast, slow = ContextTransform(*args), ValidatingTransform(*args)
+    except Exception:
+        return
+    assert_same(total_prob_quantum, lambda t: total_prob_quantum(slow), fast.with_mode("trig"))
+    if mode == "hyp":
+        assert_same(total_prob_hyperbolic, lambda t: total_prob_hyperbolic(slow), fast)

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from interfere.engine import interfere_hyp, interfere_trig
-from interfere.errors import DegenerateContextError, ProfileError
+from interfere.errors import DegenerateContextError, ProfileError, ValidationError
 from interfere.padic_rule import padic_slit_profile
+from interfere.numeric import fmt_float, fmt_number, is_exact
 from interfere.profiles import (
     BrightnessProfile,
+    _write_header,
     profile_hyp,
     profile_padic,
     profile_piecewise,
@@ -66,6 +68,26 @@ class TestThetaBounds:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateContextError):
             theta_bounds(0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "p1, p2, top",
+        [
+            (Fraction(1, 10**5000), 1, "p1 + p2"),  # q ~ 10**2500
+            (Fraction(1, 10**400), Fraction(1, 10**400), "1 - p1 - p2"),  # q ~ 10**400
+        ],
+    )
+    def test_exact_q_past_the_float_range_is_named(self, p1, p2, top):
+        with pytest.raises(ValidationError) as info:
+            theta_bounds(p1, p2)
+        assert str(info.value) == (
+            f"theta bounds: ({top}) / (2*sqrt(p1*p2)) exceeds the float range (~1.8e308), "
+            "so its arccosh cannot be computed"
+        )
+
+    def test_exact_root_underflowing_to_zero_is_named(self):
+        # p1*p2 = 1/(2*10**5000) is no perfect square, and its float root is 0
+        with pytest.raises(ValidationError, match="underflows to 0 in floats"):
+            theta_bounds(Fraction(1, 2), Fraction(1, 10**5000))
 
 
 class TestTrigProfile:
@@ -241,6 +263,30 @@ class TestSweepMatchesPointwise:
         assert str(info.value) == "interval sign must be +1 or -1, got 2"
 
 
+class TestOneShotGrid:
+    """A grid that can be iterated once samples as its tuple does."""
+
+    @staticmethod
+    def _points():
+        return (x * 0.01 for x in range(5))
+
+    def test_trig(self):
+        profile = profile_trig(0.2, 0.05, self._points())
+        assert profile == profile_trig(0.2, 0.05, tuple(self._points()))
+        assert len(profile.values) == 5
+
+    def test_hyp(self):
+        profile = profile_hyp(0.2, 0.05, -1, self._points())
+        assert profile == profile_hyp(0.2, 0.05, -1, tuple(self._points()))
+        assert profile.warnings == () and len(profile.values) == 5
+
+    def test_piecewise(self):
+        partition = [(0.0, 0.02, -1), (0.03, 0.04, 1)]
+        profile = profile_piecewise(0.2, 0.05, partition, self._points())
+        assert profile == profile_piecewise(0.2, 0.05, partition, tuple(self._points()))
+        assert len(profile.values) == 5
+
+
 class TestPadicProfile:
     def test_radii_and_values(self):
         profile = profile_padic(3, 0, 8)
@@ -321,6 +367,67 @@ class TestEmission:
         buffer = io.StringIO()
         write_csv(profile, buffer)
         assert "# warning1=clipped" in buffer.getvalue()
+
+
+def rows_one_by_one(profile, stream):
+    """write_csv as it was before float profiles were written in one piece:
+    each row formatted through fmt_number and fmt_float."""
+    meta = dict(profile.metadata)
+    if profile.theta_max is not None:
+        meta["theta_max"] = profile.theta_max
+    if profile.theta_min is not None:
+        meta["theta_min"] = profile.theta_min
+    for i, warning in enumerate(profile.warnings, 1):
+        meta[f"warning{i}"] = warning
+    _write_header(stream, profile.kind, meta, "r,P_float,P_exact,kind")
+    cells = {}
+    for r, value in zip(profile.grid, profile.values):
+        if isinstance(value, float):
+            text = f"{fmt_float(value)},"
+        else:
+            text = cells.get(id(value))
+            if text is None:
+                exact = fmt_number(value) if is_exact(value) else ""
+                text = cells[id(value)] = f"{fmt_float(value)},{exact}"
+        stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")
+
+
+class TestEmissionBytes:
+    """write_csv writes the bytes the row-by-row writer wrote."""
+
+    PROFILES = {
+        "trig": lambda: profile_trig(0.2, 0.05, uniform_grid(0.0, 4 * math.pi, 501)),
+        "hyp": lambda: profile_hyp(0.07, 0.02, -1, uniform_grid(0.0, 3.0, 257)),
+        "hyp with warnings": lambda: profile_hyp(
+            1 / 16, 1 / 16, 1, uniform_grid(-1.0, THETA_MAX_7 + 2, 301)
+        ),
+        "piecewise": lambda: profile_piecewise(
+            1 / 4, 1 / 16, [(0.0, 0.5, -1), (0.8, 1.5, 1)], uniform_grid(0.0, 1.5, 200)
+        ),
+        "padic": lambda: profile_padic(3, 1, 200),
+        "exact trig": lambda: profile_trig(
+            Fraction(1, 4), Fraction(1, 16), (0, Fraction(1, 2), math.pi / 2, 2.0, math.pi)
+        ),
+        # radii of every kind: a float, an int past 12 significant digits, a
+        # Fraction, a float subclass and extreme floats
+        "mixed radii": lambda: BrightnessProfile(
+            "trig",
+            (0.5, 10**13, Fraction(1, 3), type("Real", (float,), {})(2.5), -0.0, 1e300, 5e-324),
+            (0.25, 1.0, 0.0, 0.125, 1 - 2**-53, 1e-17, 0.5),
+            warnings=("one", "two"),
+        ),
+        "float rows, odd kind": lambda: BrightnessProfile(
+            "100%", (0.0, math.nan, math.inf, 1e16), (0.0, 0.1, 1.0, 2 / 3)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_same_bytes(self, name):
+        profile = self.PROFILES[name]()
+        want, got = io.StringIO(), io.StringIO()
+        rows_one_by_one(profile, want)
+        write_csv(profile, got)
+        assert got.getvalue().encode() == want.getvalue().encode()
 
 
 class TestGrowthIdentity:
