@@ -24,8 +24,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .engine import HYP, TRIG, _sweep
-from .errors import DegenerateContextError, ProfileError, ValidationError, shown
+from .engine import HYP, TRIG, _sweep, nonzero_weight
+from .errors import ProfileError, ValidationError, shown
 from .numeric import (
     TOLERANCE,
     fmt_float,
@@ -70,18 +70,12 @@ def theta_bounds(p1, p2):
     when q_plus = (1 - p1 - p2) / (2*sqrt(p1*p2)) >= 1 (otherwise even theta=0
     overshoots and None is returned).  theta_min solves the minus-branch zero
     p1 + p2 - 2*sqrt(p1*p2)*cosh(theta) = 0 and always exists because
-    q_minus = (p1 + p2) / (2*sqrt(p1*p2)) >= 1 by AM-GM.
+    q_minus = (p1 + p2) / (2*sqrt(p1*p2)) >= 1 by AM-GM.  Both are undefined
+    when p1*p2 = 0 and out of reach when it underflows (engine.nonzero_weight).
     """
     require_probability(p1, "p1")
     require_probability(p2, "p2")
-    if p1 * p2 == 0:
-        raise DegenerateContextError("theta bounds need p1*p2 > 0")
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    if weight == 0:  # the float root of an exact p1*p2 that is no perfect square underflowed
-        raise ValidationError(
-            "sqrt(p1*p2) underflows to 0 in floats although p1 and p2 are nonzero, "
-            "so the theta bounds cannot be computed"
-        )
+    weight = nonzero_weight(p1, p2, "hyperbolic validity window")
     q_plus = (1 - p1 - p2) / weight
     q_minus = (p1 + p2) / weight
     try:

@@ -162,15 +162,17 @@ def typed(value):
     return type(value), value
 
 
-def outcome(func, *args):
+def outcome(func, *args, errors=InterfereError):
+    """What func(*args) returns, or the type and message of the `errors` it
+    raises; any other exception fails the test."""
     try:
         return "value", typed(func(*args))
-    except Exception as exc:
+    except errors as exc:
         return "raises", type(exc), str(exc)
 
 
-def assert_same(shared, separate, *args):
-    assert outcome(shared, *args) == outcome(separate, *args), args
+def assert_same(shared, separate, *args, errors=InterfereError):
+    assert outcome(shared, *args, errors=errors) == outcome(separate, *args, errors=errors), args
 
 
 # -- inputs -------------------------------------------------------------------
@@ -274,6 +276,15 @@ def validating_rule(algebra, p1, p2, theta, sign):
     return as_probability(_rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam), what=algebra.what)
 
 
+def assert_rules_same(p1, p2, theta, sign):
+    """interfere_trig/hyp against validating_rule, where any exception the
+    validating path raises, TypeError and ValueError too, is an outcome."""
+    assert_same(interfere_trig, lambda *a: validating_rule(TRIG, *a, 1), p1, p2, theta,
+                errors=Exception)
+    assert_same(interfere_hyp, lambda *a: validating_rule(HYP, *a), p1, p2, theta, sign,
+                errors=Exception)
+
+
 def validating_sweep(algebra, base, weight, sign, phases):
     """engine._sweep without its float lane."""
     cross, what = algebra.cross, algebra.what
@@ -324,9 +335,9 @@ def fields(profile):
 
 def assert_profiles_same(build, *args):
     """build(*args) against the same call with the validating sweep."""
-    fast = outcome(lambda *a: fields(build(*a)), *args)
+    fast = outcome(lambda *a: fields(build(*a)), *args, errors=Exception)
     with mock.patch.object(profiles, "_sweep", validating_sweep):
-        slow = outcome(lambda *a: fields(build(*a)), *args)
+        slow = outcome(lambda *a: fields(build(*a)), *args, errors=Exception)
     assert fast == slow, args
 
 
@@ -349,7 +360,7 @@ PHASES = st.one_of(
     st.booleans(),
     st.floats(-8, 8).map(Real),
 )
-SIGNS = st.sampled_from((1, -1, 1.0, -1.0, True, Fraction(-1), 0, 2))
+SIGNS = st.sampled_from((1, -1, 1.0, -1.0, True, Fraction(-1), 1 + 0j, 0, 2))
 
 
 @st.composite
@@ -376,17 +387,16 @@ def near_endpoints(draw):
 @example(p1=1.5, p2=0.25, theta=math.pi, sign=-1)  # in range only as a result
 @example(p1=-0.0, p2=-0.0, theta=math.pi / 2, sign=1)
 @example(p1=0.25, p2=0.25, theta=math.pi, sign=1)  # a zero result
+@example(p1=0.25, p2=0.25, theta=0.0, sign=1 + 0j)  # equal to 1, and not real
 def test_fast_rules_match_the_validating_path(p1, p2, theta, sign):
-    assert_same(interfere_trig, lambda *a: validating_rule(TRIG, *a, 1), p1, p2, theta)
-    assert_same(interfere_hyp, lambda *a: validating_rule(HYP, *a), p1, p2, theta, sign)
+    assert_rules_same(p1, p2, theta, sign)
 
 
 @settings(max_examples=100)
 @given(case=near_endpoints())
 def test_fast_rules_match_at_the_endpoints(case):
     p1, p2, theta, sign = case
-    assert_same(interfere_trig, lambda *a: validating_rule(TRIG, *a, 1), p1, p2, theta)
-    assert_same(interfere_hyp, lambda *a: validating_rule(HYP, *a), p1, p2, theta, sign)
+    assert_rules_same(p1, p2, theta, sign)
 
 
 GRID_POINTS = st.one_of(st.floats(0, 8), st.sampled_from((0.0, -0.0, math.pi, math.nan, 1e-9)),
@@ -438,13 +448,15 @@ def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs,
     if shape == "lists":
         prior, cond, phases, signs = list(prior), list(cond), list(phases), list(signs)
     args = (prior, cond, phases, signs, mode)
-    assert outcome(as_transform, ContextTransform, *args) == outcome(
-        as_transform, ValidatingTransform, *args
+    assert outcome(as_transform, ContextTransform, *args, errors=Exception) == outcome(
+        as_transform, ValidatingTransform, *args, errors=Exception
     )
     try:
         fast, slow = ContextTransform(*args), ValidatingTransform(*args)
     except Exception:
         return
-    assert_same(total_prob_quantum, lambda t: total_prob_quantum(slow), fast.with_mode("trig"))
+    assert_same(total_prob_quantum, lambda t: total_prob_quantum(slow), fast.with_mode("trig"),
+                errors=Exception)
     if mode == "hyp":
-        assert_same(total_prob_hyperbolic, lambda t: total_prob_hyperbolic(slow), fast)
+        assert_same(total_prob_hyperbolic, lambda t: total_prob_hyperbolic(slow), fast,
+                    errors=Exception)

@@ -84,6 +84,11 @@ class TestThetaBounds:
             "so its arccosh cannot be computed"
         )
 
+    def test_float_product_underflowing_to_zero_is_named(self):
+        # both nonzero, as lambda_of names it: not a degenerate context
+        with pytest.raises(ValidationError, match="underflows to 0 in floats.*--mode exact"):
+            theta_bounds(1e-200, 1e-200)
+
     def test_exact_root_underflowing_to_zero_is_named(self):
         # p1*p2 = 1/(2*10**5000) is no perfect square, and its float root is 0
         with pytest.raises(ValidationError, match="underflows to 0 in floats"):
