@@ -9,10 +9,12 @@ linearizes the rule:
   |lam| >= 1   split-complex amplitudes, p = |sqrt(p1) +/- e^{j t} sqrt(p2)|**2
   p-adic amplitudes confine lam to [-1, 0] with exactly computable values.
 
-Subpackages: ``hyperbolic`` (split-complex algebra), ``padic`` (exact
-valuation arithmetic), ``engine`` (the deviation calculus), ``context``
+Modules: ``numeric`` (exact-or-float helpers), ``errors`` (exception types),
+``hyperbolic`` (split-complex algebra), ``padic`` (exact valuation
+arithmetic), ``engine`` (the deviation calculus), ``context``
 (total-probability transforms), ``padic_rule`` (the p-adic amplitude rule),
-``profiles`` (brightness curves), ``cli`` (command-line front end).
+``profiles`` (brightness curves), ``checks`` (the invariant suite), ``cli``
+(command-line front end).
 
 Importing the package loads none of them.  Each public name is listed once
 below under the submodule that defines it; the first access to a name
@@ -21,13 +23,6 @@ caller pays only for the modules it uses.
 """
 
 __version__ = "0.1.0"
-
-#: Keys of the flat form of a context transform, in the order of its fields.
-#: Here rather than in ``context`` because the CLI parser reads them for
-#: every command.
-CONFIG_KEYS = (
-    "mode", "pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2", "sign1", "sign2"
-)
 
 _EXPORTS = {
     "context": (

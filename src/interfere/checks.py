@@ -40,24 +40,16 @@ from .profiles import profile_hyp, profile_padic, profile_trig, theta_bounds, un
 
 @dataclass
 class CheckResult:
+    """Accumulates case/violation counts and the first counterexample."""
+
     name: str
-    cases: int
-    violations: int
+    cases: int = 0
+    violations: int = 0
     detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-class _Tally:
-    """Accumulates case/violation counts and the first counterexample."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.violations = 0
-        self.detail = ""
 
     def case(self, ok: bool, detail: str | Callable[[], str] = ""):
         """Count one case.  `detail` describes the first violation; when it
@@ -67,9 +59,6 @@ class _Tally:
             self.violations += 1
             if self.violations == 1:
                 self.detail = detail() if callable(detail) else detail
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.cases, self.violations, self.detail)
 
 
 def _close(a, b, tol=1e-12) -> bool:
@@ -105,7 +94,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
     """Ring laws, norm multiplicativity, Euler group law, polar round trips,
     and the light-cone characterization of zero divisors."""
     rng = random.Random(seed)
-    tally = _Tally("hyperbolic-algebra-laws")
+    tally = CheckResult("hyperbolic-algebra-laws")
     H = hyperbolic.HyperbolicNumber
 
     # exact ring laws and norm multiplicativity on rational components
@@ -186,7 +175,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
         )
         tally.case(ok, lambda: f"zero-divisor characterization failed for a={a}, b={b}")
 
-    return tally.result()
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +195,7 @@ def check_ultrametric(cases: int = 10000, seed: int = 211) -> CheckResult:
     """Strong triangle inequality with its equality branch, multiplicativity,
     symmetry under negation, boundedness on naturals, unit decomposition."""
     rng = random.Random(seed)
-    tally = _Tally("ultrametric-valuation")
+    tally = CheckResult("ultrametric-valuation")
     for i in range(cases):
         p = _ULTRA_PRIMES[i % len(_ULTRA_PRIMES)]
         x = _random_padic(rng, p)
@@ -228,13 +217,13 @@ def check_ultrametric(cases: int = 10000, seed: int = 211) -> CheckResult:
                 and unit.value * Fraction(p) ** x.order == x.value
             )
         tally.case(ok, lambda: f"ultrametric failed for p={p}, x={x}, y={y}")
-    return tally.result()
+    return tally
 
 
 def check_ball_geometry(cases: int = 2000, seed: int = 223) -> CheckResult:
     """Any member of a ball is a center; two balls intersect only by nesting."""
     rng = random.Random(seed)
-    tally = _Tally("ball-geometry")
+    tally = CheckResult("ball-geometry")
     for i in range(cases):
         p = _ULTRA_PRIMES[i % len(_ULTRA_PRIMES)]
         center = _random_padic(rng, p)
@@ -267,14 +256,14 @@ def check_ball_geometry(cases: int = 2000, seed: int = 223) -> CheckResult:
             ok = ok and not any(large.contains(z) for z in small_members)
             ok = ok and not other.contains(center) and not ball.contains(other_center)
         tally.case(ok, lambda: f"ball geometry failed for p={p}, n={n}, m={m}")
-    return tally.result()
+    return tally
 
 
 def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) -> CheckResult:
     """Partial sums of the canonical expansion converge in |.|_p, strictly
     whenever the next digit is nonzero."""
     rng = random.Random(seed)
-    tally = _Tally("digit-expansion-convergence")
+    tally = CheckResult("digit-expansion-convergence")
     for i in range(cases):
         p = _ULTRA_PRIMES[i % len(_ULTRA_PRIMES)]
         x = _random_padic(rng, p, span=25)
@@ -292,7 +281,7 @@ def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) 
                 ok = ok and gap < previous_gap
             previous_gap = gap
         tally.case(ok, lambda: f"digit expansion failed for p={p}, x={x}")
-    return tally.result()
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,7 @@ def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) 
 
 def _oracle_sweep(algebra, rule, amplitudes, phases, n) -> CheckResult:
     """Direct rule vs N(amplitude sum) at each phases(p1, p2) of an n-point grid."""
-    tally = _Tally(f"amplitude-oracle-{algebra.name}")
+    tally = CheckResult(f"amplitude-oracle-{algebra.name}")
     ps = uniform_grid(0.005, 0.25, n)
     for p1 in ps:
         for p2 in ps:
@@ -315,7 +304,7 @@ def _oracle_sweep(algebra, rule, amplitudes, phases, n) -> CheckResult:
                     + ", ".join(f"{k}={v}" for k, v in zip(("theta", "sign"), phase))
                     + f": {direct} vs {oracle}",
                 )
-    return tally.result()
+    return tally
 
 
 def check_amplitude_oracle_trig(n: int = 50) -> CheckResult:
@@ -354,7 +343,7 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
     inside (-1/2, 0) and case C inside [-1, -1/2], all with exact arithmetic;
     cases A/B must return max(P1, P2) exactly and case C a cross factor in
     [0, 1]; the deviation form must reproduce P exactly."""
-    tally = _Tally("padic-lambda-range")
+    tally = CheckResult("padic-lambda-range")
     for p in primes:
         units = [PadicRational(p, u) for u in range(1, p ** 4) if u % p]
         units.append(PadicRational(p, -1))
@@ -391,13 +380,13 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
         for alpha1 in small_units:
             for eps in small_units:
                 run(alpha1, one, eps)
-    return tally.result()
+    return tally
 
 
 def check_slit_fluctuations() -> CheckResult:
     """The symmetric two-slit table: exact values, agreement with the general
     rule, Euclidean jumps at eps = p**m - 1, p-adic local constancy."""
-    tally = _Tally("padic-slit-fluctuations")
+    tally = CheckResult("padic-slit-fluctuations")
 
     table = {s.epsilon: s.probability for s in padic_slit_profile(3, 0, 8)}
     expected = {
@@ -449,7 +438,7 @@ def check_slit_fluctuations() -> CheckResult:
                 }
                 ok = table_now[eps] == table_now[other]
                 tally.case(ok, lambda: f"local constancy failed at p={p}, eps={eps}, t={t}")
-    return tally.result()
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,7 @@ def check_theta_bounds(cases: int = 1000, seed: int = 307) -> CheckResult:
     """The closed-form window endpoints really solve P+(theta_max) = 1 and
     P-(theta_min) = 0, within 1e-12 on the raw (unsnapped) rule."""
     rng = random.Random(seed)
-    tally = _Tally("theta-window-bounds")
+    tally = CheckResult("theta-window-bounds")
     done = 0
     while done < cases:
         p1 = rng.uniform(1e-4, 0.6)
@@ -490,13 +479,13 @@ def check_theta_bounds(cases: int = 1000, seed: int = 307) -> CheckResult:
         abs(theta_min2 - math.log(2)) <= 1e-12,
         lambda: f"q-=5/4 witness gave theta_min={theta_min2}",
     )
-    return tally.result()
+    return tally
 
 
 def check_profiles() -> CheckResult:
     """Emitted profiles stay inside [0, 1], oscillate/monotone as the branch
     dictates, and the p-adic picture matches the slit table bit for bit."""
-    tally = _Tally("profile-invariants")
+    tally = CheckResult("profile-invariants")
 
     grid = uniform_grid(0.0, 4 * math.pi, 801)
     trig = profile_trig(0.25, 0.25, grid)
@@ -554,7 +543,7 @@ def check_profiles() -> CheckResult:
         and all(0 <= v <= 1 for v in padic.values),
         "padic profile does not match the slit table",
     )
-    return tally.result()
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +566,7 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
     stochastic normalization detector, the state-expansion phase formula, and
     the split-complex amplitude oracle for the hyperbolic variant."""
     rng = random.Random(seed)
-    tally = _Tally("total-probability-coherence")
+    tally = CheckResult("total-probability-coherence")
     quarter = math.pi / 2
 
     for _ in range(max(1, cases // 5)):
@@ -675,7 +664,7 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
             ok = ok and total_prob_quantum(shifted) == reference
         tally.case(ok, "degenerate prior did not make phases irrelevant")
 
-    return tally.result()
+    return tally
 
 
 # ---------------------------------------------------------------------------

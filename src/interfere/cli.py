@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 # Only what every command needs: each handler imports the modules it runs.
-from . import CONFIG_KEYS, __version__
+from . import __version__
 from .errors import InterfereError, NotAProbabilityError, ValidationError
 from .numeric import fmt_float, fmt_number, round12
 
@@ -231,7 +231,13 @@ def _cmd_profile_padic(args) -> int:
 # totalprob
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = ("pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2")
+#: Keys of a totalprob config file, in the order of the transform's fields;
+#: all but mode, sign1 and sign2 are required.
+CONFIG_KEYS = (
+    "mode", "pb1", "pb2", "p11", "p12", "p21", "p22", "theta1", "theta2", "sign1", "sign2"
+)
+_REQUIRED_KEYS = CONFIG_KEYS[1:9]
+_KINDS = ("trig", "hyp")  # the values of mode and --kind
 
 
 def _read_config(path: str) -> dict:
@@ -282,9 +288,9 @@ def _cmd_totalprob(args) -> int:
         return _parse_angle(text, where)
 
     mode = raw.get("mode", ("trig", ""))[0]
-    if mode not in ("trig", "hyp"):
+    if mode not in _KINDS:
         raise ConfigError(f"mode must be 'trig' or 'hyp', got {mode!r}")
-    transform = ContextTransform(
+    t = ContextTransform(
         prior=(number("pb1"), number("pb2")),
         cond=((number("p11"), number("p12")), (number("p21"), number("p22"))),
         phases=(angle("theta1"), angle("theta2")),
@@ -301,12 +307,13 @@ def _cmd_totalprob(args) -> int:
         except NotAProbabilityError as exc:
             return {"error": str(exc), "component": exc.component, "raw": float(exc.value)}
 
+    flat = (t.mode, *t.prior, *t.cond[0], *t.cond[1], *t.phases, *t.signs)
     payload = {
-        "transform": transform.to_dict(),
-        "classical": list(total_prob_classical(transform)),
-        "quantum": attempt(total_prob_quantum, transform.with_mode("trig")),
-        "hyperbolic": attempt(total_prob_hyperbolic, transform.with_mode("hyp")),
-        "normalization_defect": float(normalization_defect(transform)),
+        "transform": dict(zip(CONFIG_KEYS, flat)),
+        "classical": list(total_prob_classical(t)),
+        "quantum": attempt(total_prob_quantum, t),
+        "hyperbolic": attempt(total_prob_hyperbolic, t.with_mode("hyp")),
+        "normalization_defect": float(normalization_defect(t)),
     }
     _emit_json(payload, args.out)
     return 0
@@ -466,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     totalprob.add_argument("--config", default=None, help="flat key=value config file")
     totalprob.add_argument(
         "--kind",
-        choices=("trig", "hyp"),
+        choices=_KINDS,
         default=None,
         help="override the config field 'mode' (trig or hyp)",
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import CONFIG_KEYS
 from .engine import HYP, TRIG, _amplitudes, _at_phase, _rule
 from .errors import ValidationError, shown
 from .numeric import (
@@ -88,11 +87,6 @@ class ContextTransform:
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
-    def to_dict(self) -> dict:
-        """Flat key-value form (config-file and JSON schema), keyed by CONFIG_KEYS."""
-        values = (self.mode, *self.prior, *self.cond[0], *self.cond[1], *self.phases, *self.signs)
-        return dict(zip(CONFIG_KEYS, values))
-
     def with_mode(self, mode: str) -> "ContextTransform":
         return replace(self, mode=mode)
 
@@ -107,17 +101,14 @@ def _mixture(t: ContextTransform, j: int):
     return t.prior[0] * t.cond[0][j] + t.prior[1] * t.cond[1][j]
 
 
-def _cross_weight(t: ContextTransform, j: int):
-    return 2 * sqrt_keeping_exact(t.prior[0] * t.cond[0][j] * t.prior[1] * t.cond[1][j])
-
-
 _PHASES = ("phases[0]", "phases[1]")  # names in errors
 
 
 def _perturbed(t: ContextTransform, algebra, signs, j: int):
     """Component j, mixture + sign_j * cross weight * cross(theta_j), unchecked."""
     factor = _at_phase(algebra, algebra.cross, t.phases[j], _PHASES[j])
-    return _rule(_mixture(t, j), _cross_weight(t, j), signs[j] * factor)
+    weight = 2 * sqrt_keeping_exact(t.prior[0] * t.cond[0][j] * t.prior[1] * t.cond[1][j])
+    return _rule(_mixture(t, j), weight, signs[j] * factor)
 
 
 def _totals(t: ContextTransform, algebra, signs, what: str):

@@ -219,7 +219,7 @@ def _interfere(algebra: _Algebra, p1, p2, theta, sign):
                 return v
     _require_inputs(p1, p2, sign)
     lam = sign * _at_phase(algebra, algebra.cross, theta)
-    return as_probability(_rule(p1 + p2, 2 * sqrt_keeping_exact(p1 * p2), lam), what=algebra.what)
+    return as_probability(combine(p1, p2, lam), what=algebra.what)
 
 
 def interfere_trig(p1, p2, theta):
@@ -265,12 +265,12 @@ class InterferenceRecord:
     sign: int
 
     def reconstruct(self):
-        """Recompute p from the fitted phase; inverse of the fit.  The fit
-        has validated p1 and p2, and its phase is finite."""
+        """Recompute p from the fitted phase; inverse of the fit.  The rule
+        is checked as in interfere_trig/hyp, so a hand-built record with a
+        bad probability, sign or phase raises ValidationError or
+        NotAProbabilityError."""
         algebra = HYP if self.regime is Regime.HYPERBOLIC else TRIG
-        lam = self.sign * algebra.cross(self.phase)
-        weight = 2 * sqrt_keeping_exact(self.p1 * self.p2)
-        return as_probability(_rule(self.p1 + self.p2, weight, lam), what=algebra.what)
+        return _interfere(algebra, self.p1, self.p2, self.phase, self.sign)
 
     def residual(self) -> float:
         return abs(self.reconstruct() - self.p)

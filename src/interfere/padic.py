@@ -19,13 +19,16 @@ from fractions import Fraction
 
 from .errors import PrimeMismatchError, ValidationError, shown
 
-# Deterministic Miller-Rabin witness set; exact for n < 3.3e24, which covers
-# the full 64-bit range.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases: the first 13 primes.  No composite below
+# psi_13 = 3317044064679887385961981 (about 3.3e24) passes them all; the first
+# 12 alone pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.  At or above
+    it, False is still proof of a composite, but True only means that n is a
+    strong probable prime to the first 13 prime bases."""
     if n < 2:
         return False
     for w in _WITNESSES:
@@ -52,7 +55,9 @@ def is_prime(n: int) -> bool:
 
 
 def prime_multiplicity(p: int, n: int) -> int:
-    """How many times p divides the nonzero integer n."""
+    """How many times p >= 2 divides the nonzero integer n."""
+    if p < 2:
+        raise ValueError(f"multiplicity needs a divisor p >= 2, got {p}")
     n = abs(n)
     if n == 0:
         raise ValueError("multiplicity of p in 0 is undefined (infinite)")

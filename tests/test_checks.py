@@ -25,23 +25,23 @@ class TestLazyDetail:
 
             return make
 
-        tally = checks._Tally("lazy")
+        tally = checks.CheckResult("lazy")
         for k, ok in enumerate([True, True, False, True, False, False]):
             tally.case(ok, detail(k))
         assert calls == [2]
-        assert tally.result() == checks.CheckResult("lazy", 6, 3, "case 2")
+        assert tally == checks.CheckResult("lazy", 6, 3, "case 2")
 
     def test_passing_sweep_formats_nothing(self):
-        tally = checks._Tally("clean")
+        tally = checks.CheckResult("clean")
         for _ in range(5):
             tally.case(True, lambda: pytest.fail("detail of a passing case was formatted"))
-        assert tally.result() == checks.CheckResult("clean", 5, 0, "")
+        assert tally == checks.CheckResult("clean", 5, 0, "")
 
     def test_plain_string_detail(self):
-        tally = checks._Tally("plain")
+        tally = checks.CheckResult("plain")
         tally.case(False, "first")
         tally.case(False, "second")
-        assert tally.result().detail == "first"
+        assert tally.detail == "first"
 
 
 class TestInjectedFault:

@@ -259,6 +259,27 @@ class TestTotalprob:
         assert code == 2
         assert "missing field" in err
 
+    @pytest.mark.parametrize(
+        "mode, prior, cond, theta",
+        [
+            ("float", 0.5, (0.25, 0.75), 0.785398163397),
+            ("exact", "1/2", ("1/4", "3/4"), 0.785398163397),
+        ],
+    )
+    def test_hyp_transform_echo(self, capsys, mode, prior, cond, theta):
+        code, out, _ = run(
+            capsys,
+            *(
+                "totalprob --kind hyp --sign2 - --pb1 1/2 --pb2 1/2 --p11 1/4 --p12 3/4 "
+                f"--p21 1/2 --p22 1/2 --theta1 1/2 --theta2 pi/4 --mode {mode}"
+            ).split(),
+        )
+        assert code == 0
+        assert json.loads(out)["transform"] == {
+            "mode": "hyp", "pb1": prior, "pb2": prior, "p11": cond[0], "p12": cond[1],
+            "p21": prior, "p22": prior, "theta1": 0.5, "theta2": theta, "sign1": 1, "sign2": -1,
+        }
+
     def test_invalid_stochasticity_is_domain_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -310,6 +331,13 @@ class TestPadic:
         )
         assert code == 3
         assert "p-adic integer" in err
+
+    def test_strong_pseudoprime_modulus_is_a_domain_error(self, capsys):
+        psi_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+        argv = f"padic --p {psi_12} --alpha1 1 --alpha2 1 --eps 2"
+        code, _, err = run(capsys, *argv.split())
+        assert code == 3
+        assert f"must be a prime number, got {psi_12}" in err
 
     def test_parse_errors_come_before_the_prime_check(self, capsys):
         code, _, err = run(capsys, *"padic --p 4 --alpha1 1 --alpha2 x --eps 1".split())

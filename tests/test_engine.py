@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from interfere import hyperbolic
 from interfere.engine import (
+    InterferenceRecord,
     Regime,
     amplitudes_hyp,
     amplitudes_trig,
@@ -340,6 +341,20 @@ class TestFitRecord:
     def test_reconstruction_property(self, p1, p2, p):
         record = fit_record(p1, p2, p)
         assert record.residual() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "p1, regime, phase, message",
+        [
+            (0.25, Regime.TRIGONOMETRIC, math.inf, "theta must be finite"),
+            (0.25, Regime.HYPERBOLIC, 800.0, "theta = 800.0 is out of range"),
+            (2.0, Regime.TRIGONOMETRIC, 1.0, "p1 must lie in"),
+        ],
+    )
+    def test_hand_built_bad_record_is_a_validation_error(self, p1, regime, phase, message):
+        """reconstruct checks the rule's inputs as interfere_trig/hyp do."""
+        record = InterferenceRecord(p1, 0.25, 0.5, 0.0, regime, phase, 1)
+        with pytest.raises(ValidationError, match=message):
+            record.reconstruct()
 
 
 class TestCombine:

@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from interfere.errors import PrimeMismatchError, ValidationError
-from interfere.padic import PadicBall, PadicExpansion, PadicRational, is_prime
+from interfere.padic import (
+    PadicBall,
+    PadicExpansion,
+    PadicRational,
+    is_prime,
+    prime_multiplicity,
+)
 
 primes = st.sampled_from([2, 3, 5, 7, 11])
 small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=40)
@@ -38,6 +44,18 @@ class TestPrimality:
     def test_large_prime(self):
         assert is_prime(2 ** 61 - 1)
         assert not is_prime(2 ** 61 + 1)
+
+    def test_strong_pseudoprime_to_the_first_twelve_bases(self):
+        # psi_12 passes Miller-Rabin to bases 2..37; base 41 exposes it
+        psi_12 = 318665857834031151167461
+        assert psi_12 == 399165290221 * 798330580441
+        assert not is_prime(psi_12)
+        assert is_prime(2 ** 79 - 67)  # a prime between psi_12 and psi_13
+
+    @pytest.mark.parametrize("p", [1, 0, -1, -3])
+    def test_multiplicity_needs_a_divisor_of_at_least_two(self, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            prime_multiplicity(p, 12)
 
     @pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3, 0])
     def test_composite_modulus_rejected(self, bad):

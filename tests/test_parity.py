@@ -5,6 +5,8 @@ Each function below once had its own implementation per algebra.  Those
 expressions are written out here, and on seeded float and exact inputs each
 public function must return values that compare ``==`` to them and have the
 same types and signs of zero, or raise the same error with the same message.
+``InterferenceRecord.reconstruct`` once spelled the rule itself with only its
+result checked; every record the fit builds must reconstruct as it did.
 
 The fast lane accepts plain floats in range with one test and computes the
 bare rule.  The validating spellings it bypasses are written out here too,
@@ -36,6 +38,7 @@ from interfere.context import (
 from interfere.engine import (
     HYP,
     TRIG,
+    Regime,
     _at_phase,
     _require_inputs,
     _rule,
@@ -265,6 +268,54 @@ def test_fit_residuals(pairs):
             if 0 <= p <= 1:
                 record = fit_record(p1, p2, p)
                 assert_same(type(record).residual, separate_residual, record)
+
+
+# -- the fit reconstructs through the checked rule -----------------------------
+
+def unchecked_reconstruct(record):
+    """InterferenceRecord.reconstruct as it was spelled before it called the
+    checked rule: the rule on the fitted phase, only its result checked."""
+    algebra = HYP if record.regime is Regime.HYPERBOLIC else TRIG
+    lam = record.sign * algebra.cross(record.phase)
+    weight = 2 * sqrt_keeping_exact(record.p1 * record.p2)
+    return as_probability(_rule(record.p1 + record.p2, weight, lam), what=algebra.what)
+
+
+# floats, Fractions, and squares of Fractions, so that |lam| = 1 fits stay exact
+FIT_PROBS = st.one_of(
+    st.floats(0, 1),
+    st.fractions(0, 1, max_denominator=64),
+    st.fractions(0, 1, max_denominator=12).map(lambda f: f * f),
+)
+
+
+@st.composite
+def fitted_triples(draw):
+    """(p1, p2, p) with p drawn freely or at (sqrt(p1) +/- sqrt(p2))**2, |lam| = 1."""
+    p1, p2 = draw(FIT_PROBS), draw(FIT_PROBS)
+    kind = draw(st.sampled_from(("free", "sum", "difference")))
+    if kind == "free":
+        return p1, p2, draw(FIT_PROBS)
+    root1, root2 = sqrt_keeping_exact(p1), sqrt_keeping_exact(p2)
+    return p1, p2, (root1 + root2) ** 2 if kind == "sum" else (root1 - root2) ** 2
+
+
+@settings(max_examples=300)
+@given(triple=fitted_triples())
+@example(triple=(0.25, 0.25, 1.0))  # boundary, lam = 1
+@example(triple=(0.25, 0.25, 0.0))  # boundary, lam = -1, a zero result
+@example(triple=(Fraction(1, 16), Fraction(1, 16), Fraction(1, 4)))
+@example(triple=(Fraction(1, 16), Fraction(9, 16), Fraction(1, 4)))
+@example(triple=(1 / 16, 1 / 16, 1.0))  # hyperbolic
+@example(triple=(Fraction(1, 3), Fraction(1, 7), Fraction(1, 2)))
+def test_reconstruct_matches_the_unchecked_spelling(triple):
+    """Every record the fit builds reconstructs to the same value, type and
+    sign of zero through the checked rule."""
+    try:
+        record = fit_record(*triple)
+    except InterfereError:
+        return
+    assert_same(type(record).reconstruct, unchecked_reconstruct, record)
 
 
 # -- the float fast lane ------------------------------------------------------

@@ -1,7 +1,10 @@
-"""The public surface, pinned: the package's exported names and each CLI
-command's arguments.  Adding or removing either is a reviewed change here."""
+"""The public surface, pinned: the package's exported names, each CLI
+command's arguments, and the private names one module of the package takes
+from another.  Adding or removing any of them is a reviewed change here."""
 
 import argparse
+import ast
+import pathlib
 
 import interfere
 from interfere import cli
@@ -83,6 +86,48 @@ COMMAND_ARGUMENTS = {
 }
 
 
+# "importer: module._name", from `from .module import _name` or `module._name`
+PRIVATE_IMPORTS = [
+    "checks: profiles._HyperbolicBranches",
+    "cli: padic._require_prime",
+    "cli: padic_rule._squared_abs",
+    "cli: profiles._HyperbolicBranches",
+    "cli: profiles._write_header",
+    "context: engine._amplitudes",
+    "context: engine._at_phase",
+    "context: engine._rule",
+    "padic_rule: padic._fraction",
+    "padic_rule: padic._require_prime",
+    "padic_rule: padic._trusted",
+    "profiles: engine._sweep",
+    "profiles: padic_rule._squared_abs",
+]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports():
+    """PRIVATE_IMPORTS as found by walking each module's syntax tree."""
+    found = set()
+    for path in pathlib.Path(interfere.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = {}  # local name -> module, for `from . import module`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.add(f"{path.stem}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and _private(node.attr)):
+                found.add(f"{path.stem}: {siblings[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
 def _arguments(parser, path=()):
     """{command path: sorted argument names} for parser and its subcommands."""
     found, names = {}, []
@@ -102,3 +147,7 @@ def test_public_names():
 
 def test_cli_arguments():
     assert _arguments(cli._build_parser()) == COMMAND_ARGUMENTS
+
+
+def test_private_imports():
+    assert _private_imports() == PRIVATE_IMPORTS
