@@ -671,31 +671,39 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 # suite
 # ---------------------------------------------------------------------------
 
-def _sweeps(full: bool) -> list[tuple[str, dict]]:
-    """The suite in its fixed order: (name of a check function, its sizes);
-    `full=False` shrinks the sweeps for a quick pass."""
+def _sweeps(full: bool) -> list[tuple[str, str, dict]]:
+    """The suite in its fixed order: (name of a check function, name of the
+    CheckResult it returns, its sizes); `full=False` shrinks the sweeps for a
+    quick pass."""
     scale = 1 if full else 10
     oracle_n = 50 if full else 15
     return [
-        ("check_hyperbolic_laws", {"cases_per_law": 10000 // scale}),
-        ("check_ultrametric", {"cases": 10000 // scale}),
-        ("check_ball_geometry", {"cases": 2000 // scale}),
-        ("check_digit_expansions", {"cases": 2000 // scale}),
-        ("check_amplitude_oracle_trig", {"n": oracle_n}),
-        ("check_amplitude_oracle_hyp", {"n": oracle_n}),
-        ("check_lambda_range", {}),
-        ("check_slit_fluctuations", {}),
-        ("check_theta_bounds", {"cases": 1000 // scale}),
-        ("check_profiles", {}),
-        ("check_total_probability", {"cases": 1000 // scale}),
+        ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 10000 // scale}),
+        ("check_ultrametric", "ultrametric-valuation", {"cases": 10000 // scale}),
+        ("check_ball_geometry", "ball-geometry", {"cases": 2000 // scale}),
+        ("check_digit_expansions", "digit-expansion-convergence", {"cases": 2000 // scale}),
+        ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": oracle_n}),
+        ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": oracle_n}),
+        ("check_lambda_range", "padic-lambda-range", {}),
+        ("check_slit_fluctuations", "padic-slit-fluctuations", {}),
+        ("check_theta_bounds", "theta-window-bounds", {"cases": 1000 // scale}),
+        ("check_profiles", "profile-invariants", {}),
+        ("check_total_probability", "total-probability-coherence", {"cases": 1000 // scale}),
     ]
 
 
-def _run_sweep(name: str, sizes: dict) -> CheckResult:
-    """Run the check function called `name`.  A worker process is sent the
-    name, not the function: a function wrapped at run time (a tracing span)
-    cannot be pickled by reference, its name can."""
-    return globals()[name](**sizes)
+def _run_sweep(name: str, title: str, sizes: dict) -> CheckResult:
+    """Run the check function called `name`.  A sweep that raises fails as
+    one violation of its check, titled `title`, with the exception as the
+    counterexample, so the other checks still run and report.  A worker
+    process is sent the name, not the function: a function wrapped at run
+    time (a tracing span) cannot be pickled by reference, its name can."""
+    try:
+        return globals()[name](**sizes)
+    except Exception as exc:
+        failed = CheckResult(title)
+        failed.case(False, f"raised {type(exc).__name__}: {exc}")
+        return failed
 
 
 def _available_cpus() -> int:

@@ -238,6 +238,8 @@ CONFIG_KEYS = (
 )
 _REQUIRED_KEYS = CONFIG_KEYS[1:9]
 _KINDS = ("trig", "hyp")  # the values of mode and --kind
+# padic._PSI_13, written out so that building the parser imports no p-adic code
+_P_HELP = "prime modulus, below psi_13 = 3317044064679887385961981, where primality is proven"
 
 
 def _read_config(path: str) -> dict:
@@ -461,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     piecewise.set_defaults(handler=_cmd_profile_piecewise)
 
     padic_profile = kinds.add_parser("padic", help="p-adic circle brightness")
-    padic_profile.add_argument("--p", type=int, required=True)
+    padic_profile.add_argument("--p", type=int, required=True, help=_P_HELP)
     padic_profile.add_argument("--l", type=int, default=0)
     padic_profile.add_argument("--eps-max", type=int, required=True)
     _add_out(padic_profile)
@@ -485,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     totalprob.set_defaults(handler=_cmd_totalprob)
 
     padic = sub.add_parser("padic", help="p-adic amplitude rule")
-    padic.add_argument("--p", type=int, required=True)
+    padic.add_argument("--p", type=int, required=True, help=_P_HELP)
     padic.add_argument("--alpha1", default=None)
     padic.add_argument("--alpha2", default=None)
     padic.add_argument("--eps", default=None)

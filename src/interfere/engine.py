@@ -23,11 +23,13 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import hyperbolic
 from .errors import DegenerateContextError, ValidationError, shown
 from .numeric import (
+    _exact_root,
     as_probability,
     is_exact,
     phase_cos,
@@ -86,6 +88,9 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"  # |lam| = 1: compatible with both parameterizations
 
 
+_EXACT = (int, Fraction)  # exactly these types, not bool or a subclass
+
+
 def lambda_of(p1, p2, p):
     """Normalized deviation (p - p1 - p2) / (2*sqrt(p1*p2)).
 
@@ -93,6 +98,26 @@ def lambda_of(p1, p2, p):
     clamped.  Undefined (DegenerateContextError) when p1*p2 = 0; out of reach
     (ValidationError) when p1 and p2 are nonzero but p1*p2 underflows in floats.
     """
+    # Fast accept: ints and Fractions with p1, p2 in (0, 1] and p in [0, 1],
+    # worked on their numerators and denominators.  Cross-gcds give p1*p2 =
+    # num/den in lowest terms (a bare isqrt(n1*n2) misses 2/3 * 3/8 = 1/4).
+    # A square gives one Fraction; any other p1*p2 gives the float the path
+    # below gives, since int true division rounds correctly, as float(Fraction)
+    # does.  Everything else (floats, bools, inputs out of range, a zero or
+    # underflowing weight) takes the validating path below.
+    if type(p1) in _EXACT and type(p2) in _EXACT and type(p) in _EXACT:
+        n1, d1, n2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
+        n, d = p.numerator, p.denominator
+        if 0 < n1 <= d1 and 0 < n2 <= d2 and 0 <= n <= d:
+            g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+            num, den = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+            top, bottom = (n * d1 - n1 * d) * d2 - n2 * d * d1, d * d1 * d2  # p - p1 - p2
+            root = _exact_root(num, den)
+            if root is not None:
+                return Fraction(top * root[1], 2 * root[0] * bottom)
+            weight = 2 * math.sqrt(num / den)
+            if weight:
+                return (top / bottom) / weight
     require_probability(p1, "p1")
     require_probability(p2, "p2")
     require_probability(p, "p")
@@ -120,12 +145,15 @@ def nonzero_weight(p1, p2, what):
 
 def classify(lam) -> Regime:
     """Regime of a finite deviation: |lam| < 1, = 1, or > 1."""
-    if isinstance(lam, float) and not math.isfinite(lam):
+    if type(lam) is Fraction:  # exact: compare its integers
+        magnitude, one = abs(lam.numerator), lam.denominator
+    elif isinstance(lam, float) and not math.isfinite(lam):
         raise ValidationError(f"deviation must be finite, got {lam!r}")
-    magnitude = abs(lam)
-    if magnitude < 1:
+    else:
+        magnitude, one = abs(lam), 1
+    if magnitude < one:
         return Regime.TRIGONOMETRIC
-    if magnitude == 1:
+    if magnitude == one:
         return Regime.BOUNDARY
     return Regime.HYPERBOLIC
 
@@ -139,7 +167,15 @@ def phase_of(lam):
     hyperbolic reading there would be (0, sign(lam)).  An exact |lam| past the
     float range has no float phase and raises ValidationError.
     """
-    if isinstance(lam, float) and not math.isfinite(lam):
+    if type(lam) is Fraction:  # exact: compare and divide its integers
+        num, den = lam.numerator, lam.denominator
+        if -den <= num <= den:
+            return math.acos(num / den), 1
+        try:
+            return math.acosh(abs(num) / den), (1 if num > 0 else -1)
+        except OverflowError:
+            pass  # past the float range: named below
+    elif isinstance(lam, float) and not math.isfinite(lam):
         raise ValidationError(f"deviation must be finite, got {lam!r}")
     if abs(lam) <= 1:
         return math.acos(lam), 1

@@ -22,16 +22,24 @@ def is_exact(value) -> bool:
     return not isinstance(value, float) and isinstance(value, (int, Fraction))
 
 
+def _exact_root(num, den):
+    """(isqrt(num), isqrt(den)) when num/den, nonnegative and in lowest
+    terms, is the square of a rational, else None.  The one perfect-square
+    test on exact values."""
+    a = math.isqrt(num)
+    if a * a != num:
+        return None
+    b = math.isqrt(den)
+    return (a, b) if b * b == den else None
+
+
 def exact_sqrt(value):
     """Exact square root of a nonnegative int/Fraction, or None if irrational."""
-    f = Fraction(value)
-    if f < 0:
+    f = value if type(value) is Fraction else Fraction(value)
+    if f.numerator < 0:
         raise ValueError(f"square root of negative value {shown(value)}")
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num == f.numerator and den * den == f.denominator:
-        return Fraction(num, den)
-    return None
+    root = _exact_root(f.numerator, f.denominator)
+    return None if root is None else Fraction(*root)
 
 
 def sqrt_keeping_exact(value):

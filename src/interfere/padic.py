@@ -23,6 +23,7 @@ from .errors import PrimeMismatchError, ValidationError, shown
 # psi_13 = 3317044064679887385961981 (about 3.3e24) passes them all; the first
 # 12 alone pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # no modulus at or above it is accepted
 
 
 def is_prime(n: int) -> bool:
@@ -69,6 +70,12 @@ def prime_multiplicity(p: int, n: int) -> int:
 
 
 def _require_prime(p) -> None:
+    """A modulus must be a prime that is_prime proves prime: one below psi_13."""
+    if isinstance(p, int) and p >= _PSI_13:
+        raise ValidationError(
+            f"modulus must be a prime below psi_13 = {_PSI_13}, where primality is "
+            f"proven, got {shown(p)}"
+        )
     if not isinstance(p, int) or not is_prime(p):
         raise ValidationError(f"modulus must be a prime number, got {shown(p)}")
 

@@ -188,3 +188,50 @@ class TestPool:
             f"FAIL  amplitude-oracle-hyp: 6750 cases, {expected.violations} violations "
             f"[{expected.detail}]"
         ) in lines
+
+
+class TestRaisingSweep:
+    """A sweep that raises is one violation of its own check; the rest of
+    the suite still runs and reports, and `check` exits 4."""
+
+    def test_titles_are_the_names_the_sweeps_return(self, fast_direct):
+        assert [title for _, title, _ in checks._sweeps(False)] == [r.name for r in fast_direct]
+
+    def planted(self, monkeypatch, capsys, fast_direct):
+        def raising(cases):
+            raise RuntimeError(f"planted at {cases} cases")
+
+        monkeypatch.setattr(checks, "check_theta_bounds", raising)
+        code = cli.main(["check", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        expected = [
+            f"PASS  {r.name}: {r.cases} cases, 0 violations" for r in fast_direct
+        ] + ["10/11 checks passed"]
+        expected[8] = (
+            "FAIL  theta-window-bounds: 1 cases, 1 violations "
+            "[raised RuntimeError: planted at 100 cases]"
+        )
+        assert lines == expected
+
+    def test_in_process(self, monkeypatch, capsys, pools, fast_direct):
+        cpus(monkeypatch, 1)
+        self.planted(monkeypatch, capsys, fast_direct)
+        assert pools == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the fault is planted in this process, and only forked workers inherit it",
+    )
+    def test_in_the_pool(self, monkeypatch, capsys, pools, fast_direct):
+        cpus(monkeypatch, 2)
+        self.planted(monkeypatch, capsys, fast_direct)
+        assert pools == [2]
+
+    def test_only_exceptions_are_caught(self, monkeypatch):
+        def interrupted(cases):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checks, "check_theta_bounds", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            checks._run_sweep("check_theta_bounds", "theta-window-bounds", {"cases": 1})

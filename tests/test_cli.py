@@ -439,6 +439,12 @@ class TestBoundaryInputs:
             # theta bounds past the float range: arccosh of (p1 + p2)/(2*sqrt(p1*p2)) ~ 10**2500
             ("profile hyp --mode exact --p1 1e-5000 --p2 1 --max 1 --sign +", 3),
             ("profile piecewise --mode exact --p1 1e-5000 --p2 1 --intervals 0:1:- --n 3", 3),
+            # an exact |lam| ~ 2.5e3999, whose phase arccosh(|lam|) has no float
+            ("fit --mode exact 2e-4000 2e-4000 1", 3),
+            # psi_13 = 1287836182261 * 2575672364521 passes is_prime; no modulus that
+            # large is proven prime
+            ("padic --p 3317044064679887385961981 --alpha1 1 --alpha2 1 --eps 2", 3),
+            ("profile padic --p 618970019642690137449562111 --eps-max 3", 3),  # 2**89 - 1
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -451,6 +457,34 @@ class TestBoundaryInputs:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_exact_fits_at_the_edge_of_the_float_range(self, capsys):
+        code, out, err = run(capsys, "fit", "--mode", "exact", "1e-300", "1e-300", "1")
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert payload["lambda"] == str(Fraction(10**300, 2) - 1)
+        assert (payload["regime"], payload["phase"], payload["sign"]) == ("hyperbolic",
+                                                                          690.775527898, 1)
+        code, out, err = run(capsys, "fit", "--mode", "exact", "2e-4000", "2e-4000", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: deviation |lam| exceeds the float range (~1.8e308), so its phase "
+            "arccosh(|lam|) cannot be computed\n"
+        )
+
+    def test_a_large_prime_below_psi_13_is_a_modulus(self, capsys):
+        code, out, _ = run(capsys, "padic", "--p", "1000000007", "--alpha1", "1", "--alpha2",
+                           "1", "--eps", "2")
+        assert code == 0
+        assert json.loads(out)["p"] == 1000000007
+
+    @pytest.mark.parametrize("command", [["padic"], ["profile", "padic"]])
+    def test_modulus_help_names_the_bound(self, capsys, command):
+        from interfere import padic
+
+        with pytest.raises(SystemExit):
+            main(command + ["--help"])
+        assert f"below psi_13 = {padic._PSI_13}" in " ".join(capsys.readouterr().out.split())
 
 
 # -- generated argvs ---------------------------------------------------------
@@ -536,6 +570,10 @@ class TestExitCodeContract:
                    "--max", "1", "--sign", "+"])
     @example(argv=["profile", "piecewise", "--mode", "exact", "--p1", "1e-5000", "--p2", "1",
                    "--intervals", "0:1:-", "--n", "3"])
+    @example(argv=["fit", "--mode", "exact", "2e-4000", "2e-4000", "1"])
+    @example(argv=["fit", "--mode", "exact", "1e-300", "1e-300", "1"])
+    @example(argv=["padic", "--p", "3317044064679887385961981", "--alpha1", "1", "--alpha2",
+                   "1", "--eps", "2"])
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]

@@ -52,6 +52,17 @@ class TestPrimality:
         assert not is_prime(psi_12)
         assert is_prime(2 ** 79 - 67)  # a prime between psi_12 and psi_13
 
+    def test_no_modulus_at_or_above_psi_13(self):
+        # psi_13 passes Miller-Rabin to all thirteen bases, so is_prime proves
+        # nothing at or above it; a modulus there is refused, prime or not
+        psi_13 = 3317044064679887385961981
+        assert psi_13 == 1287836182261 * 2575672364521
+        assert is_prime(psi_13)  # a strong pseudoprime: is_prime is unchanged
+        for p in (psi_13, psi_13 + 1, 2 ** 89 - 1):
+            with pytest.raises(ValidationError, match=f"below psi_13 = {psi_13}, where "):
+                PadicRational(p, 1)
+        assert PadicRational(2 ** 79 - 67, 1).order == 0
+
     @pytest.mark.parametrize("p", [1, 0, -1, -3])
     def test_multiplicity_needs_a_divisor_of_at_least_two(self, p):
         with pytest.raises(ValueError, match="p >= 2"):

@@ -13,6 +13,11 @@ bare rule.  The validating spellings it bypasses are written out here too,
 and on generated inputs (signed zeros, snaps, overflowing phases, NaN and
 infinities, int, Fraction, bool and a float subclass) every result must be
 the same in value, type and sign, or the same error.
+
+The exact fit has an integer lane too: ints and Fractions in range are fitted
+on their numerators and denominators.  The Fraction spellings of the fit and
+of exact_sqrt it replaced are written out here, and the lane must agree with
+them in the same way and accept every input in range that they fit.
 """
 
 import cmath
@@ -26,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interfere import hyperbolic, profiles
+from interfere import engine, hyperbolic, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -39,20 +44,26 @@ from interfere.engine import (
     HYP,
     TRIG,
     Regime,
+    InterferenceRecord,
     _at_phase,
     _require_inputs,
     _rule,
     amplitudes_hyp,
     amplitudes_trig,
+    classify,
     combine,
     fit_record,
     interfere_hyp,
     interfere_trig,
+    lambda_of,
+    phase_of,
 )
-from interfere.errors import InterfereError, ValidationError, shown
+from interfere.errors import DegenerateContextError, InterfereError, ValidationError, shown
 from interfere.numeric import (
     TOLERANCE,
     as_probability,
+    exact_sqrt,
+    is_exact,
     phase_cos,
     require_probability,
     sqrt_keeping_exact,
@@ -511,3 +522,175 @@ def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs,
     if mode == "hyp":
         assert_same(total_prob_hyperbolic, lambda t: total_prob_hyperbolic(slow), fast,
                     errors=Exception)
+
+
+# -- the exact fit on integers ------------------------------------------------
+
+def fraction_sqrt(value):
+    """numeric.exact_sqrt as it was spelled on Fractions."""
+    f = Fraction(value)
+    if f < 0:
+        raise ValueError(f"square root of negative value {shown(value)}")
+    num = math.isqrt(f.numerator)
+    den = math.isqrt(f.denominator)
+    if num * num == f.numerator and den * den == f.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def fraction_lambda(p1, p2, p):
+    """engine.lambda_of and nonzero_weight as they were spelled on Fractions."""
+    require_probability(p1, "p1")
+    require_probability(p2, "p2")
+    require_probability(p, "p")
+    what = "normalized deviation"
+    if p1 == 0 or p2 == 0:
+        raise DegenerateContextError(f"{what} is undefined when p1*p2 = 0")
+    root = fraction_sqrt(p1 * p2) if is_exact(p1 * p2) else None
+    weight = 2 * (root if root is not None else math.sqrt(p1 * p2))
+    if weight == 0:
+        hint = "" if is_exact(p1 * p2) else "; --mode exact avoids it for a perfect square p1*p2"
+        raise ValidationError(
+            "p1*p2 underflows to 0 in floats although p1 and p2 are nonzero, so the "
+            f"{what} cannot be computed" + hint
+        )
+    return (p - (p1 + p2)) / weight
+
+
+def fraction_classify(lam):
+    if isinstance(lam, float) and not math.isfinite(lam):
+        raise ValidationError(f"deviation must be finite, got {lam!r}")
+    magnitude = abs(lam)
+    if magnitude < 1:
+        return Regime.TRIGONOMETRIC
+    if magnitude == 1:
+        return Regime.BOUNDARY
+    return Regime.HYPERBOLIC
+
+
+def fraction_phase_of(lam):
+    if isinstance(lam, float) and not math.isfinite(lam):
+        raise ValidationError(f"deviation must be finite, got {lam!r}")
+    if abs(lam) <= 1:
+        return math.acos(lam), 1
+    try:
+        phase = math.acosh(abs(lam))
+    except OverflowError:
+        raise ValidationError(
+            "deviation |lam| exceeds the float range (~1.8e308), so its phase "
+            "arccosh(|lam|) cannot be computed"
+        ) from None
+    return phase, (1 if lam > 0 else -1)
+
+
+def fraction_fit(p1, p2, p):
+    lam = fraction_lambda(p1, p2, p)
+    return InterferenceRecord(p1, p2, p, lam, fraction_classify(lam), *fraction_phase_of(lam))
+
+
+def record_fields(fit):
+    def fields(*args):
+        r = fit(*args)
+        return r.p1, r.p2, r.p, r.lam, r.regime, r.phase, r.sign
+    return fields
+
+
+def refuse(*args):
+    raise AssertionError(f"validating path taken for {args}")
+
+
+TINY = Fraction(1, 10**400)  # p1*p2 ~ 1e-800: the float root of a non-square underflows
+EXACT_PROBS = st.one_of(
+    st.fractions(0, 1, max_denominator=10**6),
+    st.fractions(0, 1, max_denominator=10**30),
+    st.fractions(0, 1, max_denominator=64).map(lambda f: f * f),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.fractions(-2, 3, max_denominator=64),
+    st.integers(1, 9).map(lambda k: k * TINY),
+    st.integers(300, 4000).map(lambda e: Fraction(2, 10**e)),
+    st.sampled_from((0.0, 0.25, 1.0, 1e-300, math.nan, -0.0)),
+)
+
+
+@st.composite
+def exact_triples(draw):
+    """(p1, p2, p) drawn freely, with p1*p2 a square of non-square factors,
+    or with p at (sqrt(p1) +/- sqrt(p2))**2, |lam| = 1."""
+    kind = draw(st.sampled_from(("free", "square product", "boundary")))
+    if kind == "free":
+        return draw(EXACT_PROBS), draw(EXACT_PROBS), draw(EXACT_PROBS)
+    if kind == "square product":
+        p1 = draw(st.fractions(0, 1, max_denominator=10**4).filter(bool))
+        square = draw(st.fractions(0, 1, max_denominator=100)) ** 2
+        return p1, min(square / p1, Fraction(1)), draw(EXACT_PROBS)
+    r1, r2 = (draw(st.fractions(0, 1, max_denominator=40)) for _ in range(2))
+    return r1 * r1, r2 * r2, draw(st.sampled_from(((r1 + r2) ** 2, (r1 - r2) ** 2)))
+
+
+@settings(max_examples=400)
+@given(triple=exact_triples())
+@example(triple=(Fraction(2, 3), Fraction(3, 8), Fraction(1, 2)))  # p1*p2 = 1/4
+@example(triple=(1, 1, 1))
+@example(triple=(0, 1, 1))
+@example(triple=(1, 0, 0))
+@example(triple=(Fraction(1, 4), Fraction(1, 9), 0))  # p = 0
+@example(triple=(True, Fraction(1, 4), 1))
+@example(triple=(Fraction(1, 4), Fraction(1, 4), False))
+@example(triple=(0.25, Fraction(1, 4), Fraction(1, 2)))
+@example(triple=(Fraction(1, 4), Fraction(1, 9), 0.5))
+@example(triple=(TINY, 2 * TINY, Fraction(1, 2)))  # the weight underflows
+@example(triple=(TINY, TINY, Fraction(1, 2)))  # a square: the weight is exact
+@example(triple=(Fraction(2, 10**4000), Fraction(2, 10**4000), 1))  # |lam| past the floats
+@example(triple=(Fraction(1, 16), Fraction(9, 16), 1))  # lam = 1
+@example(triple=(Fraction(1, 16), Fraction(9, 16), Fraction(1, 4)))  # lam = -1
+@example(triple=(Fraction(1, 3), Fraction(1, 3), Fraction(0)))  # lam = -1, no square
+@example(triple=(Fraction(-1, 3), Fraction(1, 4), Fraction(1, 2)))
+@example(triple=(Fraction(1, 4), Fraction(4, 3), Fraction(1, 2)))
+@example(triple=(Fraction(1, 4), Fraction(1, 4), Fraction(5, 4)))
+@example(triple=(Fraction(1, 4), Fraction(1, 4), -1))
+def test_exact_fit_matches_the_fraction_spelling(triple):
+    """lambda_of and fit_record against the Fraction spellings in value, type
+    and sign of zero, or error; and an exact triple they fit is fitted by the
+    integer lane, without reaching require_probability."""
+    assert_same(lambda_of, fraction_lambda, *triple, errors=Exception)
+    assert_same(record_fields(fit_record), record_fields(fraction_fit), *triple,
+                errors=Exception)
+    if all(type(v) in (int, Fraction) for v in triple):
+        expected = outcome(fraction_lambda, *triple, errors=Exception)
+        if expected[0] == "value":
+            with mock.patch.object(engine, "require_probability", refuse):
+                assert outcome(lambda_of, *triple) == expected
+
+
+DEVIATIONS = st.one_of(
+    st.fractions(-3, 3, max_denominator=10**6),
+    st.integers(-(10**400), 10**400).map(lambda n: Fraction(n, 7)),
+    st.sampled_from((Fraction(1), Fraction(-1), Fraction(0), Fraction(7, 7 * 10**300 + 1),
+                     1, -1, 0, True, 1.0, -1.0, -0.0, math.inf, math.nan)),
+    st.floats(-1e6, 1e6),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=300)
+@given(lam=DEVIATIONS)
+@example(lam=Fraction(1))
+@example(lam=Fraction(-1))
+@example(lam=Fraction(10**400 + 1, 3))  # past the float range
+@example(lam=Fraction(-(10**400), 3))
+def test_exact_regime_and_phase_match_the_fraction_spelling(lam):
+    assert_same(classify, fraction_classify, lam, errors=Exception)
+    assert_same(phase_of, fraction_phase_of, lam, errors=Exception)
+
+
+@settings(max_examples=300)
+@given(value=st.one_of(EXACT_PROBS, st.fractions(max_denominator=10**9), st.integers()))
+@example(value=Fraction(1, 4))
+@example(value=Fraction(6, 24))
+@example(value=Fraction(-1, 4))
+@example(value=-4)
+@example(value=True)
+@example(value=0)
+def test_exact_sqrt_matches_the_fraction_spelling(value):
+    assert_same(exact_sqrt, fraction_sqrt, value, errors=Exception)

@@ -96,6 +96,7 @@ PRIVATE_IMPORTS = [
     "context: engine._amplitudes",
     "context: engine._at_phase",
     "context: engine._rule",
+    "engine: numeric._exact_root",
     "padic_rule: padic._fraction",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._trusted",
