@@ -625,19 +625,13 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 
     for _ in range(max(1, cases // 5)):
         base = _random_transform(rng)
-        phases = []
-        signs = []
+        phases, signs = [], []
         for j in (0, 1):
-            mixture = base.prior[0] * base.cond[0][j] + base.prior[1] * base.cond[1][j]
-            weight = 2 * math.sqrt(
-                base.prior[0] * base.cond[0][j] * base.prior[1] * base.cond[1][j]
+            branches = profiles._HyperbolicBranches(
+                base.prior[0] * base.cond[0][j], base.prior[1] * base.cond[1][j]
             )
-            if rng.random() < 0.5 and (1 - mixture) / weight >= 1:
-                signs.append(1)
-                phases.append(rng.uniform(0, 1) * math.acosh((1 - mixture) / weight))
-            else:
-                signs.append(-1)
-                phases.append(rng.uniform(0, 1) * math.acosh(mixture / weight))
+            signs.append(1 if rng.random() < 0.5 and branches.theta_max is not None else -1)
+            phases.append(rng.uniform(0, 1) * branches.window(signs[-1]))
         t = ContextTransform(
             prior=base.prior,
             cond=base.cond,
@@ -673,23 +667,22 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 
 def _sweeps(full: bool) -> list[tuple[str, str, dict]]:
     """The suite in its fixed order: (name of a check function, name of the
-    CheckResult it returns, its sizes); `full=False` shrinks the sweeps for a
-    quick pass."""
-    scale = 1 if full else 10
-    oracle_n = 50 if full else 15
-    return [
-        ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 10000 // scale}),
-        ("check_ultrametric", "ultrametric-valuation", {"cases": 10000 // scale}),
-        ("check_ball_geometry", "ball-geometry", {"cases": 2000 // scale}),
-        ("check_digit_expansions", "digit-expansion-convergence", {"cases": 2000 // scale}),
-        ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": oracle_n}),
-        ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": oracle_n}),
+    CheckResult it returns, its sizes).  The full pass runs each check at its
+    signature's defaults; `full=False` passes the quick pass's smaller sizes."""
+    quick = [
+        ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 1000}),
+        ("check_ultrametric", "ultrametric-valuation", {"cases": 1000}),
+        ("check_ball_geometry", "ball-geometry", {"cases": 200}),
+        ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}),
+        ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}),
+        ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}),
         ("check_lambda_range", "padic-lambda-range", {}),
         ("check_slit_fluctuations", "padic-slit-fluctuations", {}),
-        ("check_theta_bounds", "theta-window-bounds", {"cases": 1000 // scale}),
+        ("check_theta_bounds", "theta-window-bounds", {"cases": 100}),
         ("check_profiles", "profile-invariants", {}),
-        ("check_total_probability", "total-probability-coherence", {"cases": 1000 // scale}),
+        ("check_total_probability", "total-probability-coherence", {"cases": 100}),
     ]
+    return [(name, title, {}) for name, title, _ in quick] if full else quick
 
 
 def _run_sweep(name: str, title: str, sizes: dict) -> CheckResult:

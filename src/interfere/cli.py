@@ -166,16 +166,14 @@ def _cmd_profile_hyp(args) -> int:
     p1 = _parse_number(args.p1, args.mode, "--p1")
     p2 = _parse_number(args.p2, args.mode, "--p2")
     sign = _parse_sign(args.sign, "--sign")
-    branches = None
     if args.auto_window:
-        branches = profiles._HyperbolicBranches(p1, p2)
-        hi = branches.window(sign)
+        hi = profiles._HyperbolicBranches(p1, p2).window(sign)
     elif args.max is not None:
         hi = args.max
     else:
         raise ConfigError("profile hyp needs --max or --auto-window")
     grid = profiles.uniform_grid(0.0, hi, args.n)
-    _emit_profile(profiles.profile_hyp(p1, p2, sign, grid, branches=branches), args.out)
+    _emit_profile(profiles.profile_hyp(p1, p2, sign, grid), args.out)
     return 0
 
 
@@ -286,20 +284,19 @@ def _cmd_totalprob(args) -> int:
         return _parse_number(text, args.mode, where)
 
     def angle(key):
-        text, where = raw[key]
-        return _parse_angle(text, where)
+        return _parse_angle(*raw[key])
 
-    mode = raw.get("mode", ("trig", ""))[0]
+    def sign(key):
+        return _parse_sign(*raw.get(key, ("+", key)))
+
+    mode, where = raw.get("mode", ("trig", "mode"))
     if mode not in _KINDS:
-        raise ConfigError(f"mode must be 'trig' or 'hyp', got {mode!r}")
+        raise ConfigError(f"{where}: mode must be 'trig' or 'hyp', got {mode!r}")
     t = ContextTransform(
         prior=(number("pb1"), number("pb2")),
         cond=((number("p11"), number("p12")), (number("p21"), number("p22"))),
         phases=(angle("theta1"), angle("theta2")),
-        signs=(
-            _parse_sign(raw.get("sign1", ("+", ""))[0], "sign1"),
-            _parse_sign(raw.get("sign2", ("+", ""))[0], "sign2"),
-        ),
+        signs=(sign("sign1"), sign("sign2")),
         mode=mode,
     )
 

@@ -80,6 +80,8 @@ class ContextTransform:
             row_sum = a + b
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
+        if len(signs) != 2:
+            raise ValidationError(f"signs must have 2 entries, got {len(signs)}")
         for j, sign in enumerate(signs):
             if sign not in (1, -1):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")

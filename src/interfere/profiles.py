@@ -142,19 +142,17 @@ class _HyperbolicBranches:
         return _sweep(HYP, self.base, self.weight, sign, points)
 
 
-def profile_hyp(p1, p2, sign, grid, branches=None) -> BrightnessProfile:
+def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
     """Sample one hyperbolic branch on [0, theta_max] (+) or [0, theta_min] (-).
 
     Grid points outside the branch's window are dropped with a warning record
     (the curve is not a probability out there); an empty remainder is an
     error.  Values are strictly monotone: increasing for +, decreasing for -.
-    A caller that has already built the _HyperbolicBranches of (p1, p2), to
-    choose the grid from its window, passes it as `branches`.
     """
     grid = tuple(grid)
     if sign not in (1, -1):
         raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
-    branches = branches or _HyperbolicBranches(p1, p2)
+    branches = _HyperbolicBranches(p1, p2)
     hi = branches.window(sign)
     kept = tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
     warnings = ()

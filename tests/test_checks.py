@@ -2,6 +2,7 @@
 worker processes that run its sweeps."""
 
 import concurrent.futures
+import inspect
 import math
 import multiprocessing
 from fractions import Fraction
@@ -94,6 +95,18 @@ class TestInjectedFault:
         assert result.detail == (
             f"trig oracle mismatch at p1={p1}, p2={p2}, theta={theta}: {direct} vs {oracle}"
         )
+
+    @pytest.mark.parametrize(
+        "fault",
+        [lambda values: (values[0] + 1e-6, values[1]), lambda values: values[::-1]],
+        ids=["shifted", "swapped"],
+    )
+    def test_hyperbolic_totals_are_held_to_their_oracle(self, monkeypatch, fault):
+        real = checks.total_prob_hyperbolic
+        monkeypatch.setattr(checks, "total_prob_hyperbolic", lambda t: fault(real(t)))
+        result = checks.check_total_probability(cases=1000)
+        assert (result.cases, result.violations) == (11700, 200)
+        assert result.detail == "hyperbolic totals disagree with the split-complex oracle"
 
 
 class TestHyperbolaPoint:
@@ -196,6 +209,13 @@ class TestRaisingSweep:
 
     def test_titles_are_the_names_the_sweeps_return(self, fast_direct):
         assert [title for _, title, _ in checks._sweeps(False)] == [r.name for r in fast_direct]
+
+    def test_the_full_pass_runs_each_check_at_its_defaults(self):
+        quick = checks._sweeps(False)
+        assert checks._sweeps(True) == [(name, title, {}) for name, title, _ in quick]
+        for name, _, sizes in quick:
+            defaults = inspect.signature(getattr(checks, name)).parameters
+            assert all(0 < value < defaults[key].default for key, value in sizes.items())
 
     def planted(self, monkeypatch, capsys, fast_direct):
         def raising(cases):

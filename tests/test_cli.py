@@ -458,6 +458,33 @@ class TestBoundaryInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            # totalprob names the config line or the flag of every field it reads
+            ("totalprob --config {config}", "sign1 = x",
+             "{config}:11: sign must be '+' or '-', got 'x'"),
+            ("totalprob --config {config} --sign2 0", "",
+             "--sign2: sign must be '+' or '-', got '0'"),
+            ("totalprob --config {config}", "mode = real",
+             "{config}:11: mode must be 'trig' or 'hyp', got 'real'"),
+            ("totalprob --config {config}", "pb1 1/2",
+             "{config}:11: expected 'key = value', got 'pb1 1/2'"),
+            ("totalprob --config {config}", "pb1 = x",
+             "{config}:11: cannot parse number 'x' (Invalid literal for Fraction: 'x')"),
+            ("totalprob --config {config}x", "",
+             "cannot read config '{config}x': [Errno 2] No such file or directory: '{config}x'"),
+            ("profile piecewise --p1 0.25 --p2 0.0625 --intervals 0:0.5", "",
+             "--intervals: expected 'lo:hi:sign' got '0:0.5'"),
+        ],
+    )
+    def test_parse_errors_name_their_source(self, capsys, tmp_path, argv, line, message):
+        config = tmp_path / "two_slit.cfg"
+        config.write_text(TWO_SLIT_CONFIG + line + "\n")
+        code, out, err = run(capsys, *argv.format(config=config).split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(config=config)}\n"
+
     def test_exact_fits_at_the_edge_of_the_float_range(self, capsys):
         code, out, err = run(capsys, "fit", "--mode", "exact", "1e-300", "1e-300", "1")
         payload = json.loads(out)

@@ -60,9 +60,25 @@ class TestValidation:
             ({"cond": ((0.5, 0.5), (math.nan, 0.5))}, "cond[1][0] must be finite, got nan"),
             ({"prior": (0.5, -0.5)}, "prior[1] must lie in [0, 1], got -0.5"),
             ({"prior": (0.5, math.inf)}, "prior[1] must be finite, got inf"),
+            ({"phases": (0.0, math.nan)}, "phases[1] must be finite, got nan"),
         ],
     )
     def test_out_of_range_value_is_named(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            make(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cond": ((0.5, 0.5),)}, "prior, cond rows, and phases must all be pairs"),
+            ({"cond": ((0.5, 0.5), (0.5, 0.25, 0.25))}, "cond row 1 must have 2 entries"),
+            ({"signs": (1,), "mode": "hyp"}, "signs must have 2 entries, got 1"),
+            ({"signs": (), "mode": "hyp"}, "signs must have 2 entries, got 0"),
+            ({"signs": (1, -1, 1)}, "signs must have 2 entries, got 3"),
+        ],
+    )
+    def test_a_field_that_is_not_a_pair_is_named(self, kwargs, message):
         with pytest.raises(ValidationError) as info:
             make(**kwargs)
         assert str(info.value) == message

@@ -2,8 +2,9 @@
 
 Each command runs through ``cli.main`` in process; its stdout must equal
 ``tests/golden/<name>.txt`` byte for byte.  The commands are acceptance
-criterion 8's (without ``check --fast``, which ``test_cli`` pins), the
-trig, hyp and piecewise profiles in exact mode, and a p-adic two-slit table.
+criterion 8's (without ``check --fast``, which ``test_cli`` pins), the full
+``check``, whose case counts must not move, the trig, hyp and piecewise
+profiles in exact mode, and a p-adic two-slit table.
 A change that alters one of these outputs on purpose replaces its file and
 says why.
 """
@@ -47,6 +48,7 @@ COMMANDS = [
     ("profile_hyp_exact", HYP + ["--mode", "exact"], 0),
     ("profile_piecewise_exact", PIECEWISE + ["--mode", "exact"], 0),
     ("padic_table_l1", ["padic", "--p", "5", "--l", "1", "--table", "--eps-max", "30"], 0),
+    ("check", ["check"], 0),
 ]
 
 

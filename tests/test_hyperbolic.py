@@ -229,6 +229,10 @@ class TestInverse:
         with pytest.raises(NonPositiveNormError):
             hyperbolic.inverse(z)
 
+    def test_negative_norm_not_invertible(self):
+        with pytest.raises(NonPositiveNormError, match="has negative norm_sq -3, not invertible"):
+            hyperbolic.inverse(HyperbolicNumber(1, 2))
+
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=30))
     def test_random_positive_norm_inverses(self, y):
         z = HyperbolicNumber(abs(y) + 1, y)  # |x| > |y| puts z in the group

@@ -68,6 +68,10 @@ class TestPrimality:
         with pytest.raises(ValueError, match="p >= 2"):
             prime_multiplicity(p, 12)
 
+    def test_multiplicity_in_zero_is_undefined(self):
+        with pytest.raises(ValueError, match="multiplicity of p in 0 is undefined"):
+            prime_multiplicity(3, 0)
+
     @pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3, 0])
     def test_composite_modulus_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -81,6 +85,10 @@ class TestPrimality:
 
 
 class TestOrderAndAbs:
+    def test_zero_has_no_unit_part(self):
+        with pytest.raises(ValidationError, match="0 has no unit decomposition"):
+            PadicRational(3, 0).unit_part()
+
     def test_order_of_12_base_2(self):
         x = PadicRational(2, 12)
         assert x.order == 2 == naive_order(2, Fraction(12))

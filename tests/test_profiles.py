@@ -201,6 +201,18 @@ class TestPiecewiseProfile:
                 0.05, 0.002, [(0.0, 1.0, 1), (0.5, 1.5, -1)], uniform_grid(0, 1.5, 10)
             )
 
+    @pytest.mark.parametrize(
+        "partition, grid, message",
+        [
+            ([], (0.0,), "partition must contain at least one interval"),
+            ([(0, 0.1, -1)], (0.5, 0.6), "no grid points fall inside the partition"),
+        ],
+    )
+    def test_nothing_to_sample_is_an_error(self, partition, grid, message):
+        with pytest.raises(ProfileError) as info:
+            profile_piecewise(0.25, 0.0625, partition, grid)
+        assert str(info.value) == message
+
     def test_window_violation_rejected(self):
         with pytest.raises(ProfileError, match="validity window"):
             profile_piecewise(
