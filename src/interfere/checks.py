@@ -676,7 +676,7 @@ def _sweeps(full: bool) -> list[tuple[str, str, dict]]:
         ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}),
         ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}),
         ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}),
-        ("check_lambda_range", "padic-lambda-range", {}),
+        ("check_lambda_range", "padic-lambda-range", {"primes": (2, 3)}),
         ("check_slit_fluctuations", "padic-slit-fluctuations", {}),
         ("check_theta_bounds", "theta-window-bounds", {"cases": 100}),
         ("check_profiles", "profile-invariants", {}),

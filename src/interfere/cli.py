@@ -246,7 +246,7 @@ def _read_config(path: str) -> dict:
         with open(path, encoding="utf-8") as stream:
             lines = stream.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror or exc}") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -7,14 +7,16 @@ valuation is multiplicative and non-Archimedean:
     |x + y|_p <= max(|x|_p, |y|_p),   with equality whenever |x|_p != |y|_p,
 
 so the induced metric is an ultrametric, balls are clopen, and any member of
-a ball can serve as its center.  Everything here is an exact Fraction tagged
-with the prime; valuation comparisons are decisions, never approximations.
+a ball can serve as its center.  A value is held as a reduced numerator and
+denominator, integers tagged with the prime and the order, and reads back as
+an exact Fraction; valuation comparisons are decisions on orders, never
+approximations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import PrimeMismatchError, ValidationError, shown
@@ -69,8 +71,14 @@ def prime_multiplicity(p: int, n: int) -> int:
     return k
 
 
+_PROVEN = set()  # primes is_prime has proven here, each proven once
+_PROVEN_MAX = 256  # primes past this many are proven on every call
+
+
 def _require_prime(p) -> None:
     """A modulus must be a prime that is_prime proves prime: one below psi_13."""
+    if type(p) is int and p in _PROVEN:  # not bool, nor a float equal to a prime
+        return
     if isinstance(p, int) and p >= _PSI_13:
         raise ValidationError(
             f"modulus must be a prime below psi_13 = {_PSI_13}, where primality is "
@@ -78,6 +86,8 @@ def _require_prime(p) -> None:
         )
     if not isinstance(p, int) or not is_prime(p):
         raise ValidationError(f"modulus must be a prime number, got {shown(p)}")
+    if type(p) is int and len(_PROVEN) < _PROVEN_MAX:
+        _PROVEN.add(p)
 
 
 def _fraction(value) -> Fraction:
@@ -93,37 +103,73 @@ def _fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _order(p: int, value: Fraction):
-    """The p-order of value (math.inf for 0)."""
-    num = value.numerator
-    if not num:
+def _order(p: int, n: int, d: int):
+    """The p-order of n/d in lowest terms (math.inf for 0)."""
+    if not n:
         return math.inf
-    if num % p == 0:
-        return prime_multiplicity(p, num)
-    den = value.denominator
-    return -prime_multiplicity(p, den) if den % p == 0 else 0
+    if n % p == 0:
+        return prime_multiplicity(p, n)
+    return -prime_multiplicity(p, d) if d % p == 0 else 0
 
 
-@dataclass(frozen=True, repr=False)
-class PadicRational:
-    """An exact rational seen through the p-adic valuation.
+class _Slots:
+    # An arithmetic result is filled in here, where attributes are writable,
+    # and then retyped; a validated construction sets them in __post_init__.
+    __slots__ = ("p", "_n", "_d", "order")
 
-    The p-order (the exponent v with |x|_p = p**-v) is computed once at
-    construction; the order of zero is the explicit sentinel math.inf.
-    Arithmetic results skip the validation, since their prime is already
-    checked; products, quotients and negations also take their order from
-    the operands' orders.
+
+class PadicRational(_Slots):
+    """An exact rational seen through the p-adic valuation; immutable.
+
+    The value is held as two integers n/d with d > 0 and gcd(n, d) = 1, and
+    `value` reads it back as a Fraction.  The p-order (the exponent v with
+    |x|_p = p**-v) is computed once at construction; the order of zero is the
+    explicit sentinel math.inf.  Arithmetic results skip the prime check,
+    since their prime is already checked, and take their order from the
+    operands wherever the valuation decides it: products, quotients,
+    negations, and sums of operands of different orders (the strong triangle
+    equality).
     """
 
-    p: int
-    value: Fraction
-    order: float = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        value = _fraction(self.value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "order", _order(self.p, value))
+    def __new__(cls, p, value):
+        x = _new(cls)
+        x.__post_init__(p, value)
+        return x
+
+    def __post_init__(self, p, value):
+        """Check the prime, then take the value as reduced integers and its
+        order.  Arithmetic results are built without this step.  It keeps
+        the name of the dataclass hook it replaces, under which perfbench
+        traces validated constructions."""
+        _require_prime(p)
+        n, d = _ratio(value)
+        _set(self, "p", p)
+        _set(self, "_n", n)
+        _set(self, "_d", d)
+        _set(self, "order", _order(p, n, d))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PadicRational, (self.p, self.value)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is not PadicRational:
+            return NotImplemented
+        return self.p == other.p and self._n == other._n and self._d == other._d
+
+    def __hash__(self):
+        return hash((self.p, self.value))
 
     # -- valuation ---------------------------------------------------------
 
@@ -136,9 +182,12 @@ class PadicRational:
 
     def unit_part(self) -> "PadicRational":
         """The unit e in x = p**order * e (so |e|_p = 1); undefined for 0."""
-        if self.value == 0:
+        n, d, order = self._n, self._d, self.order
+        if not n:
             raise ValidationError("0 has no unit decomposition")
-        return _trusted(self.p, self.value * self.abs(), 0)
+        if order >= 0:
+            return _make(self.p, n // self.p**order, d, 0)
+        return _make(self.p, n, d // self.p**-order, 0)
 
     # -- field arithmetic ----------------------------------------------------
 
@@ -148,14 +197,14 @@ class PadicRational:
                 raise PrimeMismatchError(f"mixed primes {self.p} and {other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return _trusted(self.p, Fraction(other))
+            return _make(self.p, other.numerator, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, self.value + other.value)
+        return _sum(self, other._n, other._d, other.order)
 
     __radd__ = __add__
 
@@ -163,19 +212,19 @@ class PadicRational:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, self.value - other.value)
+        return _sum(self, -other._n, other._d, other.order)
 
     def __rsub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, other.value - self.value)
+        return _sum(other, -self._n, self._d, self.order)
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, self.value * other.value, self.order + other.order)
+        return _product(self, other._n, other._d, self.order + other.order)
 
     __rmul__ = __mul__
 
@@ -183,16 +232,16 @@ class PadicRational:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, self.value / other.value, self.order - other.order)
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _trusted(self.p, other.value / self.value, other.order - self.order)
+        return _quotient(other, self)
 
     def __neg__(self):
-        return _trusted(self.p, -self.value, self.order)
+        return _make(self.p, -self._n, self._d, self.order)
 
     # -- canonical digits ----------------------------------------------------
 
@@ -205,12 +254,12 @@ class PadicRational:
         """
         if count < 1:
             raise ValidationError(f"digit count must be >= 1, got {count}")
-        if self.value == 0:
+        if not self._n:
             return PadicExpansion(self.p, 0, ())
         p, start = self.p, int(self.order)
         # the residue x / p**start = num/den has den coprime to p, and den
         # stays fixed: subtracting a digit leaves a numerator divisible by p
-        num, den = self.value.numerator, self.value.denominator
+        num, den = self._n, self._d
         if start >= 0:
             num //= p**start
         else:
@@ -226,24 +275,69 @@ class PadicRational:
     # -- housekeeping --------------------------------------------------------
 
     def __str__(self):
-        return str(self.value)
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self):
-        return f"PadicRational({self.p}, {self.value})"
+        return f"PadicRational({self.p}, {self})"
 
 
 _new = object.__new__
+_set = object.__setattr__
 
 
-def _trusted(p: int, value: Fraction, order=None) -> PadicRational:
-    """PadicRational(p, value) for a prime p already checked and a Fraction
-    value, without the checks; the order is computed unless given."""
-    x = _new(PadicRational)
-    state = x.__dict__
-    state["p"] = p
-    state["value"] = value
-    state["order"] = _order(p, value) if order is None else order
+def _make(p: int, n: int, d: int, order=None) -> PadicRational:
+    """n/d over the prime p, already checked, for d > 0 and gcd(n, d) = 1;
+    the order is computed unless given."""
+    x = _new(_Slots)
+    x.p = p
+    x._n = n
+    x._d = d
+    x.order = _order(p, n, d) if order is None else order
+    x.__class__ = PadicRational
     return x
+
+
+def _ratio(value) -> tuple:
+    """An exact value as (numerator, denominator) in lowest terms; floats
+    are refused."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = _fraction(value)
+    return value.numerator, value.denominator
+
+
+def _unchecked(p: int, value) -> PadicRational:
+    """PadicRational(p, value) for a prime p already checked."""
+    return _make(p, *_ratio(value))
+
+
+def _sum(x: PadicRational, n: int, d: int, order) -> PadicRational:
+    """x + n/d, where n/d has the given order, reduced by one gcd.  Terms of
+    different orders sum to the smaller order; only a tie is factored."""
+    d1 = x._d
+    n, d = x._n * d + n * d1, d1 * d
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return _make(x.p, n, d, None if x.order == order else min(x.order, order))
+
+
+def _product(x: PadicRational, n: int, d: int, order) -> PadicRational:
+    """x * n/d, for n/d in lowest terms with d > 0, of the given order:
+    cross-cancelling leaves the product in lowest terms."""
+    g1, g2 = math.gcd(x._n, d), math.gcd(n, x._d)
+    return _make(x.p, (x._n // g1) * (n // g2), (x._d // g2) * (d // g1), order)
+
+
+def _quotient(x: PadicRational, y: PadicRational) -> PadicRational:
+    """x / y: x times the reciprocal of y, its sign moved to the numerator."""
+    n, d = y._n, y._d
+    if not n:
+        return x.value / y.value  # raises ZeroDivisionError, as Fraction does
+    if n < 0:
+        n, d = -n, -d
+    return _product(x, d, n, x.order - y.order)
 
 
 @dataclass(frozen=True)
@@ -290,8 +384,9 @@ class PadicBall:
     """Ball or sphere of radius p**radius_exponent around a center.
 
     Membership is the exact valuation comparison: <= r for closed, < r for
-    open, == r for the sphere.  Balls are clopen, every member is a center,
-    and two balls intersect only when one contains the other.
+    open, == r for the sphere, decided on the order of x - center.  Balls
+    are clopen, every member is a center, and two balls intersect only when
+    one contains the other.
     """
 
     p: int
@@ -314,11 +409,12 @@ class PadicBall:
     def contains(self, x) -> bool:
         if not isinstance(x, PadicRational):
             x = PadicRational(self.p, x)
-        distance = (x - self.center).abs()
+        # |x - center|_p = p**-order against p**radius_exponent, on exponents
+        order, bound = (x - self.center).order, -self.radius_exponent
         if self.kind == "closed":
-            return distance <= self.radius
+            return order >= bound
         if self.kind == "open":
-            return distance < self.radius
-        return distance == self.radius
+            return order > bound
+        return order == bound
 
     __contains__ = contains

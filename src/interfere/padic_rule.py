@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateContextError, ValidationError
-from .padic import (
-    PadicRational,
-    _fraction,
-    _require_prime,
-    _trusted,
-    prime_multiplicity,
-)
+from .padic import PadicRational, _require_prime, _unchecked, prime_multiplicity
 
 
 def _lift(p: int, value, name: str) -> PadicRational:
@@ -37,7 +31,7 @@ def _lift(p: int, value, name: str) -> PadicRational:
         if value.p != p:
             raise ValidationError(f"{name} carries prime {value.p}, expected {p}")
         return value
-    return _trusted(p, _fraction(value))
+    return _unchecked(p, value)
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class PadicAmplitudePair:
         object.__setattr__(self, "epsilon", _lift(self.p, self.epsilon, "epsilon"))
         for name in ("alpha1", "alpha2"):
             amp = getattr(self, name)
-            if amp.value == 0:
+            if amp.order == math.inf:
                 raise DegenerateContextError(f"{name} must be nonzero")
             if amp.order < 0:
                 raise ValidationError(
@@ -110,25 +104,34 @@ class PadicInterference:
 def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
     """Apply P = |alpha1 + eps*alpha2|_p**2 and classify the case.
 
-    Everything is computed with exact valuations; the deviation lam is the
-    exact rational that makes P = P1 + P2 + 2*sqrt(P1*P2)*lam hold.
+    Everything is decided on orders; the deviation lam is the exact rational
+    that makes P = P1 + P2 + 2*sqrt(P1*P2)*lam hold.
     """
-    p, o1, o2 = pair.p, pair.alpha1.order, pair.alpha2.order
+    p, alpha1, alpha2, eps = pair.p, pair.alpha1, pair.alpha2, pair.epsilon
+    o1, o2 = alpha1.order, alpha2.order
     p1, p2 = _squared_abs(p, o1), _squared_abs(p, o2)
-    total = pair.alpha1 + pair.epsilon * pair.alpha2
-    probability = _squared_abs(p, total.order)
     cross = None
+    # alpha1 + eps*alpha2 has order min(o1, o2) when the orders differ
     if o1 < o2:
-        case = "A"
+        case, probability = "A", p1
         lam = Fraction(-1, 2 * p ** (o2 - o1))  # -sqrt(P2/P1) / 2
     elif o1 > o2:
-        case = "B"
+        case, probability = "B", p2
         lam = Fraction(-1, 2 * p ** (o1 - o2))  # -sqrt(P1/P2) / 2
     else:
+        # the amplitudes are p-adic integers and eps a unit, so the sum's
+        # denominator d1*de*d2 is prime to p: its order is its numerator's
         case = "C"
-        cross = probability / p1
-        lam = cross / 2 - 1
-    return PadicInterference(pair.p, case, probability, p1, p2, lam, cross)
+        top = alpha1._n * eps._d * alpha2._d + eps._n * alpha2._n * alpha1._d
+        if top:
+            order = prime_multiplicity(p, top)
+            probability = _squared_abs(p, order)
+            scale = p ** (2 * (order - o1))  # c = 1/scale
+            cross, lam = Fraction(1, scale), Fraction(1 - 2 * scale, 2 * scale)
+        else:
+            probability = cross = Fraction(0)
+            lam = Fraction(-1)
+    return PadicInterference(p, case, probability, p1, p2, lam, cross)
 
 
 @dataclass(frozen=True)

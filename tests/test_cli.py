@@ -369,7 +369,7 @@ class TestCheck:
         "digit-expansion-convergence": 200,
         "amplitude-oracle-trig": 3375,
         "amplitude-oracle-hyp": 6750,
-        "padic-lambda-range": 24665,
+        "padic-lambda-range": 2040,
         "padic-slit-fluctuations": 69,
         "theta-window-bounds": 102,
         "profile-invariants": 13,
@@ -473,7 +473,7 @@ class TestBoundaryInputs:
             ("totalprob --config {config}", "pb1 = x",
              "{config}:11: cannot parse number 'x' (Invalid literal for Fraction: 'x')"),
             ("totalprob --config {config}x", "",
-             "cannot read config '{config}x': [Errno 2] No such file or directory: '{config}x'"),
+             "cannot read config '{config}x': No such file or directory"),
             ("profile piecewise --p1 0.25 --p2 0.0625 --intervals 0:0.5", "",
              "--intervals: expected 'lo:hi:sign' got '0:0.5'"),
         ],

@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from interfere import padic
 from interfere.errors import PrimeMismatchError, ValidationError
 from interfere.padic import (
     PadicBall,
@@ -82,6 +84,60 @@ class TestPrimality:
         with pytest.raises(ValidationError, match="refusing float"):
             PadicRational(5, 0.1)
         assert PadicRational(5, "1/10").order == -1
+
+
+class TestPrimeMemo:
+    """_require_prime proves each prime once and remembers a bounded number
+    of them; whatever it refuses, it refuses on every call."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The moduli is_prime is asked about, from an empty memo."""
+        asked = []
+
+        def counting(n):
+            asked.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(padic, "_PROVEN", set())
+        monkeypatch.setattr(padic, "is_prime", counting)
+        return asked
+
+    def test_each_prime_is_proven_once(self, counted):
+        from interfere.padic_rule import PadicAmplitudePair, padic_interfere
+
+        for _ in range(3):
+            for p in (3, 5, 10**9 + 7):
+                x = PadicRational(p, 7) + PadicRational(p, Fraction(1, p))
+                PadicBall(p, x, 0).contains(1)
+                padic_interfere(PadicAmplitudePair(p, 1, p, -1))
+        assert counted == [3, 5, 10**9 + 7]
+
+    @pytest.mark.parametrize("bad, message", [
+        (4, "modulus must be a prime number, got 4"),
+        (3317044064679887385961981, "modulus must be a prime below psi_13 = "
+         "3317044064679887385961981, where primality is proven, got 3317044064679887385961981"),
+        (2.0, "modulus must be a prime number, got 2.0"),
+        (True, "modulus must be a prime number, got True"),
+        (-3, "modulus must be a prime number, got -3"),
+        (3.0, "modulus must be a prime number, got 3.0"),
+    ])
+    def test_refusals_outlive_the_memo(self, counted, bad, message):
+        for p in (2, 3):
+            PadicRational(p, 1)
+        for _ in range(2):
+            with pytest.raises(ValidationError) as exc:
+                PadicRational(bad, 1)
+            assert str(exc.value) == message
+
+    def test_the_memo_is_bounded(self, counted):
+        primes = [n for n in range(2, 10**4) if is_prime(n)][: padic._PROVEN_MAX + 20]
+        for p in primes:
+            PadicRational(p, 1)
+        assert padic._PROVEN == set(primes[: padic._PROVEN_MAX])
+        for p in primes:  # the primes past the bound are proven again
+            PadicRational(p, 1)
+        assert counted == primes + primes[padic._PROVEN_MAX:]
 
 
 class TestOrderAndAbs:

@@ -18,12 +18,21 @@ The exact fit has an integer lane too: ints and Fractions in range are fitted
 on their numerators and denominators.  The Fraction spellings of the fit and
 of exact_sqrt it replaced are written out here, and the lane must agree with
 them in the same way and accept every input in range that they fit.
+
+The p-adic layer is held on integers too: a PadicRational is a reduced
+numerator and denominator, and the rule and ball membership are decided on
+orders.  The Fraction spellings they replaced are written out here, and every
+operation, the rule and membership must agree with them in value, type,
+order, text, hash and copies, or raise the same error with the same message.
 """
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from unittest import mock
 
@@ -31,7 +40,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interfere import engine, hyperbolic, profiles
+from interfere import engine, hyperbolic, padic, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -58,7 +67,13 @@ from interfere.engine import (
     lambda_of,
     phase_of,
 )
-from interfere.errors import DegenerateContextError, InterfereError, ValidationError, shown
+from interfere.errors import (
+    DegenerateContextError,
+    InterfereError,
+    PrimeMismatchError,
+    ValidationError,
+    shown,
+)
 from interfere.numeric import (
     TOLERANCE,
     as_probability,
@@ -67,6 +82,13 @@ from interfere.numeric import (
     phase_cos,
     require_probability,
     sqrt_keeping_exact,
+)
+from interfere.padic import PadicBall, PadicExpansion, PadicRational, is_prime
+from interfere.padic_rule import (
+    PadicAmplitudePair,
+    PadicInterference,
+    _squared_abs,
+    padic_interfere,
 )
 from interfere.profiles import profile_hyp, profile_piecewise, profile_trig, theta_bounds
 
@@ -694,3 +716,384 @@ def test_exact_regime_and_phase_match_the_fraction_spelling(lam):
 @example(value=0)
 def test_exact_sqrt_matches_the_fraction_spelling(value):
     assert_same(exact_sqrt, fraction_sqrt, value, errors=Exception)
+
+
+# -- the p-adic layer on integers ---------------------------------------------
+
+def fraction_require_prime(p):
+    """padic._require_prime as it was, proving p at every call."""
+    if isinstance(p, int) and p >= padic._PSI_13:
+        raise ValidationError(
+            f"modulus must be a prime below psi_13 = {padic._PSI_13}, where primality is "
+            f"proven, got {shown(p)}"
+        )
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValidationError(f"modulus must be a prime number, got {shown(p)}")
+
+
+def fraction_order(p, value):
+    num = value.numerator
+    if not num:
+        return math.inf
+    if num % p == 0:
+        return padic.prime_multiplicity(p, num)
+    den = value.denominator
+    return -padic.prime_multiplicity(p, den) if den % p == 0 else 0
+
+
+@dataclass(frozen=True, repr=False)
+class FractionPadic:
+    """padic.PadicRational as it was spelled: a frozen dataclass of the prime
+    and a Fraction, its order computed from the value."""
+
+    p: int
+    value: Fraction
+    order: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        fraction_require_prime(self.p)
+        value = padic._fraction(self.value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "order", fraction_order(self.p, value))
+
+    def abs(self):
+        order = self.order
+        if order == math.inf:
+            return Fraction(0)
+        return Fraction(1, self.p**order) if order >= 0 else Fraction(self.p**-order)
+
+    def unit_part(self):
+        if self.value == 0:
+            raise ValidationError("0 has no unit decomposition")
+        return FractionPadic(self.p, self.value * self.abs())
+
+    def _lift(self, other):
+        if isinstance(other, FractionPadic):
+            if other.p != self.p:
+                raise PrimeMismatchError(f"mixed primes {self.p} and {other.p}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPadic(self.p, Fraction(other))
+        return None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, self.value + other.value)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, self.value - other.value)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, other.value - self.value)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, self.value * other.value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, self.value / other.value)
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return FractionPadic(self.p, other.value / self.value)
+
+    def __neg__(self):
+        return FractionPadic(self.p, -self.value)
+
+    def digits(self, count):
+        if count < 1:
+            raise ValidationError(f"digit count must be >= 1, got {count}")
+        if self.value == 0:
+            return PadicExpansion(self.p, 0, ())
+        p, start = self.p, int(self.order)
+        unit = self.value / Fraction(p) ** start
+        num, den = unit.numerator, unit.denominator
+        inverse = pow(den, -1, p)
+        out = []
+        for _ in range(count):
+            digit = num * inverse % p
+            out.append(digit)
+            num = (num - digit * den) // p
+        return PadicExpansion(p, start, tuple(out))
+
+    def __str__(self):
+        return str(self.value)
+
+    def __repr__(self):
+        return f"PadicRational({self.p}, {self.value})"
+
+
+# named as the class it stands for, so that the TypeError Python raises for
+# an unsupported operand reads the same
+FractionPadic.__name__ = "PadicRational"
+
+
+def fraction_lift(p, value, name):
+    if isinstance(value, FractionPadic):
+        if value.p != p:
+            raise ValidationError(f"{name} carries prime {value.p}, expected {p}")
+        return value
+    return FractionPadic(p, value)
+
+
+def fraction_interfere(p, alpha1, alpha2, epsilon):
+    """PadicAmplitudePair and padic_interfere as they were spelled: the sum
+    alpha1 + eps*alpha2 built as a Fraction value and its order read off."""
+    fraction_require_prime(p)
+    alpha1 = fraction_lift(p, alpha1, "alpha1")
+    alpha2 = fraction_lift(p, alpha2, "alpha2")
+    epsilon = fraction_lift(p, epsilon, "epsilon")
+    for name, amp in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if amp.value == 0:
+            raise DegenerateContextError(f"{name} must be nonzero")
+        if amp.order < 0:
+            raise ValidationError(
+                f"{name} must be a p-adic integer (order >= 0) so that "
+                f"|{name}|_p**2 is a probability; got order {amp.order}"
+            )
+    if epsilon.order != 0:
+        raise ValidationError(
+            f"epsilon must be a p-adic unit (|eps|_p = 1), got |eps|_p = {epsilon.abs()}"
+        )
+    o1, o2 = alpha1.order, alpha2.order
+    p1, p2 = _squared_abs(p, o1), _squared_abs(p, o2)
+    probability = _squared_abs(p, (alpha1 + epsilon * alpha2).order)
+    cross = None
+    if o1 < o2:
+        case, lam = "A", Fraction(-1, 2 * p ** (o2 - o1))
+    elif o1 > o2:
+        case, lam = "B", Fraction(-1, 2 * p ** (o1 - o2))
+    else:
+        case = "C"
+        cross = probability / p1
+        lam = cross / 2 - 1
+    return PadicInterference(p, case, probability, p1, p2, lam, cross)
+
+
+def fraction_contains(p, center, radius_exponent, kind, x):
+    """PadicBall(p, center, radius_exponent, kind).contains(x) as it was
+    spelled: |x - center|_p against the Fraction power p**radius_exponent."""
+    center = center if isinstance(center, FractionPadic) else FractionPadic(p, center)
+    if not isinstance(x, FractionPadic):
+        x = FractionPadic(p, x)
+    distance = (x - center).abs()
+    radius = Fraction(p) ** radius_exponent
+    if kind == "closed":
+        return distance <= radius
+    if kind == "open":
+        return distance < radius
+    return distance == radius
+
+
+def observed(value):
+    """Everything a caller can see of a result: a p-adic value by its prime,
+    value, order, text and hash, each leaf with its type."""
+    if isinstance(value, (PadicRational, FractionPadic)):
+        return (
+            "padic", value.p, typed(value.value), typed(value.order), str(value), repr(value),
+            hash(value), typed(value.abs()),
+        )
+    if isinstance(value, PadicExpansion):
+        return "expansion", value.p, value.exponent, value.digits, str(value)
+    if isinstance(value, PadicInterference):
+        return tuple(typed(getattr(value, name)) for name in PadicInterference.__dataclass_fields__)
+    if isinstance(value, tuple):
+        return tuple(observed(v) for v in value)
+    return typed(value)
+
+
+def seen(func, *args):
+    """What func(*args) returns, as observed, or the type and message of
+    whatever it raises."""
+    try:
+        return "value", observed(func(*args))
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def assert_agree(new, old, *args):
+    assert seen(new, *args) == seen(old, *args), args
+
+
+def new_interfere(*args):
+    return padic_interfere(PadicAmplitudePair(*args))
+
+
+BIG_PRIME = 10**9 + 7
+PADIC_PRIMES = (2, 3, 5, 7, BIG_PRIME)
+
+
+@st.composite
+def padic_values(draw, p):
+    """An int or Fraction with a power of p drawn into it, or zero."""
+    unit = draw(st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.fractions(-(10**3), 10**3, max_denominator=10**6),
+        st.sampled_from((0, 1, -1, p - 1, Fraction(1, p + 1))),
+    ))
+    return unit * Fraction(p) ** draw(st.integers(-4, 4))
+
+
+@st.composite
+def padic_operands(draw):
+    """(p, x, y, q, n, f): two values x, y, the prime p of x and the prime q
+    of y, which is sometimes another, an int n and a Fraction f."""
+    p = draw(st.sampled_from(PADIC_PRIMES))
+    x, y = draw(padic_values(p)), draw(padic_values(p))
+    q = draw(st.sampled_from((p, p, p, p, 3 if p != 3 else 5)))
+    n = draw(st.integers(-(10**4), 10**4))
+    f = draw(padic_values(p))
+    return p, x, y, q, n, f
+
+
+OPERATIONS = {
+    "x + y": lambda x, y, n, f: x + y,
+    "x - y": lambda x, y, n, f: x - y,
+    "x * y": lambda x, y, n, f: x * y,
+    "x / y": lambda x, y, n, f: x / y,
+    "y - x": lambda x, y, n, f: y - x,
+    "y / x": lambda x, y, n, f: y / x,
+    "x + n": lambda x, y, n, f: x + n,
+    "n + x": lambda x, y, n, f: n + x,
+    "x - n": lambda x, y, n, f: x - n,
+    "n - x": lambda x, y, n, f: n - x,
+    "n * x": lambda x, y, n, f: n * x,
+    "x / n": lambda x, y, n, f: x / n,
+    "n / x": lambda x, y, n, f: n / x,
+    "x + f": lambda x, y, n, f: x + f,
+    "f + x": lambda x, y, n, f: f + x,
+    "f - x": lambda x, y, n, f: f - x,
+    "x * f": lambda x, y, n, f: x * f,
+    "f / x": lambda x, y, n, f: f / x,
+    "x / f": lambda x, y, n, f: x / f,
+    "x + True": lambda x, y, n, f: x + True,
+    "x + 0.5": lambda x, y, n, f: x + 0.5,
+    "0.5 * x": lambda x, y, n, f: 0.5 * x,
+    "x - '1'": lambda x, y, n, f: x - "1",
+    "-x": lambda x, y, n, f: -x,
+    "abs": lambda x, y, n, f: x.abs(),
+    "unit part": lambda x, y, n, f: x.unit_part(),
+    "digits": lambda x, y, n, f: x.digits(1 + abs(n) % 7),
+    "no digits": lambda x, y, n, f: x.digits(0),
+    "x == y": lambda x, y, n, f: (x == y, x != y, y == x),
+    "x == x + 0": lambda x, y, n, f: (x == x + 0, x == x.value, x.value == x),
+    "copies": lambda x, y, n, f: (copy.copy(x), copy.deepcopy(x)),
+    "in a set": lambda x, y, n, f: len({x, y, x + 0, y * 1}),
+}
+
+
+@settings(max_examples=300)
+@given(operands=padic_operands())
+@example(operands=(3, 0, 0, 3, 0, Fraction(0)))  # zero everywhere
+@example(operands=(3, Fraction(5, 27), Fraction(-5, 27), 3, -3, Fraction(-1, 3)))  # x + y = 0
+@example(operands=(3, 1, 2, 3, 2, Fraction(2)))  # a tie of orders: |1 + 2|_3 = 1/3
+@example(operands=(2, Fraction(-3, 8), Fraction(5, 4), 2, -8, Fraction(-7, 16)))
+@example(operands=(2, 12, 4, 2, 16, Fraction(1, 2)))
+@example(operands=(BIG_PRIME, BIG_PRIME**2, Fraction(-1, BIG_PRIME), BIG_PRIME, -1,
+                   Fraction(BIG_PRIME - 1, BIG_PRIME**3)))
+@example(operands=(BIG_PRIME, -7, 0, BIG_PRIME, 0, Fraction(0)))  # division by zero
+@example(operands=(5, Fraction(2, 5), 3, 3, 1, Fraction(3, 5)))  # mixed primes
+@example(operands=(7, -49, Fraction(-1, 7), 7, -7, Fraction(-49)))
+def test_padic_rational_matches_the_fraction_spelling(operands):
+    """Each operation of the integer PadicRational against the Fraction
+    dataclass it replaced, on the same exact operands."""
+    p, x, y, q, n, f = operands
+    assert_agree(PadicRational, FractionPadic, p, x)
+    for name, op in OPERATIONS.items():
+        def run(cls):
+            return op(cls(p, x), cls(q, y), n, f)
+        assert seen(run, PadicRational) == seen(run, FractionPadic), name
+    new = PadicRational(p, x)
+    assert observed(pickle.loads(pickle.dumps(new))) == observed(FractionPadic(p, x))
+    assert pickle.loads(pickle.dumps(new)) == new
+
+
+@settings(max_examples=100)
+@given(p=st.sampled_from(PADIC_PRIMES), value=st.one_of(
+    st.integers(), st.fractions(), st.floats(allow_nan=False), st.booleans(),
+    st.sampled_from(("1/10", "-3/4", "x", "1/0", "0.5", 2.0, -0.0)),
+))
+@example(p=2, value=True)
+@example(p=2, value=0.5)
+@example(p=BIG_PRIME, value="1/0")
+def test_padic_construction_matches_the_fraction_spelling(p, value):
+    """Construction from every kind of value, refusals included."""
+    assert_agree(PadicRational, FractionPadic, p, value)
+
+
+@settings(max_examples=300)
+@given(p=st.sampled_from(PADIC_PRIMES), orders=st.tuples(*[st.integers(0, 4)] * 2),
+       data=st.data())
+@example(p=3, orders=(0, 0), data=None)
+@example(p=2, orders=(1, 1), data=None)
+@example(p=BIG_PRIME, orders=(0, 2), data=None)
+def test_padic_interfere_matches_the_fraction_spelling(p, orders, data):
+    """The rule read from orders against the rule on the built sum, in all
+    three cases; and its refusals: zero, non-integral and foreign amplitudes,
+    non-unit and float eps."""
+    if data is None:  # the examples: units chosen so that case C cancels
+        units = [1, 1, -1]
+    else:
+        unit = st.one_of(
+            st.integers(-(10**4), 10**4).filter(lambda u: u % p),
+            st.fractions(-50, 50, max_denominator=10**3).filter(
+                lambda u: u.numerator % p and u.denominator % p),
+            st.sampled_from((1, -1, p - 1, p + 1)),
+        )
+        units = [data.draw(unit) for _ in range(3)]
+    alpha1 = units[0] * p ** orders[0]
+    alpha2 = units[1] * p ** orders[1]
+    args = (p, alpha1, alpha2, units[2])
+    assert_agree(new_interfere, fraction_interfere, *args)
+    if data is None:
+        return
+    slot = data.draw(st.integers(1, 3))
+    bad = data.draw(st.sampled_from((0, Fraction(1, p), p, 0.5, "foreign prime")))
+    new, old = list(args), list(args)
+    if bad == "foreign prime":
+        q = 5 if p != 5 else 7
+        new[slot], old[slot] = PadicRational(q, 1), FractionPadic(q, 1)
+    else:
+        new[slot] = old[slot] = bad
+    assert seen(new_interfere, *new) == seen(fraction_interfere, *old), bad
+    assert_agree(new_interfere, fraction_interfere, 4, *args[1:])  # a composite modulus
+
+
+@settings(max_examples=300)
+@given(operands=padic_operands(), radius=st.integers(-5, 5),
+       kind=st.sampled_from(("closed", "open", "sphere")))
+@example(operands=(3, 0, 0, 3, 0, Fraction(0)), radius=0, kind="sphere")  # x = center
+@example(operands=(3, 0, 0, 3, 0, Fraction(0)), radius=0, kind="open")
+@example(operands=(2, 1, 3, 2, 0, Fraction(0)), radius=-1, kind="closed")  # |2|_2 = 1/2
+@example(operands=(2, 1, 3, 2, 0, Fraction(0)), radius=-1, kind="sphere")
+@example(operands=(2, 1, 3, 2, 0, Fraction(0)), radius=-1, kind="open")
+@example(operands=(BIG_PRIME, -1, BIG_PRIME - 1, BIG_PRIME, 0, Fraction(0)), radius=-1,
+         kind="sphere")
+@example(operands=(5, 1, 2, 3, 0, Fraction(0)), radius=0, kind="closed")  # mixed primes
+def test_ball_membership_matches_the_fraction_spelling(operands, radius, kind):
+    """Membership decided on orders against the Fraction powers, in all three
+    kinds, for raw and p-adic members, foreign primes and floats."""
+    p, x, y, q, n, f = operands
+    ball = PadicBall(p, PadicRational(p, x), radius, kind)
+    for new, old in ((y, y), (PadicRational(q, y), FractionPadic(q, y)), (f, f), (n, n),
+                     (0.5, 0.5)):
+        assert_agree(ball.contains, lambda _: fraction_contains(p, x, radius, kind, old), new)

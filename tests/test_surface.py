@@ -97,9 +97,8 @@ PRIVATE_IMPORTS = [
     "context: engine._at_phase",
     "context: engine._rule",
     "engine: numeric._exact_root",
-    "padic_rule: padic._fraction",
     "padic_rule: padic._require_prime",
-    "padic_rule: padic._trusted",
+    "padic_rule: padic._unchecked",
     "profiles: engine._sweep",
     "profiles: padic_rule._squared_abs",
 ]
