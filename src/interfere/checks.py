@@ -416,14 +416,14 @@ def check_slit_fluctuations() -> CheckResult:
                 lambda: f"slit profile disagrees with the rule at p={p}, eps={s.epsilon}",
             )
 
-    # consecutive radii can differ by an unbounded factor p**(-2m)
+    # consecutive radii can differ by an unbounded factor: P(p**m - 1) = p**(-2m) is at
+    # least p**(2(m-1)) times darker than the sample just below it (p**m is no sample)
     for p in (2, 3, 5):
         for m in range(1, 6):
-            eps = p ** m - 1
-            profile = {s.epsilon: s.probability for s in padic_slit_profile(p, 0, eps + 1)}
-            ok = profile[eps] == Fraction(p) ** (-2 * m)
-            if eps + 1 in profile:
-                ok = ok and profile[eps + 1] == 1
+            *below, last = padic_slit_profile(p, 0, p ** m)
+            ok = last.epsilon == p ** m - 1 and last.probability == Fraction(p) ** (-2 * m)
+            if below:
+                ok = ok and below[-1].probability >= p ** (2 * (m - 1)) * last.probability
             tally.case(ok, lambda: f"Euclidean jump witness failed at p={p}, m={m}")
 
     # p-adic local constancy: |eps - eps'|_p <= p**-k with v_p(1+eps) < k

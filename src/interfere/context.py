@@ -4,8 +4,8 @@ phase-perturbed forms.
 A prior (P(b1), P(b2)) and a stochastic matrix of conditionals P(a_j | b_i)
 give the classical mixture P(a_j).  When the unconditional and conditional
 statistics come from different experimental contexts, the mixture acquires a
-cross term 2*sqrt(pb1*p1j*pb2*p2j) * cos(theta_j) (or +/- cosh(theta_j)),
-which is exactly the squared modulus of a linear transform acting on square
+cross term: component j is the two-alternative rule on the pair (pb1*p1j,
+pb2*p2j), exactly the squared modulus of a linear transform acting on square
 roots of probabilities over the complex (resp. split-complex) numbers.
 
 Outputs are never renormalized: the perturbed formulas do not guarantee that
@@ -21,14 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .engine import HYP, TRIG, _amplitudes, _at_phase, _rule
-from .errors import ValidationError, shown
-from .numeric import (
-    TOLERANCE,
-    as_probability,
-    require_probability,
-    sqrt_keeping_exact,
-)
+from .engine import HYP, TRIG, _amplitudes, _at_phase, _interfere, combine
+from .errors import NotAProbabilityError, ValidationError, shown
+from .numeric import TOLERANCE, require_probability
 
 _MODES = (TRIG.name, HYP.name)
 
@@ -106,19 +101,19 @@ def _mixture(t: ContextTransform, j: int):
 _PHASES = ("phases[0]", "phases[1]")  # names in errors
 
 
-def _perturbed(t: ContextTransform, algebra, signs, j: int):
-    """Component j, mixture + sign_j * cross weight * cross(theta_j), unchecked."""
-    factor = _at_phase(algebra, algebra.cross, t.phases[j], _PHASES[j])
-    weight = 2 * sqrt_keeping_exact(t.prior[0] * t.cond[0][j] * t.prior[1] * t.cond[1][j])
-    return _rule(_mixture(t, j), weight, signs[j] * factor)
-
-
 def _totals(t: ContextTransform, algebra, signs, what: str):
-    """Both components, each checked before the next is computed: one outside
-    [0, 1] raises NotAProbabilityError naming the component, a phase whose
-    cross factor overflows raises ValidationError."""
-    first = as_probability(_perturbed(t, algebra, signs, 0), what=what, component=1)
-    return first, as_probability(_perturbed(t, algebra, signs, 1), what=what, component=2)
+    """Both components, each engine's checked rule on its pair (pb1*p1j,
+    pb2*p2j), computed in turn: one outside [0, 1] raises NotAProbabilityError
+    naming the component, a phase out of range raises ValidationError naming it."""
+    (pb1, pb2), (row1, row2) = t.prior, t.cond
+    out = []
+    for j in (0, 1):
+        try:
+            out.append(_interfere(algebra, pb1 * row1[j], pb2 * row2[j], t.phases[j], signs[j],
+                                  _PHASES[j]))
+        except NotAProbabilityError as exc:
+            raise NotAProbabilityError(exc.value, what=what, component=j + 1) from None
+    return tuple(out)
 
 
 def total_prob_classical(t: ContextTransform):
@@ -138,7 +133,11 @@ def raw_quantum_components(t: ContextTransform):
     Diagnostic view: arbitrary phases can push these outside [0, 1], which
     total_prob_quantum treats as an error rather than clamping.
     """
-    return _perturbed(t, TRIG, (1, 1), 0), _perturbed(t, TRIG, (1, 1), 1)
+    (pb1, pb2), (row1, row2) = t.prior, t.cond
+    return tuple(
+        combine(pb1 * row1[j], pb2 * row2[j], _at_phase(TRIG, TRIG.cross, t.phases[j], _PHASES[j]))
+        for j in (0, 1)
+    )
 
 
 def total_prob_hyperbolic(t: ContextTransform):

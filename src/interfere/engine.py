@@ -216,9 +216,10 @@ def _rule(base, weight, lam):
     return base + weight * lam
 
 
-def _sweep(algebra: _Algebra, base, weight, sign, phases):
-    """Checked results of the rule at each phase of a sweep, for base and
-    weight computed once; the phases themselves are not checked."""
+def _sweep(algebra: _Algebra, p1, p2, sign, phases):
+    """Checked results of the rule for (p1, p2) at each phase of a sweep, with
+    base and weight formed here once; the phases themselves are not checked."""
+    base, weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
     cross, what = algebra.cross, algebra.what
     if type(base) is float and type(weight) is float and type(sign) is int and base > 0:
         # The bare rule gives _rule's floats: (sign*weight)*c is weight*(sign*c),
@@ -232,11 +233,11 @@ def _sweep(algebra: _Algebra, base, weight, sign, phases):
     return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
 
 
-def _interfere(algebra: _Algebra, p1, p2, theta, sign):
+def _interfere(algebra: _Algebra, p1, p2, theta, sign, name="theta"):
     """p1 + p2 + 2*sqrt(p1*p2) * sign * cross(theta) = N(sqrt(p1) + sign *
     u(theta) * sqrt(p2)).  A result outside [0, 1] raises NotAProbabilityError
     with the raw value attached, never a clamp; a theta that is not finite or
-    whose cross factor overflows raises ValidationError."""
+    whose cross factor overflows raises ValidationError naming it `name`."""
     # Fast accept: plain floats in range, a plain int sign of +/-1 and a result
     # in (0, 1], computed as _rule computes it.  Everything else (exact
     # inputs, a zero result and its sign, snaps, errors) takes the validating
@@ -254,7 +255,7 @@ def _interfere(algebra: _Algebra, p1, p2, theta, sign):
             if 0 < v <= 1:
                 return v
     _require_inputs(p1, p2, sign)
-    lam = sign * _at_phase(algebra, algebra.cross, theta)
+    lam = sign * _at_phase(algebra, algebra.cross, theta, name)
     return as_probability(combine(p1, p2, lam), what=algebra.what)
 
 

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .engine import HYP, TRIG, _sweep, nonzero_weight
+from .engine import HYP, TRIG, _sweep, combine, nonzero_weight
 from .errors import ProfileError, ValidationError, shown
 from .numeric import (
     TOLERANCE,
@@ -32,7 +32,6 @@ from .numeric import (
     fmt_number,
     is_exact,
     require_probability,
-    sqrt_keeping_exact,
 )
 
 
@@ -105,9 +104,7 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     grid = tuple(grid)
     require_probability(p1, "p1")
     require_probability(p2, "p2")
-    base = p1 + p2
-    weight = 2 * sqrt_keeping_exact(p1 * p2)
-    peak = base + weight
+    peak = combine(p1, p2, 1)
     if peak > 1 + TOLERANCE:
         raise ProfileError(
             f"trigonometric profile would peak at {shown(peak)} > 1; "
@@ -116,18 +113,18 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     return BrightnessProfile(
         kind="trig",
         grid=grid,
-        values=_sweep(TRIG, base, weight, 1, grid),
+        values=_sweep(TRIG, p1, p2, 1, grid),
         metadata={"p1": p1, "p2": p2},
     )
 
 
 class _HyperbolicBranches:
     """Both hyperbolic branches of one (p1, p2): their windows, and values
-    from p1 + p2 and 2*sqrt(p1*p2) computed once."""
+    from engine._sweep, which forms p1 + p2 and 2*sqrt(p1*p2) once per call."""
 
     def __init__(self, p1, p2):
         self.theta_max, self.theta_min = theta_bounds(p1, p2)
-        self.base, self.weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
+        self.p1, self.p2 = p1, p2
 
     def window(self, sign):
         """Upper end of the sign branch's validity window [0, hi]."""
@@ -139,7 +136,7 @@ class _HyperbolicBranches:
         return self.theta_max if sign == 1 else self.theta_min
 
     def sample(self, sign, points):
-        return _sweep(HYP, self.base, self.weight, sign, points)
+        return _sweep(HYP, self.p1, self.p2, sign, points)
 
 
 def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:

@@ -2,6 +2,7 @@
 worker processes that run its sweeps."""
 
 import concurrent.futures
+import dataclasses
 import inspect
 import math
 import multiprocessing
@@ -107,6 +108,24 @@ class TestInjectedFault:
         result = checks.check_total_probability(cases=1000)
         assert (result.cases, result.violations) == (11700, 200)
         assert result.detail == "hyperbolic totals disagree with the split-complex oracle"
+
+    def test_a_flattened_euclidean_jump_is_a_violation(self, monkeypatch):
+        # the witness reads padic_slit_profile(p, 0, p**m); only those calls
+        # get the sample below p**m - 1 as dark as p**m - 1 itself
+        real = checks.padic_slit_profile
+
+        def flattened(p, l, eps_max):
+            samples = real(p, l, eps_max)
+            if l == 0 and eps_max in {p ** m for m in range(1, 6)} and len(samples) > 1:
+                dark = samples[-1].probability
+                samples[-2] = dataclasses.replace(samples[-2], probability=dark)
+            return samples
+
+        monkeypatch.setattr(checks, "padic_slit_profile", flattened)
+        result = checks.check_slit_fluctuations()
+        # m = 1 asks for no jump, and p = 2, m = 1 has no sample below
+        assert (result.cases, result.violations) == (69, 12)
+        assert result.detail == "Euclidean jump witness failed at p=2, m=2"
 
 
 class TestHyperbolaPoint:

@@ -485,6 +485,12 @@ class TestBoundaryInputs:
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(config=config)}\n"
 
+    def test_no_subcommand_prints_help_and_exits_2(self, capsys):
+        code, out, err = run(capsys)
+        assert code == 2
+        assert out.startswith("usage: interfere ") and "{fit,profile,totalprob,padic,check}" in out
+        assert err == ""
+
     def test_exact_fits_at_the_edge_of_the_float_range(self, capsys):
         code, out, err = run(capsys, "fit", "--mode", "exact", "1e-300", "1e-300", "1")
         payload = json.loads(out)

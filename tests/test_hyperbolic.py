@@ -1,6 +1,8 @@
 """Split-complex algebra: ring laws, norm, Euler formula, polar form."""
 
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,9 @@ def exact_components(z):
     return z.x, z.y
 
 
+BOTH_KINDS = [HyperbolicNumber(Fraction(1, 3), 2), HyperbolicNumber(0.5, 1.5)]  # exact, float
+
+
 class TestExactKernel:
     """Exact numbers against the Fraction component formulas."""
 
@@ -116,13 +121,36 @@ class TestExactKernel:
         assert a == b and hash(a) == hash(b)
         assert HyperbolicNumber(1, 2) != HyperbolicNumber(1, 2.5)
 
-    @pytest.mark.parametrize("z", [HyperbolicNumber(Fraction(1, 3), 2), HyperbolicNumber(0.5, 1.5)])
+    @pytest.mark.parametrize("z", BOTH_KINDS)
     def test_components_are_read_only(self, z):
         with pytest.raises(AttributeError):
             z.x = 3
         with pytest.raises(AttributeError):
             del z.y
         assert z == HyperbolicNumber(z.x, z.y)
+
+    @pytest.mark.parametrize("z", BOTH_KINDS)
+    def test_pickled_copies_keep_value_and_kind(self, z):
+        copy = pickle.loads(pickle.dumps(z))
+        assert copy == z
+        assert (type(copy.x), type(copy.y)) == (type(z.x), type(z.y))
+
+    @pytest.mark.parametrize("z", BOTH_KINDS)
+    def test_difference_negation_and_conjugate(self, z):
+        x, y = z.x, z.y
+        assert z - HyperbolicNumber(1, -1) == HyperbolicNumber(x - 1, y + 1)
+        assert -z == HyperbolicNumber(-x, -y)
+        assert z.conjugate() == HyperbolicNumber(x, -y)
+        for w in (z - HyperbolicNumber(1, -1), -z, z.conjugate()):
+            assert (type(w.x), type(w.y)) == (type(x), type(y))
+
+    @pytest.mark.parametrize("z", BOTH_KINDS)
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_a_bare_scalar_is_neither_added_nor_subtracted(self, z, op):
+        with pytest.raises(TypeError):
+            op(z, 1)
+        with pytest.raises(TypeError):
+            op(1, z)
 
 
 class TestNorm:

@@ -1,6 +1,8 @@
 """p-adic valuation arithmetic: orders, ultrametric, digits, balls."""
 
 import math
+import operator
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from unittest import mock
 
@@ -224,6 +226,22 @@ class TestArithmetic:
         with pytest.raises(PrimeMismatchError):
             PadicRational(3, 1) + PadicRational(5, 1)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_float_operands_are_refused(self, op):
+        x = PadicRational(5, Fraction(2, 5))
+        with pytest.raises(TypeError):
+            op(x, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, x)
+
+    def test_fields_are_read_only(self):
+        x = PadicRational(3, 7)
+        with pytest.raises(FrozenInstanceError):
+            x.p = 5
+        with pytest.raises(FrozenInstanceError):
+            del x.order
+        assert x == PadicRational(3, 7) and x.order == 0
+
     def test_serialization(self):
         assert str(PadicRational(3, "5/27")) == "5/27"
         assert str(PadicRational(3, 7)) == "7"
@@ -373,6 +391,12 @@ class TestBalls:
         recentered = PadicBall(3, member, 0)
         for probe in (0, 1, 2, 3, 9, Fraction(1, 3), Fraction(5, 2), 27):
             assert ball.contains(probe) == recentered.contains(probe)
+
+    def test_a_rational_center_is_lifted(self):
+        ball = PadicBall(3, Fraction(1, 3), 0)
+        assert ball.center == PadicRational(3, Fraction(1, 3))
+        assert ball.contains(Fraction(4, 3))  # |1|_3 = 1
+        assert not ball.contains(0)  # |1/3|_3 = 3
 
     def test_radius_value(self):
         assert PadicBall(5, PadicRational(5, 0), -2).radius == Fraction(1, 25)

@@ -70,6 +70,7 @@ from interfere.engine import (
 from interfere.errors import (
     DegenerateContextError,
     InterfereError,
+    NotAProbabilityError,
     PrimeMismatchError,
     ValidationError,
     shown,
@@ -139,7 +140,8 @@ def mixture(t, j):
 
 
 def cross_weight(t, j):
-    return 2 * sqrt_keeping_exact(t.prior[0] * t.cond[0][j] * t.prior[1] * t.cond[1][j])
+    """The weight of outcome j's pair, grouped as the pair rule groups it."""
+    return 2 * sqrt_keeping_exact((t.prior[0] * t.cond[0][j]) * (t.prior[1] * t.cond[1][j]))
 
 
 def raw_trig(t, j):
@@ -369,8 +371,9 @@ def assert_rules_same(p1, p2, theta, sign):
                 errors=Exception)
 
 
-def validating_sweep(algebra, base, weight, sign, phases):
+def validating_sweep(algebra, p1, p2, sign, phases):
     """engine._sweep without its float lane."""
+    base, weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
     cross, what = algebra.cross, algebra.what
     return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
 
@@ -544,6 +547,63 @@ def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs,
     if mode == "hyp":
         assert_same(total_prob_hyperbolic, lambda t: total_prob_hyperbolic(slow), fast,
                     errors=Exception)
+
+
+# -- the totals are the pair rule ---------------------------------------------
+
+def pair_totals(rule, what):
+    """total_prob_* spelled as `rule` on each outcome's pair (pb1*p1j,
+    pb2*p2j), with its errors named as the totals name them."""
+    def totals(t):
+        out = []
+        for j in (0, 1):
+            p1, p2 = t.prior[0] * t.cond[0][j], t.prior[1] * t.cond[1][j]
+            try:
+                out.append(rule(p1, p2, t.phases[j], t.signs[j]))
+            except NotAProbabilityError as exc:
+                raise NotAProbabilityError(exc.value, what=what, component=j + 1) from None
+            except ValidationError as exc:
+                raise ValidationError(f"phases[{j}]" + str(exc).removeprefix("theta")) from None
+        return tuple(out)
+    return totals
+
+
+def pair_components(t):
+    """raw_quantum_components spelled as combine on each outcome's pair."""
+    return tuple(combine(t.prior[0] * t.cond[0][j], t.prior[1] * t.cond[1][j],
+                         phase_cos(t.phases[j])) for j in (0, 1))
+
+
+PAIR_PROBS = st.one_of(st.floats(0, 1), st.fractions(0, 1, max_denominator=64))
+PAIR_PHASES = st.one_of(st.floats(0, 2 * math.pi), st.floats(0, 3),
+                        st.sampled_from(QUARTERS + (709.0, 711.0)),
+                        st.fractions(0, 4, max_denominator=8))
+
+
+@settings(max_examples=300)
+@given(pb1=PAIR_PROBS, r0=PAIR_PROBS, r1=PAIR_PROBS, phases=st.tuples(PAIR_PHASES, PAIR_PHASES),
+       signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+@example(pb1=0.09, r0=0.94, r1=0.53, phases=(1.5, 2.0), signs=(1, 1))  # the weight's grouping
+@example(pb1=0.3, r0=0.6, r1=0.2, phases=(math.pi / 2, math.pi / 2), signs=(1, -1))  # quarter
+@example(pb1=Fraction(1, 3), r0=Fraction(1, 5), r1=Fraction(1, 7), phases=(0, math.pi / 2),
+         signs=(-1, 1))
+@example(pb1=0.5, r0=0.9, r1=0.9, phases=(0.0, 0.0), signs=(1, 1))  # component 1 > 1
+@example(pb1=0.5, r0=0.1, r1=0.1, phases=(0.0, 0.0), signs=(1, 1))  # component 2 > 1
+@example(pb1=Fraction(1, 2), r0=Fraction(1, 10), r1=Fraction(1, 10), phases=(0, 0),
+         signs=(1, 1))
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 800.0), signs=(-1, 1))  # cosh overflows
+def test_totals_are_the_pair_rule(pb1, r0, r1, phases, signs):
+    """Component j of each total is interfere_trig/hyp on outcome j's pair,
+    and the raw components are combine on the pairs, in value, type and sign
+    of zero, or in error type and message."""
+    t = ContextTransform((pb1, 1 - pb1), ((r0, 1 - r0), (r1, 1 - r1)), phases, signs, "hyp")
+    trig = t.with_mode("trig")
+    assert_same(total_prob_quantum, pair_totals(
+        lambda p1, p2, theta, sign: interfere_trig(p1, p2, theta), "perturbed total probability"
+    ), trig)
+    assert_same(total_prob_hyperbolic, pair_totals(interfere_hyp, "hyperbolic total probability"),
+                t)
+    assert_same(raw_quantum_components, pair_components, trig, errors=Exception)
 
 
 # -- the exact fit on integers ------------------------------------------------

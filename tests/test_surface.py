@@ -1,6 +1,7 @@
 """The public surface, pinned: the package's exported names, each CLI
-command's arguments, and the private names one module of the package takes
-from another.  Adding or removing any of them is a reviewed change here."""
+command's arguments, the private names one module of the package takes
+from another, and the modules that form the rule's cross weight.  Adding or
+removing any of them is a reviewed change here."""
 
 import argparse
 import ast
@@ -95,7 +96,7 @@ PRIVATE_IMPORTS = [
     "cli: profiles._write_header",
     "context: engine._amplitudes",
     "context: engine._at_phase",
-    "context: engine._rule",
+    "context: engine._interfere",
     "engine: numeric._exact_root",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._unchecked",
@@ -104,12 +105,18 @@ PRIVATE_IMPORTS = [
 ]
 
 
+# the modules that take the root of the cross weight 2*sqrt(p1*p2): only
+# engine turns a pair (p1, p2) into the rule
+WEIGHT_IMPORTERS = ["engine"]
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _private_imports():
-    """PRIVATE_IMPORTS as found by walking each module's syntax tree."""
+def _imports():
+    """Every "importer: module.name" that one module of the package takes
+    from another, found by walking each module's syntax tree."""
     found = set()
     for path in pathlib.Path(interfere.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -119,13 +126,18 @@ def _private_imports():
                 for alias in node.names:
                     if node.module is None:
                         siblings[alias.asname or alias.name] = alias.name
-                    elif _private(alias.name):
+                    else:
                         found.add(f"{path.stem}: {node.module}.{alias.name}")
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in siblings and _private(node.attr)):
+                    and node.value.id in siblings):
                 found.add(f"{path.stem}: {siblings[node.value.id]}.{node.attr}")
-    return sorted(found)
+    return found
+
+
+def _private_imports():
+    """PRIVATE_IMPORTS as found by the walk."""
+    return sorted(found for found in _imports() if _private(found.rsplit(".", 1)[1]))
 
 
 def _arguments(parser, path=()):
@@ -151,3 +163,9 @@ def test_cli_arguments():
 
 def test_private_imports():
     assert _private_imports() == PRIVATE_IMPORTS
+
+
+def test_weight_importers():
+    importers = {found.split(":")[0] for found in _imports()
+                 if found.endswith(": numeric.sqrt_keeping_exact")}
+    assert sorted(importers) == WEIGHT_IMPORTERS
