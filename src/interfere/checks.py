@@ -484,7 +484,7 @@ def check_theta_bounds(cases: int = 1000, seed: int = 307) -> CheckResult:
 
 def check_profiles() -> CheckResult:
     """Emitted profiles stay inside [0, 1], oscillate/monotone as the branch
-    dictates, and the p-adic picture matches the slit table bit for bit."""
+    dictates, and the p-adic picture matches the p-adic rule bit for bit."""
     tally = CheckResult("profile-invariants")
 
     grid = uniform_grid(0.0, 4 * math.pi, 801)
@@ -535,13 +535,14 @@ def check_profiles() -> CheckResult:
         "clipping a hyperbolic grid did not leave a warning record",
     )
 
+    # held to the general rule, not to the slit table that shares its kernel
     padic = profile_padic(3, 0, 20)
-    slit = padic_slit_profile(3, 0, 20)
+    eps = [e for e in range(1, 21) if e % 3]
+    rule = [padic_interfere(PadicAmplitudePair(3, 1, 1, e)).probability for e in eps]
     tally.case(
-        list(padic.grid) == [1 + s.epsilon for s in slit]
-        and list(padic.values) == [s.probability for s in slit]
+        list(padic.grid) == [1 + e for e in eps] and list(padic.values) == rule
         and all(0 <= v <= 1 for v in padic.values),
-        "padic profile does not match the slit table",
+        "padic profile does not match the p-adic rule",
     )
     return tally
 

@@ -323,22 +323,21 @@ def _cmd_totalprob(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_padic(args) -> int:
-    from .padic_rule import PadicAmplitudePair, _squared_abs, padic_interfere, padic_slit_profile
+    from .padic_rule import PadicAmplitudePair, _slit_columns, _squared_abs, padic_interfere
 
     if args.table:
         from .profiles import _write_header
 
         _require_printable_head(args.p, args.l)
-        rows = (
-            f"{s.epsilon},{s.multiplicity},{fmt_number(s.probability)},{fmt_float(s.probability)}\n"
-            for s in padic_slit_profile(args.p, args.l, args.eps_max)
-        )
+        eps, v, values = _slit_columns(args.p, args.l, args.eps_max)
+        # "P_exact,P_float" once per multiplicity, which fixes the brightness
+        cells = {k: f"{fmt_number(P)},{fmt_float(P)}\n" for k, P in dict(zip(v, values)).items()}
         meta = {"A": _squared_abs(args.p, args.l), "l": args.l, "p": args.p}
         buffer = io.StringIO()
         _write_header(
             buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
         )
-        buffer.writelines(rows)
+        buffer.write("".join([f"{e},{k},{cells[k]}" for e, k in zip(eps, v)]))
         _emit(buffer.getvalue(), args.out)
         return 0
     if args.alpha1 is None or args.alpha2 is None or args.eps is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .engine import HYP, TRIG, _amplitudes, _at_phase, _interfere, combine
+from .engine import HYP, TRIG, _amplitudes, _at_phase, _interfere, _is_sign, combine
 from .errors import NotAProbabilityError, ValidationError, shown
 from .numeric import TOLERANCE, require_probability
 
@@ -78,7 +78,7 @@ class ContextTransform:
         if len(signs) != 2:
             raise ValidationError(f"signs must have 2 entries, got {len(signs)}")
         for j, sign in enumerate(signs):
-            if sign not in (1, -1):
+            if not _is_sign(sign):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
         for j, theta in enumerate(phases):
             if isinstance(theta, float) and not math.isfinite(theta):

@@ -73,10 +73,15 @@ def _at_phase(algebra: _Algebra, f, theta, name="theta"):
     raise ValidationError(f"{name} must be finite, got {shown(theta)}")
 
 
+def _is_sign(sign) -> bool:
+    """A real +1 or -1; a complex one would make the rule's value complex."""
+    return sign in (1, -1) and not isinstance(sign, complex)
+
+
 def _require_inputs(p1, p2, sign):
     require_probability(p1, "p1")
     require_probability(p2, "p2")
-    if sign not in (1, -1):
+    if not _is_sign(sign):
         raise ValidationError(f"sign must be +1 or -1, got {shown(sign)}")
 
 

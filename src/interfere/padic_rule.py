@@ -143,30 +143,28 @@ class SlitSample:
     probability: Fraction
 
 
-def padic_slit_profile(p: int, l: int, eps_max: int):
-    """Symmetric two-slit table with unit parts fixed to 1.
+def _slit_columns(p: int, l: int, eps_max: int):
+    """Symmetric two-slit table with unit parts fixed to 1, as columns (eps, v, P).
 
     Both amplitudes are p**l (so P1 = P2 = A = p**(-2l)) and eps runs over
-    the naturals not divisible by p, up to eps_max.  Then
+    the naturals not divisible by p, up to eps_max.  Then v = v_p(1 + eps) and
 
-        P(eps) = A * p**(-2 * v_p(1 + eps)),
+        P(eps) = A * p**(-2 * v),
 
     exactly: brightness drops precisely where 1 + eps is divisible by p, by
-    two orders of magnitude in base p per power.
+    two orders of magnitude in base p per power.  Each v has one Fraction.
     """
     _require_prime(p)
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}")
     if eps_max < 1:
         raise ValidationError(f"eps_max must be >= 1, got {eps_max}")
-    brightness = {}  # v -> p**(-2*(l + v)), built once per distinct v
-    samples = []
-    for eps in range(1, eps_max + 1):
-        if eps % p == 0:
-            continue
-        v = prime_multiplicity(p, 1 + eps) if (1 + eps) % p == 0 else 0
-        probability = brightness.get(v)
-        if probability is None:
-            probability = brightness[v] = _squared_abs(p, l + v)
-        samples.append(SlitSample(eps, v, probability))
-    return samples
+    eps = [e for e in range(1, eps_max + 1) if e % p]
+    v = [prime_multiplicity(p, 1 + e) if (1 + e) % p == 0 else 0 for e in eps]
+    level = {k: _squared_abs(p, l + k) for k in set(v)}
+    return eps, v, [level[k] for k in v]
+
+
+def padic_slit_profile(p: int, l: int, eps_max: int):
+    """The symmetric two-slit table of _slit_columns, one SlitSample per eps."""
+    return list(map(SlitSample, *_slit_columns(p, l, eps_max)))

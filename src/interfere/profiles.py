@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .engine import HYP, TRIG, _sweep, combine, nonzero_weight
+from .engine import HYP, TRIG, _is_sign, _sweep, combine, nonzero_weight
 from .errors import ProfileError, ValidationError, shown
 from .numeric import (
     TOLERANCE,
@@ -147,7 +147,7 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
     error.  Values are strictly monotone: increasing for +, decreasing for -.
     """
     grid = tuple(grid)
-    if sign not in (1, -1):
+    if not _is_sign(sign):
         raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
     branches = _HyperbolicBranches(p1, p2)
     hi = branches.window(sign)
@@ -188,7 +188,7 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
         raise ProfileError("partition must contain at least one interval")
     branches = None
     for lo, hi, sign in pieces:
-        if sign not in (1, -1):
+        if not _is_sign(sign):
             raise ProfileError(f"interval sign must be +1 or -1, got {shown(sign)}")
         if not 0 <= lo <= hi:
             raise ProfileError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi")
@@ -240,13 +240,13 @@ def profile_padic(p: int, l: int, eps_max: int) -> BrightnessProfile:
     radius is divisible by powers of p are dimmed, discontinuously in the
     Euclidean metric but continuously in the p-adic one.
     """
-    from .padic_rule import _squared_abs, padic_slit_profile  # only this picture is p-adic
+    from .padic_rule import _slit_columns, _squared_abs  # only this picture is p-adic
 
-    samples = padic_slit_profile(p, l, eps_max)
+    eps, _, values = _slit_columns(p, l, eps_max)
     return BrightnessProfile(
         kind="padic",
-        grid=tuple(1 + s.epsilon for s in samples),
-        values=tuple(s.probability for s in samples),
+        grid=tuple([e + 1 for e in eps]),
+        values=tuple(values),
         metadata={"p": p, "l": l, "A": _squared_abs(p, l)},
     )
 
@@ -279,13 +279,10 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
         return
     # "P_float,P_exact" cells keyed by identity: a p-adic profile shares one
     # Fraction per brightness, and hashing a Fraction costs more than formatting it
-    cells = {}
-    for r, value in zip(profile.grid, profile.values):
-        if isinstance(value, float):
-            text = f"{fmt_float(value)},"
-        else:
-            text = cells.get(id(value))
-            if text is None:
-                exact = fmt_number(value) if is_exact(value) else ""
-                text = cells[id(value)] = f"{fmt_float(value)},{exact}"
-        stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")
+    grid, values = profile.grid, profile.values
+    cells = {
+        key: f"{fmt_float(v)},{fmt_number(v) if is_exact(v) else ''}"
+        for key, v in dict(zip(map(id, values), values)).items()
+    }
+    tail = f",{profile.kind}\n"
+    stream.write("".join([f"{fmt_number(r)},{cells[id(v)]}{tail}" for r, v in zip(grid, values)]))

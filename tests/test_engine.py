@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from interfere import hyperbolic
+from interfere.context import ContextTransform, total_prob_hyperbolic
 from interfere.engine import (
     InterferenceRecord,
     Regime,
@@ -26,9 +27,11 @@ from interfere.engine import (
 from interfere.errors import (
     DegenerateContextError,
     NotAProbabilityError,
+    ProfileError,
     ValidationError,
 )
 from interfere.numeric import fmt_number, is_exact, require_probability
+from interfere.profiles import profile_hyp, profile_piecewise
 
 # oracle for the worked example: |0.6 + 0.4 e^{i pi/3}|^2 = 0.76
 _EXAMPLE_P = abs(0.6 + 0.4 * cmath.exp(1j * math.pi / 3)) ** 2
@@ -204,6 +207,33 @@ class TestInterfereHyp:
     def test_bad_sign(self):
         with pytest.raises(ValidationError):
             interfere_hyp(0.1, 0.1, 0.5, 0)
+
+    # a complex sign equal to 1 passes `in (1, -1)` and then made the rule's
+    # value complex, which ended in a bare TypeError at its range test
+    COMPLEX_SIGN = [
+        (lambda: interfere_hyp(0.25, 0.25, 0.1, 1 + 0j), ValidationError, "sign"),
+        (lambda: amplitudes_hyp(0.25, 0.25, 0.1, 1 + 0j), ValidationError, "sign"),
+        (lambda: total_prob_hyperbolic(ContextTransform(
+            (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)), (0.1, 0.2), (1 + 0j, 1), "hyp"
+        )), ValidationError, "signs[0]"),
+        (lambda: profile_hyp(0.1, 0.1, 1 + 0j, [0.0, 0.1]), ProfileError, "sign"),
+        (lambda: profile_piecewise(0.1, 0.1, [(0, 0.1, 1 + 0j)], [0.0, 0.05]), ProfileError,
+         "interval sign"),
+    ]
+
+    @pytest.mark.parametrize("call, error, name", COMPLEX_SIGN)
+    def test_a_complex_sign_is_refused_by_name(self, call, error, name):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == f"{name} must be +1 or -1, got (1+0j)"
+
+    @pytest.mark.parametrize("sign, plain", [(True, 1), (1.0, 1), (-1.0, -1)])
+    def test_bool_and_float_signs_are_still_signs(self, sign, plain):
+        # the validating path takes them, so the last bit may differ from an int's
+        expected = interfere_hyp(0.25, 0.0625, 0.3, plain)
+        assert interfere_hyp(0.25, 0.0625, 0.3, sign) == pytest.approx(expected, abs=1e-15)
+        (value,) = profile_hyp(0.25, 0.0625, sign, [0.3]).values
+        assert value == pytest.approx(expected, abs=1e-15)
 
     @given(
         st.floats(min_value=0.01, max_value=0.2),

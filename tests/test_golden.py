@@ -4,7 +4,8 @@ Each command runs through ``cli.main`` in process; its stdout must equal
 ``tests/golden/<name>.txt`` byte for byte.  The commands are acceptance
 criterion 8's (without ``check --fast``, which ``test_cli`` pins), the full
 ``check``, whose case counts must not move, the trig, hyp and piecewise
-profiles in exact mode, and a p-adic two-slit table.
+profiles in exact mode, and p-adic two-slit tables and profiles, with
+p = 2, where every sample is dimmed, among them.
 A change that alters one of these outputs on purpose replaces its file and
 says why.
 """
@@ -48,6 +49,8 @@ COMMANDS = [
     ("profile_hyp_exact", HYP + ["--mode", "exact"], 0),
     ("profile_piecewise_exact", PIECEWISE + ["--mode", "exact"], 0),
     ("padic_table_l1", ["padic", "--p", "5", "--l", "1", "--table", "--eps-max", "30"], 0),
+    ("profile_padic_p2", ["profile", "padic", "--p", "2", "--l", "1", "--eps-max", "40"], 0),
+    ("padic_table_p2", ["padic", "--p", "2", "--table", "--eps-max", "40"], 0),
     ("check", ["check"], 0),
 ]
 

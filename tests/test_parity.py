@@ -24,10 +24,19 @@ numerator and denominator, and the rule and ball membership are decided on
 orders.  The Fraction spellings they replaced are written out here, and every
 operation, the rule and membership must agree with them in value, type,
 order, text, hash and copies, or raise the same error with the same message.
+
+The symmetric two-slit table is computed once, as columns (eps, v, P), and
+the exact CSV rows are joined and written once.  The per-sample loop, the
+row-by-row exact CSV and the per-sample `padic --table` rows they replaced
+are written out here, and the slit table, the p-adic profile, both CSVs and
+the table must agree with them in value, type, sharing and bytes, or raise
+the same error with the same message.
 """
 
 import cmath
+import contextlib
 import copy
+import io
 import itertools
 import math
 import pickle
@@ -40,7 +49,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interfere import engine, hyperbolic, padic, profiles
+from interfere import cli, engine, hyperbolic, padic, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -55,6 +64,7 @@ from interfere.engine import (
     Regime,
     InterferenceRecord,
     _at_phase,
+    _is_sign,
     _require_inputs,
     _rule,
     amplitudes_hyp,
@@ -79,19 +89,39 @@ from interfere.numeric import (
     TOLERANCE,
     as_probability,
     exact_sqrt,
+    fmt_float,
+    fmt_number,
     is_exact,
     phase_cos,
     require_probability,
     sqrt_keeping_exact,
 )
-from interfere.padic import PadicBall, PadicExpansion, PadicRational, is_prime
+from interfere.padic import (
+    PadicBall,
+    PadicExpansion,
+    PadicRational,
+    _require_prime,
+    is_prime,
+    prime_multiplicity,
+)
 from interfere.padic_rule import (
     PadicAmplitudePair,
     PadicInterference,
+    SlitSample,
     _squared_abs,
     padic_interfere,
+    padic_slit_profile,
 )
-from interfere.profiles import profile_hyp, profile_piecewise, profile_trig, theta_bounds
+from interfere.profiles import (
+    BrightnessProfile,
+    profile_hyp,
+    profile_padic,
+    profile_piecewise,
+    profile_trig,
+    theta_bounds,
+    uniform_grid,
+    write_csv,
+)
 
 H = hyperbolic.HyperbolicNumber
 
@@ -405,7 +435,7 @@ class ValidatingTransform(ContextTransform):
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
         for j, sign in enumerate(self.signs):
-            if sign not in (1, -1):
+            if not _is_sign(sign):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
         for j, theta in enumerate(self.phases):
             if isinstance(theta, float) and not math.isfinite(theta):
@@ -530,6 +560,8 @@ PAIRS = st.one_of(
          signs=(1, -1), mode="hyp", shape="tuples")  # out of range, and still summing to 1
 @example(prior=(1.0, -1e-12), rows=((0.5, 0.5), (math.nan, 0.5)), phases=(0.0, 1.0),
          signs=(1, -1), mode="hyp", shape="rows as lists")
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1 + 0j, -1), mode="hyp", shape="tuples")  # equal to 1, and not real
 def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs, mode, shape):
     cond = rows if shape == "tuples" else tuple(list(row) for row in rows)
     if shape == "lists":
@@ -1157,3 +1189,205 @@ def test_ball_membership_matches_the_fraction_spelling(operands, radius, kind):
     for new, old in ((y, y), (PadicRational(q, y), FractionPadic(q, y)), (f, f), (n, n),
                      (0.5, 0.5)):
         assert_agree(ball.contains, lambda _: fraction_contains(p, x, radius, kind, old), new)
+
+
+# -- the slit table as columns ------------------------------------------------
+
+def sample_slit_profile(p, l, eps_max):
+    """padic_slit_profile as it was spelled: one SlitSample per point, built
+    in the loop, and one Fraction per distinct v."""
+    _require_prime(p)
+    if l < 0:
+        raise ValidationError(f"l must be >= 0, got {l}")
+    if eps_max < 1:
+        raise ValidationError(f"eps_max must be >= 1, got {eps_max}")
+    brightness = {}
+    samples = []
+    for eps in range(1, eps_max + 1):
+        if eps % p == 0:
+            continue
+        v = prime_multiplicity(p, 1 + eps) if (1 + eps) % p == 0 else 0
+        probability = brightness.get(v)
+        if probability is None:
+            probability = brightness[v] = _squared_abs(p, l + v)
+        samples.append(SlitSample(eps, v, probability))
+    return samples
+
+
+def sample_profile_padic(p, l, eps_max):
+    """profile_padic as it was spelled: the samples copied into two tuples."""
+    samples = sample_slit_profile(p, l, eps_max)
+    return BrightnessProfile(
+        kind="padic",
+        grid=tuple(1 + s.epsilon for s in samples),
+        values=tuple(s.probability for s in samples),
+        metadata={"p": p, "l": l, "A": _squared_abs(p, l)},
+    )
+
+
+def row_by_row_csv(profile, stream):
+    """write_csv as it was spelled: on the exact path one cell lookup, one
+    f-string and one write per row."""
+    meta = dict(profile.metadata)
+    if profile.theta_max is not None:
+        meta["theta_max"] = profile.theta_max
+    if profile.theta_min is not None:
+        meta["theta_min"] = profile.theta_min
+    for i, warning in enumerate(profile.warnings, 1):
+        meta[f"warning{i}"] = warning
+    profiles._write_header(stream, profile.kind, meta, "r,P_float,P_exact,kind")
+    if {*map(type, profile.grid), *map(type, profile.values)} <= {float}:
+        row = "%.12g,%.12g,," + profile.kind.replace("%", "%%") + "\n"
+        stream.write("".join(map(row.__mod__, zip(profile.grid, profile.values))))
+        return
+    cells = {}
+    for r, value in zip(profile.grid, profile.values):
+        if isinstance(value, float):
+            text = f"{fmt_float(value)},"
+        else:
+            text = cells.get(id(value))
+            if text is None:
+                exact = fmt_number(value) if is_exact(value) else ""
+                text = cells[id(value)] = f"{fmt_float(value)},{exact}"
+        stream.write(f"{fmt_number(r)},{text},{profile.kind}\n")
+
+
+def sample_table(p, l, eps_max):
+    """`padic --table` as it was spelled, one f-string per SlitSample."""
+    cli._require_printable_head(p, l)
+    rows = (
+        f"{s.epsilon},{s.multiplicity},{fmt_number(s.probability)},{fmt_float(s.probability)}\n"
+        for s in sample_slit_profile(p, l, eps_max)
+    )
+    meta = {"A": _squared_abs(p, l), "l": l, "p": p}
+    buffer = io.StringIO()
+    profiles._write_header(
+        buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
+    )
+    buffer.writelines(rows)
+    return buffer.getvalue()
+
+
+def slit_samples(samples):
+    """Each sample with its field types, and which samples share a Fraction."""
+    shared = {}
+    return [
+        (type(s), typed(s.epsilon), typed(s.multiplicity), typed(s.probability),
+         shared.setdefault(id(s.probability), len(shared)))
+        for s in samples
+    ]
+
+
+def profile_fields(profile):
+    return (
+        profile.kind, typed(profile.grid), typed(profile.values),
+        sorted((key, typed(value)) for key, value in profile.metadata.items()),
+        profile.theta_max, profile.theta_min, profile.warnings,
+        len({id(v) for v in profile.values}),
+    )
+
+
+def csv_text(write, profile):
+    """The bytes write(profile, stream) gives, or the type and message of
+    what it raises."""
+    stream = io.StringIO()
+    try:
+        write(profile, stream)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "value", stream.getvalue()
+
+
+def table_run(p, l, eps_max):
+    """`padic --p P --l L --table --eps-max N`: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["padic", "--p", str(p), "--l", str(l), "--table", "--eps-max", str(eps_max)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sample_table_run(p, l, eps_max):
+    """table_run for the old spelling, with cli.main's exit codes."""
+    try:
+        return 0, sample_table(p, l, eps_max), ""
+    except InterfereError as exc:
+        return 3, "", f"error: {exc}\n"
+
+
+PSI_12 = 399165290221 * 798330580441  # composite, and strong to bases below 41
+PSI_13 = 3317044064679887385961981  # past the bound where primality is proven
+
+
+@st.composite
+def slit_args(draw):
+    """(p, l, eps_max) with eps_max up to 3*p**3, capped for a large p, so
+    that v runs to 3 or 4; and now and then a modulus, l or eps_max refused."""
+    p = draw(st.sampled_from(PADIC_PRIMES + (4, PSI_12, PSI_13)))
+    return p, draw(st.integers(-1, 3)), draw(st.integers(0, min(3 * p**3, 1200)))
+
+
+@settings(max_examples=150)
+@given(args=slit_args())
+@example(args=(5, 1, 4))  # eps_max < p: nothing dimmed
+@example(args=(7, 0, 6))
+@example(args=(2, 1, 40))  # p = 2: every sample has v >= 1
+@example(args=(2, 0, 1))
+@example(args=(3, 2, 81))  # 1 + eps = 81 = 3**4
+@example(args=(BIG_PRIME, 3, 1200))
+@example(args=(4, 0, 10))  # a composite
+@example(args=(PSI_12, 0, 10))
+@example(args=(PSI_13, 0, 10))  # an unproven modulus
+@example(args=(3, -1, 10))
+@example(args=(3, 0, 0))
+@example(args=(3, -1, 0))  # l is tested first
+def test_slit_columns_match_the_per_sample_spelling(args):
+    """The slit table, the p-adic profile, its CSV and the `padic --table`
+    rows from the columns, against the per-sample loop they replaced."""
+    new = outcome(lambda *a: slit_samples(padic_slit_profile(*a)), *args)
+    assert new == outcome(lambda *a: slit_samples(sample_slit_profile(*a)), *args)
+    new = outcome(lambda *a: profile_fields(profile_padic(*a)), *args)
+    assert new == outcome(lambda *a: profile_fields(sample_profile_padic(*a)), *args)
+    if new[0] == "value":
+        profile = profile_padic(*args)
+        assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)
+        assert csv_text(write_csv, profile) == csv_text(
+            row_by_row_csv, sample_profile_padic(*args)
+        )
+    assert table_run(*args) == sample_table_run(*args)
+
+
+@settings(max_examples=80)
+@given(pair=st.sampled_from(EXACT_PAIRS[:4] + [(Fraction(1, 4), Fraction(1, 4))]),
+       kind=st.sampled_from(("trig", "hyp +", "hyp -", "piecewise")),
+       n=st.integers(1, 40), extra=st.lists(GRID_POINTS, max_size=4))
+@example(pair=(Fraction(1, 4), Fraction(1, 4)), kind="trig", n=5, extra=[])  # 1, floats, 0
+@example(pair=(Fraction(1, 16), Fraction(1, 16)), kind="hyp +", n=9, extra=[Fraction(1, 3)])
+def test_exact_csv_matches_the_row_by_row_spelling(pair, kind, n, extra):
+    """write_csv on exact profiles, whose values mix Fractions and floats and
+    whose grid may hold ints and Fractions, against one write per row."""
+    p1, p2 = pair
+    theta_max, theta_min = theta_bounds(p1, p2)
+    sign = -1 if kind == "hyp -" or theta_max is None else 1
+    hi = 2 * math.pi if kind == "trig" else (theta_max if sign == 1 else theta_min) or 1.0
+    grid = uniform_grid(0.0, hi, n) + tuple(extra)
+    try:
+        if kind == "trig":
+            profile = profile_trig(p1, p2, grid)
+        elif kind == "piecewise":
+            profile = profile_piecewise(p1, p2, [(0.0, hi, sign)], grid)
+        else:
+            profile = profile_hyp(p1, p2, sign, grid)
+    except InterfereError:
+        return
+    assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)
+
+
+@pytest.mark.parametrize("profile", [
+    # an exact value too long for text, after an exact row that is not
+    BrightnessProfile("padic", (2, 3), (Fraction(1, 4), Fraction(1, 10**5000))),
+    BrightnessProfile("trig", (10**5000, 0.5), (0.25, Fraction(1, 2))),  # the radius
+    BrightnessProfile("x%s", (1, 0.5), (0.25, True)),  # a bool value, a % in the kind
+])
+def test_exact_csv_edges_match_the_row_by_row_spelling(profile):
+    assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)

@@ -91,16 +91,20 @@ COMMAND_ARGUMENTS = {
 PRIVATE_IMPORTS = [
     "checks: profiles._HyperbolicBranches",
     "cli: padic._require_prime",
+    "cli: padic_rule._slit_columns",
     "cli: padic_rule._squared_abs",
     "cli: profiles._HyperbolicBranches",
     "cli: profiles._write_header",
     "context: engine._amplitudes",
     "context: engine._at_phase",
     "context: engine._interfere",
+    "context: engine._is_sign",
     "engine: numeric._exact_root",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._unchecked",
+    "profiles: engine._is_sign",
     "profiles: engine._sweep",
+    "profiles: padic_rule._slit_columns",
     "profiles: padic_rule._squared_abs",
 ]
 
