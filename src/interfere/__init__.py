@@ -48,7 +48,6 @@ _EXPORTS = {
         "interfere_trig",
         "lambda_of",
         "phase_of",
-        "phases_from_deviation",
     ),
     "errors": (
         "DegenerateContextError",

@@ -24,7 +24,7 @@ from fractions import Fraction
 # Only what every command needs: each handler imports the modules it runs.
 from . import __version__
 from .errors import InterfereError, NotAProbabilityError, ValidationError
-from .numeric import fmt_float, fmt_number, round12
+from .numeric import fmt_number, round12
 
 
 class ConfigError(Exception):
@@ -323,23 +323,16 @@ def _cmd_totalprob(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_padic(args) -> int:
-    from .padic_rule import PadicAmplitudePair, _slit_columns, _squared_abs, padic_interfere
-
     if args.table:
-        from .profiles import _write_header
+        from .profiles import _write_slit_table
 
         _require_printable_head(args.p, args.l)
-        eps, v, values = _slit_columns(args.p, args.l, args.eps_max)
-        # "P_exact,P_float" once per multiplicity, which fixes the brightness
-        cells = {k: f"{fmt_number(P)},{fmt_float(P)}\n" for k, P in dict(zip(v, values)).items()}
-        meta = {"A": _squared_abs(args.p, args.l), "l": args.l, "p": args.p}
         buffer = io.StringIO()
-        _write_header(
-            buffer, "padic-slit-table", meta, "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float"
-        )
-        buffer.write("".join([f"{e},{k},{cells[k]}" for e, k in zip(eps, v)]))
+        _write_slit_table(buffer, args.p, args.l, args.eps_max)
         _emit(buffer.getvalue(), args.out)
         return 0
+    from .padic_rule import PadicAmplitudePair, padic_interfere
+
     if args.alpha1 is None or args.alpha2 is None or args.eps is None:
         raise ConfigError("padic needs --alpha1, --alpha2 and --eps (or --table)")
     pair = PadicAmplitudePair(

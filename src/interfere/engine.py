@@ -328,28 +328,3 @@ def fit_record(p1, p2, p) -> InterferenceRecord:
     regime = classify(lam)
     phase, sign = phase_of(lam)
     return InterferenceRecord(p1, p2, p, lam, regime, phase, sign)
-
-
-def phases_from_deviation(u, grid):
-    """Pointwise phases theta(s) = arccos(u(s)) for a caller-supplied
-    deviation parameterization u with |u(s)| <= 1 on the grid.
-
-    Returns (thetas, jumps): jumps lists the indices i whose phase step
-    |theta[i] - theta[i-1]| exceeds pi/2, the tell that the arccos picture is
-    discontinuous in s and a different linearization may suit the experiment
-    better.
-    """
-    thetas = []
-    for s in grid:
-        value = u(s)
-        if not -1 <= value <= 1:
-            raise ValidationError(
-                f"deviation parameterization left [-1, 1]: u({shown(s)}) = {shown(value)}"
-            )
-        thetas.append(math.acos(value))
-    jumps = [
-        i
-        for i in range(1, len(thetas))
-        if abs(thetas[i] - thetas[i - 1]) > math.pi / 2
-    ]
-    return thetas, jumps

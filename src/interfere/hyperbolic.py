@@ -123,10 +123,6 @@ class HyperbolicNumber(_Slots):
             return n if d == 1 else Fraction(n, d * d)
         return self.x * self.x - self.y * self.y
 
-    def in_positive_cone(self) -> bool:
-        """norm_sq >= 0; closed under products since the norm is multiplicative."""
-        return self.norm_sq() >= 0
-
 
 class _Exact(HyperbolicNumber):
     """An exact number x = _a/_d, y = _b/_d with _d > 0, gcd(_a, _b, _d) = 1."""

@@ -15,6 +15,9 @@ probability P(r).  Reading the phase as the radius gives four pictures:
 
 Profiles are rejected, never silently clipped: grid points outside a validity
 window are dropped with an explicit warning record on the profile.
+
+The package's CSV is written here: write_csv (a profile) and _write_slit_table
+(`padic --table`) share one head writer and one body writer.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
         window_hi = branches.window(sign)
         if hi > window_hi + TOLERANCE:
             raise ProfileError(
-                f"interval [{lo}, {hi}] leaves the sign {sign:+d} validity window "
+                f"interval [{lo}, {hi}] leaves the sign {int(sign):+d} validity window "
                 f"[0, {fmt_float(window_hi)}]"
             )
     ordered = sorted(pieces)
@@ -225,7 +228,7 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
             "p1": p1,
             "p2": p2,
             "partition": ";".join(
-                f"{fmt_float(lo)}:{fmt_float(hi)}:{sign:+d}" for lo, hi, sign in pieces
+                f"{fmt_float(lo)}:{fmt_float(hi)}:{int(sign):+d}" for lo, hi, sign in pieces
             ),
         },
         theta_max=branches.theta_max,
@@ -262,6 +265,20 @@ def _write_header(stream, kind: str, metadata: dict, columns: str) -> None:
     stream.write(f"{columns}\n")
 
 
+def _write_rows(stream, keys, values, cell) -> None:
+    """The CSV body in one write: per row the key's text, a comma and
+    cell(value), which ends the row.  cell runs once per distinct value object
+    (keyed by identity: hashing a Fraction costs more than formatting it).  An
+    all-int key column prints as str prints it, the same text as fmt_number."""
+    cells = {key: cell(v) for key, v in dict(zip(map(id, values), values)).items()}
+    text = keys if {*map(type, keys)} <= {int} else map(fmt_number, keys)
+    try:
+        rows = [f"{k},{cells[id(v)]}" for k, v in zip(text, values)]
+    except ValueError:  # an int past sys.get_int_max_str_digits(): fmt_number names it
+        rows = [f"{fmt_number(k)},{cells[id(v)]}" for k, v in zip(keys, values)]
+    stream.write("".join(rows))
+
+
 def write_csv(profile: BrightnessProfile, stream) -> None:
     """Self-describing CSV: '#' metadata comments, then r,P_float,P_exact,kind."""
     meta = dict(profile.metadata)
@@ -277,12 +294,26 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
         row = "%.12g,%.12g,," + profile.kind.replace("%", "%%") + "\n"
         stream.write("".join(map(row.__mod__, zip(profile.grid, profile.values))))
         return
-    # "P_float,P_exact" cells keyed by identity: a p-adic profile shares one
-    # Fraction per brightness, and hashing a Fraction costs more than formatting it
-    grid, values = profile.grid, profile.values
-    cells = {
-        key: f"{fmt_float(v)},{fmt_number(v) if is_exact(v) else ''}"
-        for key, v in dict(zip(map(id, values), values)).items()
-    }
     tail = f",{profile.kind}\n"
-    stream.write("".join([f"{fmt_number(r)},{cells[id(v)]}{tail}" for r, v in zip(grid, values)]))
+    _write_rows(
+        stream, profile.grid, profile.values,
+        lambda v: f"{fmt_float(v)},{fmt_number(v) if is_exact(v) else ''}{tail}",
+    )
+
+
+def _write_slit_table(stream, p: int, l: int, eps_max: int) -> None:
+    """The `padic --table` CSV: the two-slit columns of padic_rule._slit_columns
+    as epsilon,v_p_of_1_plus_epsilon,P_exact,P_float under a padic-slit-table head."""
+    from .padic_rule import _slit_columns, _squared_abs
+
+    eps, v, _ = _slit_columns(p, l, eps_max)
+    _write_header(
+        stream, "padic-slit-table", {"A": _squared_abs(p, l), "l": l, "p": p},
+        "epsilon,v_p_of_1_plus_epsilon,P_exact,P_float",
+    )
+
+    def cell(k):  # the brightness A * p**(-2k) = p**(-2(l + k)) of multiplicity k
+        brightness = _squared_abs(p, l + k)
+        return f"{k},{fmt_number(brightness)},{fmt_float(brightness)}\n"
+
+    _write_rows(stream, eps, v, cell)

@@ -22,7 +22,6 @@ from interfere.engine import (
     interfere_trig,
     lambda_of,
     phase_of,
-    phases_from_deviation,
 )
 from interfere.errors import (
     DegenerateContextError,
@@ -397,24 +396,6 @@ class TestCombine:
         total = combine(Fraction(1, 16), Fraction(1, 16), 1)
         assert total == Fraction(1, 4)
         assert isinstance(total, Fraction)
-
-
-class TestPhasesFromDeviation:
-    def test_continuous_parameterization_has_no_jumps(self):
-        grid = [i / 40 for i in range(41)]
-        thetas, jumps = phases_from_deviation(lambda s: math.cos(s), grid)
-        assert jumps == []
-        assert thetas[0] == pytest.approx(0.0)
-
-    def test_sign_flip_is_flagged(self):
-        values = {0.0: 0.9, 1.0: 0.9, 2.0: -0.9, 3.0: -0.9}
-        thetas, jumps = phases_from_deviation(values.__getitem__, [0.0, 1.0, 2.0, 3.0])
-        assert jumps == [2]
-        assert thetas[1] == pytest.approx(math.acos(0.9))
-
-    def test_out_of_range_parameterization_rejected(self):
-        with pytest.raises(ValidationError):
-            phases_from_deviation(lambda s: 1.5, [0.0])
 
 
 class TestNumericChecks:

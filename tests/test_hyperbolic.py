@@ -171,11 +171,6 @@ class TestNorm:
         assert z.conjugate().conjugate() == z
         assert z * z.conjugate() == HyperbolicNumber(z.norm_sq(), 0)
 
-    def test_positive_cone_membership(self):
-        assert HyperbolicNumber(1, 1).in_positive_cone()  # norm 0 is included
-        assert HyperbolicNumber(2, 1).in_positive_cone()
-        assert not HyperbolicNumber(1, 2).in_positive_cone()
-
 
 class TestExp:
     def test_identity(self):

@@ -1388,6 +1388,8 @@ def test_exact_csv_matches_the_row_by_row_spelling(pair, kind, n, extra):
     BrightnessProfile("padic", (2, 3), (Fraction(1, 4), Fraction(1, 10**5000))),
     BrightnessProfile("trig", (10**5000, 0.5), (0.25, Fraction(1, 2))),  # the radius
     BrightnessProfile("x%s", (1, 0.5), (0.25, True)),  # a bool value, a % in the kind
+    # an all-int radius column with one int too long for text
+    BrightnessProfile("padic", (10**5000, 2), (Fraction(1, 4), Fraction(1, 4))),
 ])
 def test_exact_csv_edges_match_the_row_by_row_spelling(profile):
     assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)

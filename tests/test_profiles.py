@@ -219,6 +219,24 @@ class TestPiecewiseProfile:
                 1 / 16, 1 / 16, [(0.0, THETA_MAX_7 + 1.0, 1)], uniform_grid(0, 3, 10)
             )
 
+    @pytest.mark.parametrize("p1, p2", [(0.25, 0.0625), (Fraction(1, 4), Fraction(1, 16))])
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True, Fraction(1), Fraction(-1)])
+    def test_every_accepted_sign_reads_as_its_int(self, p1, p2, sign):
+        """A float, bool or Fraction sign gives the int sign's values, its
+        partition text and its window error."""
+        grid = uniform_grid(0.0, 0.5, 3)
+
+        def outcome(s, hi):
+            try:
+                profile = profile_piecewise(p1, p2, [(0, hi, s)], grid)
+            except ProfileError as exc:
+                return str(exc)
+            return [(type(v), v) for v in profile.values], profile.metadata["partition"]
+
+        for hi in (0.5, 50.0):  # inside, then past, the branch's window
+            assert outcome(sign, hi) == outcome(int(sign), hi)
+        assert outcome(sign, 0.5)[1] == f"0:0.5:{int(sign):+d}"
+
     def test_points_outside_partition_are_dropped(self):
         profile = profile_piecewise(
             1 / 16, 1 / 16, [(1.0, 2.0, 1)], (0.0, 0.5, 1.5, 2.5)

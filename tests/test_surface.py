@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "padic_interfere",
     "padic_slit_profile",
     "phase_of",
-    "phases_from_deviation",
     "phases_from_state_expansion",
     "polar",
     "prime_multiplicity",
@@ -91,10 +90,8 @@ COMMAND_ARGUMENTS = {
 PRIVATE_IMPORTS = [
     "checks: profiles._HyperbolicBranches",
     "cli: padic._require_prime",
-    "cli: padic_rule._slit_columns",
-    "cli: padic_rule._squared_abs",
     "cli: profiles._HyperbolicBranches",
-    "cli: profiles._write_header",
+    "cli: profiles._write_slit_table",
     "context: engine._amplitudes",
     "context: engine._at_phase",
     "context: engine._interfere",
