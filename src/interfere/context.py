@@ -28,7 +28,7 @@ from .numeric import TOLERANCE, require_probability
 _MODES = (TRIG.name, HYP.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContextTransform:
     """Prior pair, 2x2 conditional matrix, and per-outcome phase data.
 
@@ -43,9 +43,33 @@ class ContextTransform:
     signs: tuple = (1, 1)
     mode: str = "trig"
 
+    def __init__(self, prior, cond, phases, signs=(1, 1), mode="trig"):
+        # one update of the instance dict, where the generated __init__ makes
+        # an object.__setattr__ call per field
+        self.__dict__.update(prior=prior, cond=cond, phases=phases, signs=signs, mode=mode)
+        self.__post_init__()
+
     def __post_init__(self):
-        # a field already held as tuples is kept as it is
         prior, cond, phases, signs = self.prior, self.cond, self.phases, self.signs
+        # Fast accept: pairs held as tuples, a known mode, plain floats in
+        # [0, 1] whose prior and rows sum to 1, finite float phases and plain
+        # int signs of +/-1, which pass every check below.  The constants are
+        # floats because CPython compares float with float faster than float
+        # with int.  Everything else takes those checks, in their order.
+        if (type(prior) is type(cond) is type(phases) is type(signs) is tuple
+                and len(prior) == len(cond) == len(phases) == len(signs) == 2
+                and type(cond[0]) is type(cond[1]) is tuple and len(cond[0]) == len(cond[1]) == 2
+                and self.mode in _MODES):
+            (a, b), ((c, d), (e, f)), (t0, t1), (s0, s1) = prior, cond, phases, signs
+            if (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is type(t0)
+                    is type(t1) is float and type(s0) is type(s1) is int
+                    and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and abs(a + b - 1.0) <= TOLERANCE
+                    and 0.0 <= c <= 1.0 and 0.0 <= d <= 1.0 and abs(c + d - 1.0) <= TOLERANCE
+                    and 0.0 <= e <= 1.0 and 0.0 <= f <= 1.0 and abs(e + f - 1.0) <= TOLERANCE
+                    and math.isfinite(t0) and math.isfinite(t1)
+                    and (s0 == 1 or s0 == -1) and (s1 == 1 or s1 == -1)):
+                return
+        # a field already held as tuples is kept as it is
         if type(prior) is not tuple:
             object.__setattr__(self, "prior", prior := tuple(prior))
         if type(cond) is not tuple or {*map(type, cond)} != {tuple}:
@@ -58,21 +82,15 @@ class ContextTransform:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if len(prior) != 2 or len(cond) != 2 or len(phases) != 2:
             raise ValidationError("prior, cond rows, and phases must all be pairs")
-        # ranges tested inline, _require_pair only to raise: a name is
-        # formatted only for a value out of range
-        a, b = prior
-        if not (0 <= a <= 1 and 0 <= b <= 1):
-            _require_pair(prior, "prior")
-        prior_sum = a + b
+        _require_pair(prior, "prior")
+        prior_sum = prior[0] + prior[1]
         if abs(prior_sum - 1) > TOLERANCE:
             raise ValidationError(f"prior sums to {shown(prior_sum)}, expected 1")
         for i, row in enumerate(cond):
             if len(row) != 2:
                 raise ValidationError(f"cond row {i} must have 2 entries")
-            a, b = row
-            if not (0 <= a <= 1 and 0 <= b <= 1):
-                _require_pair(row, f"cond[{i}]")
-            row_sum = a + b
+            _require_pair(row, f"cond[{i}]")
+            row_sum = row[0] + row[1]
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
         if len(signs) != 2:
@@ -91,7 +109,8 @@ class ContextTransform:
 def _require_pair(pair, name: str) -> None:
     """Raise ValidationError naming the first entry of pair outside [0, 1]."""
     for i, value in enumerate(pair):
-        require_probability(value, f"{name}[{i}]")
+        if not 0 <= value <= 1:  # a name is formatted only for a value out of range
+            require_probability(value, f"{name}[{i}]")
 
 
 def _mixture(t: ContextTransform, j: int):

@@ -109,7 +109,7 @@ def lambda_of(p1, p2, p):
     # A square gives one Fraction; any other p1*p2 gives the float the path
     # below gives, since int true division rounds correctly, as float(Fraction)
     # does.  Everything else (floats, bools, inputs out of range, a zero or
-    # underflowing weight) takes the validating path below.
+    # underflowing weight) takes the float lane or the validating path below.
     if type(p1) in _EXACT and type(p2) in _EXACT and type(p) in _EXACT:
         n1, d1, n2, d2 = p1.numerator, p1.denominator, p2.numerator, p2.denominator
         n, d = p.numerator, p.denominator
@@ -123,6 +123,17 @@ def lambda_of(p1, p2, p):
             weight = 2 * math.sqrt(num / den)
             if weight:
                 return (top / bottom) / weight
+    # Fast accept: plain floats with p1, p2 in (0, 1], p in [0, 1] and a
+    # nonzero weight, computed as the path below computes them.  The
+    # constants are floats because CPython compares and multiplies float with
+    # float faster than float with int, to the same bits.  Everything else (a
+    # float subclass, bools, mixed types, a zero or underflowing weight,
+    # values out of range) takes the validating path.
+    if type(p1) is float and type(p2) is float and type(p) is float:
+        if 0.0 < p1 <= 1.0 and 0.0 < p2 <= 1.0 and 0.0 <= p <= 1.0:
+            weight = 2.0 * math.sqrt(p1 * p2)
+            if weight:
+                return (p - (p1 + p2)) / weight
     require_probability(p1, "p1")
     require_probability(p2, "p2")
     require_probability(p, "p")
@@ -294,7 +305,7 @@ def amplitudes_hyp(p1, p2, theta, sign):
     return _amplitudes(HYP, p1, p2, theta, sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InterferenceRecord:
     """A fitted triple (p1, p2, p) with its deviation, regime, and phase."""
 
@@ -305,6 +316,11 @@ class InterferenceRecord:
     regime: Regime
     phase: float
     sign: int
+
+    def __init__(self, p1, p2, p, lam, regime, phase, sign):
+        # one update of the instance dict, where the generated __init__ makes
+        # an object.__setattr__ call per field
+        self.__dict__.update(p1=p1, p2=p2, p=p, lam=lam, regime=regime, phase=phase, sign=sign)
 
     def reconstruct(self):
         """Recompute p from the fitted phase; inverse of the fit.  The rule

@@ -159,8 +159,16 @@ def _slit_columns(p: int, l: int, eps_max: int):
         raise ValidationError(f"l must be >= 0, got {l}")
     if eps_max < 1:
         raise ValidationError(f"eps_max must be >= 1, got {eps_max}")
-    eps = [e for e in range(1, eps_max + 1) if e % p]
-    v = [prime_multiplicity(p, 1 + e) if (1 + e) % p == 0 else 0 for e in eps]
+    # v = v_p(r) for r = 1 + eps, sieved: each power q = p**k sets k at its
+    # multiples.  Then every p-th eps, the ones divisible by p, is dropped.
+    n = eps_max + 1
+    v = [0] * (n + 1)  # v[r] = v_p(r)
+    q, k = p, 1
+    while q <= n:
+        v[q::q] = [k] * (n // q)
+        q, k = q * p, k + 1
+    eps, v = list(range(1, n)), v[2:]
+    del eps[p - 1::p], v[p - 1::p]
     level = {k: _squared_abs(p, l + k) for k in set(v)}
     return eps, v, [level[k] for k in v]
 

@@ -30,7 +30,17 @@ the exact CSV rows are joined and written once.  The per-sample loop, the
 row-by-row exact CSV and the per-sample `padic --table` rows they replaced
 are written out here, and the slit table, the p-adic profile, both CSVs and
 the table must agree with them in value, type, sharing and bytes, or raise
-the same error with the same message.
+the same error with the same message.  The v column is sieved by powers of
+p, and it must agree with the per-point multiplicities at the edges where v
+first reaches each power.
+
+Float fits and float transforms have an accept lane too: plain floats in
+range are fitted, and a transform of tuples of plain floats is accepted, by
+one test.  On generated inputs (NaN, infinities, signed zeros, a zero or
+underflowing weight, a float subclass, bool, float and complex signs, sums
+off by more than TOLERANCE, lists and mixed float and Fraction entries) each
+must agree with the validating spelling, and an input in range must not
+reach require_probability or _require_pair.
 """
 
 import cmath
@@ -49,12 +59,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interfere import cli, engine, hyperbolic, padic, profiles
+from interfere import cli, context, engine, hyperbolic, padic, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
     raw_quantum_components,
     sqrt_linear_transform,
+    total_prob_classical,
     total_prob_hyperbolic,
     total_prob_quantum,
 )
@@ -108,6 +119,7 @@ from interfere.padic_rule import (
     PadicAmplitudePair,
     PadicInterference,
     SlitSample,
+    _slit_columns,
     _squared_abs,
     padic_interfere,
     padic_slit_profile,
@@ -810,6 +822,162 @@ def test_exact_sqrt_matches_the_fraction_spelling(value):
     assert_same(exact_sqrt, fraction_sqrt, value, errors=Exception)
 
 
+# -- the float fit and transform lanes ----------------------------------------
+
+FLOAT_FIT_PROBS = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 1e-150),  # p1*p2 underflows for a pair of these
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(0, 1).map(Real),
+    st.fractions(0, 1, max_denominator=64),
+    st.integers(-1, 2),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400)
+@given(p1=FLOAT_FIT_PROBS, p2=FLOAT_FIT_PROBS, p=FLOAT_FIT_PROBS)
+@example(p1=math.nan, p2=0.25, p=0.5)
+@example(p1=0.25, p2=math.inf, p=0.5)
+@example(p1=0.25, p2=0.25, p=-math.inf)
+@example(p1=-0.0, p2=0.25, p=0.5)
+@example(p1=0.25, p2=0.25, p=-0.0)  # lam from a signed zero p
+@example(p1=0.0, p2=0.25, p=0.5)
+@example(p1=0.25, p2=0.0, p=0.5)
+@example(p1=5e-324, p2=5e-324, p=0.5)  # the weight underflows
+@example(p1=1e-200, p2=1e-200, p=0.0)
+@example(p1=5e-324, p2=1.0, p=1.0)  # the smallest weight that does not
+@example(p1=1.0, p2=0.25, p=0.0)  # each bound at its closed end
+@example(p1=0.25, p2=1.0, p=1.0)
+@example(p1=1.0, p2=1.0, p=1.0)
+@example(p1=1 + 1e-12, p2=0.25, p=0.5)
+@example(p1=0.25, p2=0.25, p=1 + 1e-12)
+@example(p1=Real(0.25), p2=0.25, p=0.5)
+@example(p1=0.25, p2=0.25, p=Real(0.5))
+@example(p1=True, p2=0.25, p=0.5)
+@example(p1=0.25, p2=Fraction(1, 4), p=0.5)
+@example(p1=0.25, p2=0.25, p=1)
+@example(p1=0.0625, p2=0.5625, p=1.0)  # lam = 1
+def test_float_fit_matches_the_validating_spelling(p1, p2, p):
+    """lambda_of and fit_record against the validating path in value, type
+    and sign of zero, or error; and a float triple it fits is fitted by the
+    float lane, without reaching require_probability."""
+    triple = (p1, p2, p)
+    assert_same(lambda_of, fraction_lambda, *triple, errors=Exception)
+    assert_same(record_fields(fit_record), record_fields(fraction_fit), *triple,
+                errors=Exception)
+    if all(type(v) is float for v in triple):
+        expected = outcome(record_fields(fraction_fit), *triple, errors=Exception)
+        if expected[0] == "value":
+            with mock.patch.object(engine, "require_probability", refuse):
+                assert outcome(record_fields(fit_record), *triple) == expected
+
+
+def transform_fields(cls, *args):
+    """The fields of cls(*args) and its totals in both modes, with the type
+    and sign of every value, or the error of the first to raise."""
+    t = cls(*args)
+    trig, hyp = t.with_mode("trig"), t.with_mode("hyp")
+    return (typed(t.prior), typed(t.cond), typed(t.phases), typed(t.signs), t.mode,
+            outcome(total_prob_classical, t, errors=Exception),
+            outcome(total_prob_quantum, trig, errors=Exception),
+            outcome(total_prob_hyperbolic, hyp, errors=Exception))
+
+
+LANE_PROBS = st.one_of(
+    st.floats(0, 1),
+    st.sampled_from((0.0, 1.0, -0.0, 5e-324, 1 + 1e-12, -1e-12, math.nan, math.inf)),
+    st.floats(0, 1).map(Real),
+    st.fractions(0, 1, max_denominator=64),
+    st.booleans(),
+)
+# how far a pair's sum is put off 1: within TOLERANCE, or past it
+SUM_OFFSETS = st.sampled_from((0.0, 0.0, 0.0, 5e-11, -5e-11, 2e-10, -2e-10))
+
+
+@st.composite
+def lane_pairs(draw):
+    """(x, 1 - x) put off by one of SUM_OFFSETS, or two free entries."""
+    x = draw(LANE_PROBS)
+    if draw(st.booleans()) or isinstance(x, bool) or not 0 <= x <= 1:
+        return x, draw(LANE_PROBS)
+    return x, 1 - x + draw(SUM_OFFSETS)
+
+
+LANE_PHASES = st.one_of(
+    st.floats(-8, 8),
+    st.sampled_from((0.0, -0.0, math.pi / 2, 711.0, math.nan, math.inf, -math.inf)),
+    st.floats(-8, 8).map(Real),
+    st.fractions(-4, 4, max_denominator=8),
+    st.integers(-3, 3),
+)
+LANE_SIGNS = st.sampled_from((1, -1, -1, 1.0, -1.0, True, Fraction(-1), 1 + 0j, 0))
+
+
+@settings(max_examples=300)
+@given(prior=lane_pairs(), rows=st.tuples(lane_pairs(), lane_pairs()),
+       phases=st.tuples(LANE_PHASES, LANE_PHASES), signs=st.tuples(LANE_SIGNS, LANE_SIGNS),
+       mode=st.sampled_from(("trig", "hyp", "hyp", "x")),
+       shape=st.sampled_from(("tuples", "tuples", "lists", "rows as lists")))
+@example(prior=(0.5, math.nan), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (math.inf, 0.5)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(math.inf, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # a phase that is not finite
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, -math.inf),
+         signs=(1, 1), mode="trig", shape="tuples")
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(math.nan, 0.0),
+         signs=(1, 1), mode="trig", shape="tuples")
+@example(prior=(-0.0, 1.0), rows=((0.5, 0.5), (0.5, 0.5)), phases=(-0.0, 0.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # signed zeros
+@example(prior=(1.0, 0.0), rows=((0.0, 1.0), (1.0, 0.0)), phases=(1.0, 2.0),
+         signs=(-1, 1), mode="hyp", shape="tuples")  # each bound at its closed end
+@example(prior=(5e-324, 1.0), rows=((5e-324, 1.0), (0.5, 0.5)), phases=(1.0, 2.0),
+         signs=(1, -1), mode="trig", shape="tuples")  # a pair's weight underflows
+@example(prior=(Real(0.5), 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # a float subclass
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(Real(0.5), 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(True, -1), mode="hyp", shape="tuples")  # a bool sign
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1.0, -1.0), mode="hyp", shape="tuples")  # float signs
+@example(prior=(0.5, 0.5), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1 + 0j, -1), mode="hyp", shape="tuples")  # equal to 1, and not real
+@example(prior=(0.5, 0.5 + 2e-10), rows=((0.5, 0.5), (0.5, 0.5)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # sums off by more than TOLERANCE
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75 - 2e-10)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")
+@example(prior=(0.5, 0.5 + 5e-11), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="tuples")  # and within it
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="lists")
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="hyp", shape="rows as lists")
+@example(prior=(Fraction(1, 2), 0.5), rows=((0.3, 0.7), (0.25, Fraction(3, 4))),
+         phases=(0.0, 1.0), signs=(1, -1), mode="hyp", shape="tuples")  # mixed types
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1, -1), mode="x", shape="tuples")
+def test_float_transform_matches_the_validating_spelling(prior, rows, phases, signs, mode,
+                                                        shape):
+    """ContextTransform and the totals on it against ValidatingTransform in
+    value, type and sign of zero, or error; and a float transform it accepts
+    is accepted by the one accept test, without reaching _require_pair."""
+    cond = rows if shape == "tuples" else tuple(list(row) for row in rows)
+    if shape == "lists":
+        prior, cond, phases, signs = list(prior), list(cond), list(phases), list(signs)
+    args = (prior, cond, phases, signs, mode)
+    expected = outcome(transform_fields, ValidatingTransform, *args, errors=Exception)
+    assert outcome(transform_fields, ContextTransform, *args, errors=Exception) == expected
+    plain = (shape == "tuples" and {*map(type, (*prior, *rows[0], *rows[1], *phases))} == {float}
+             and {*map(type, signs)} == {int})
+    if plain and expected[0] == "value":
+        with mock.patch.object(context, "_require_pair", refuse):
+            t = ContextTransform(*args)
+        assert (t.prior, t.cond, t.phases, t.signs, t.mode) == args
+
+
 # -- the p-adic layer on integers ---------------------------------------------
 
 def fraction_require_prime(p):
@@ -1355,6 +1523,20 @@ def test_slit_columns_match_the_per_sample_spelling(args):
             row_by_row_csv, sample_profile_padic(*args)
         )
     assert table_run(*args) == sample_table_run(*args)
+
+
+@pytest.mark.parametrize("p", PADIC_PRIMES)
+def test_sieved_columns_match_the_per_point_spelling(p):
+    """The sieved v column against prime_multiplicity at each sample, at
+    every eps_max up to 59, around p**3, where v first reaches 3, and at
+    30 000."""
+    cubes = (p**3 - 1, p**3, p**3 + 1) if p**3 < 30_000 else ()
+    for eps_max in (*range(1, 60), *cubes, 30_000):
+        samples = sample_slit_profile(p, 1, eps_max)
+        per_point = [[s.epsilon for s in samples], [s.multiplicity for s in samples],
+                     [s.probability for s in samples]]
+        sieved = _slit_columns(p, 1, eps_max)
+        assert typed(tuple(map(tuple, sieved))) == typed(tuple(map(tuple, per_point)))
 
 
 @settings(max_examples=80)

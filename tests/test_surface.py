@@ -1,14 +1,22 @@
 """The public surface, pinned: the package's exported names, each CLI
 command's arguments, the private names one module of the package takes
-from another, and the modules that form the rule's cross weight.  Adding or
-removing any of them is a reviewed change here."""
+from another, the modules that form the rule's cross weight, and the
+dataclass behaviour of the records whose constructors are written by hand.
+Adding or removing any of them is a reviewed change here."""
 
 import argparse
 import ast
+import dataclasses
+import inspect
 import pathlib
+import pickle
+
+import pytest
 
 import interfere
 from interfere import cli
+from interfere.context import ContextTransform
+from interfere.engine import InterferenceRecord, fit_record
 
 PUBLIC_NAMES = [
     "BrightnessProfile",
@@ -170,3 +178,62 @@ def test_weight_importers():
     importers = {found.split(":")[0] for found in _imports()
                  if found.endswith(": numeric.sqrt_keeping_exact")}
     assert sorted(importers) == WEIGHT_IMPORTERS
+
+
+# records built by a hand-written __init__, with each one's constructor
+# parameters and defaults
+RECORDS = {
+    "fit": (lambda: fit_record(0.2, 0.3, 0.45), InterferenceRecord, [
+        ("p1", None), ("p2", None), ("p", None), ("lam", None), ("regime", None),
+        ("phase", None), ("sign", None),
+    ]),
+    "transform": (
+        lambda: ContextTransform((0.3, 0.7), ((0.4, 0.6), (0.25, 0.75)), (0.5, 1.5), (1, -1), "hyp"),
+        ContextTransform,
+        [("prior", None), ("cond", None), ("phases", None), ("signs", (1, 1)), ("mode", "trig")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_keep_the_dataclass_surface(kind):
+    """A fitted record and a float transform are frozen dataclasses like the
+    ones the generated __init__ builds: equal, with the same hash and repr,
+    to the record built from their fields by the public constructor, and
+    unchanged through replace, asdict and pickle."""
+    build, cls, parameters = RECORDS[kind]
+    record = build()
+    names = [name for name, _ in parameters]
+    assert [f.name for f in dataclasses.fields(cls)] == names == list(cls.__match_args__)
+    empty = inspect.Parameter.empty
+    assert [(p.name, None if p.default is empty else p.default)
+            for p in inspect.signature(cls).parameters.values()] == parameters
+    values = {name: getattr(record, name) for name in names}
+    assert vars(record) == values
+    by_position = cls(*values.values())
+    by_name = cls(**values)
+    for other in (by_position, by_name, dataclasses.replace(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(other) is cls
+        assert other == record and hash(other) == hash(record) and repr(other) == repr(record)
+        assert vars(other) == values
+    assert dataclasses.asdict(record) == values
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in values.items()) + ")"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, values[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert vars(record) == values
+
+
+def test_replace_checks_a_transform_again():
+    t = ContextTransform((0.3, 0.7), ((0.4, 0.6), (0.25, 0.75)), (0.5, 1.5), (1, -1), "hyp")
+    assert t.with_mode("trig") == dataclasses.replace(t, mode="trig")
+    assert t.with_mode("trig").mode == "trig"
+    for changes in ({"mode": "x"}, {"prior": (0.3, 0.8)}, {"signs": (1, 2)}):
+        with pytest.raises(interfere.ValidationError):
+            dataclasses.replace(t, **changes)
+    assert dataclasses.replace(t, prior=[0.3, 0.7]).prior == (0.3, 0.7)
+
