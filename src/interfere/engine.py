@@ -163,8 +163,10 @@ def classify(lam) -> Regime:
     """Regime of a finite deviation: |lam| < 1, = 1, or > 1."""
     if type(lam) is Fraction:  # exact: compare its integers
         magnitude, one = abs(lam.numerator), lam.denominator
-    elif isinstance(lam, float) and not math.isfinite(lam):
-        raise ValidationError(f"deviation must be finite, got {lam!r}")
+    elif isinstance(lam, float):  # compared with 1.0, float with float
+        if not math.isfinite(lam):
+            raise ValidationError(f"deviation must be finite, got {lam!r}")
+        magnitude, one = abs(lam), 1.0
     else:
         magnitude, one = abs(lam), 1
     if magnitude < one:
@@ -191,8 +193,12 @@ def phase_of(lam):
             return math.acosh(abs(num) / den), (1 if num > 0 else -1)
         except OverflowError:
             pass  # past the float range: named below
-    elif isinstance(lam, float) and not math.isfinite(lam):
-        raise ValidationError(f"deviation must be finite, got {lam!r}")
+    elif isinstance(lam, float):  # compared with float constants
+        if not math.isfinite(lam):
+            raise ValidationError(f"deviation must be finite, got {lam!r}")
+        if -1.0 <= lam <= 1.0:
+            return math.acos(lam), 1
+        return math.acosh(abs(lam)), (1 if lam > 0.0 else -1)
     if abs(lam) <= 1:
         return math.acos(lam), 1
     try:
@@ -237,13 +243,13 @@ def _sweep(algebra: _Algebra, p1, p2, sign, phases):
     base and weight formed here once; the phases themselves are not checked."""
     base, weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
     cross, what = algebra.cross, algebra.what
-    if type(base) is float and type(weight) is float and type(sign) is int and base > 0:
+    if type(base) is float and type(weight) is float and type(sign) is int and base > 0.0:
         # The bare rule gives _rule's floats: (sign*weight)*c is weight*(sign*c),
         # and a nonzero base absorbs a zero cross term of either sign as base + 0
         # does.  Only a value outside [0, 1] needs as_probability.
         signed = sign * weight
         return tuple([
-            v if 0 <= (v := base + signed * cross(r)) <= 1 else as_probability(v, what=what)
+            v if 0.0 <= (v := base + signed * cross(r)) <= 1.0 else as_probability(v, what=what)
             for r in phases
         ])
     return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
@@ -255,20 +261,19 @@ def _interfere(algebra: _Algebra, p1, p2, theta, sign, name="theta"):
     with the raw value attached, never a clamp; a theta that is not finite or
     whose cross factor overflows raises ValidationError naming it `name`."""
     # Fast accept: plain floats in range, a plain int sign of +/-1 and a result
-    # in (0, 1], computed as _rule computes it.  Everything else (exact
-    # inputs, a zero result and its sign, snaps, errors) takes the validating
-    # path below.  This is _sweep's float lane for one phase, spelled out: a
-    # one-point _sweep costs a call, a list and a tuple per rule, and made
-    # float-batch about 15 % slower.
+    # in (0, 1], computed as _rule computes it, with float constants as in
+    # lambda_of.  Everything else (exact inputs, a zero result and its sign,
+    # snaps, errors) takes the validating path below.  This is _sweep's float
+    # lane for one phase: a one-point _sweep made float-batch about 15 % slower.
     if (type(p1) is float and type(p2) is float and type(theta) is float
-            and type(sign) is int and 0 <= p1 <= 1 and 0 <= p2 <= 1
+            and type(sign) is int and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
             and (sign == 1 or sign == -1) and math.isfinite(theta)):
         try:
-            v = (p1 + p2) + 2 * math.sqrt(p1 * p2) * (sign * algebra.cross(theta))
+            v = (p1 + p2) + 2.0 * math.sqrt(p1 * p2) * (sign * algebra.cross(theta))
         except OverflowError:  # _at_phase below names the phase
             pass
         else:
-            if 0 < v <= 1:
+            if 0.0 < v <= 1.0:
                 return v
     _require_inputs(p1, p2, sign)
     lam = sign * _at_phase(algebra, algebra.cross, theta, name)

@@ -14,6 +14,7 @@ from .errors import NotAProbabilityError, ValidationError, shown
 
 #: Single knob for float comparisons, reconstruction checks, boundary snaps.
 TOLERANCE = 1e-10
+_HALF_PI = math.pi / 2
 
 
 def is_exact(value) -> bool:
@@ -59,7 +60,7 @@ def phase_cos(theta):
     quarter-turn phases kill or saturate cross terms exactly instead of
     leaving ~1e-16 dust in results that should be clean.
     """
-    return math.sin(math.pi / 2 - theta)
+    return math.sin(_HALF_PI - theta)
 
 
 def require_probability(value, name):

@@ -154,7 +154,8 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
         raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
     branches = _HyperbolicBranches(p1, p2)
     hi = branches.window(sign)
-    kept = tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
+    top = hi + TOLERANCE  # an int 0: a Fraction point would convert a float 0.0
+    kept = tuple([r for r in grid if 0 <= r <= top])
     warnings = ()
     dropped = len(grid) - len(kept)
     if dropped:
@@ -211,9 +212,9 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
             )
     out_grid, out_values, taken = [], [], set()
     for lo, hi, sign in pieces:
-        # the same slack as the window test, so grid endpoints computed as
-        # lo + k*step may overshoot an interval edge by an ulp and still count
-        mine = [i for i, r in enumerate(grid) if lo - TOLERANCE <= r <= hi + TOLERANCE]
+        # the window test's slack: a grid end lo + k*step may overshoot an edge by an ulp
+        bottom, top = lo - TOLERANCE, hi + TOLERANCE
+        mine = [i for i, r in enumerate(grid) if bottom <= r <= top]
         points = [grid[i] for i in mine if i not in taken]
         taken.update(mine)
         out_grid += points
@@ -290,9 +291,12 @@ def write_csv(profile: BrightnessProfile, stream) -> None:
         meta[f"warning{i}"] = warning
     _write_header(stream, profile.kind, meta, "r,P_float,P_exact,kind")
     if {*map(type, profile.grid), *map(type, profile.values)} <= {float}:
-        # "%.12g" renders a float as fmt_float does; one write for all rows
+        # "%.12g" renders a float as fmt_float does; all rows in one % call
         row = "%.12g,%.12g,," + profile.kind.replace("%", "%%") + "\n"
-        stream.write("".join(map(row.__mod__, zip(profile.grid, profile.values))))
+        n = min(len(profile.grid), len(profile.values))  # the rows zip would make
+        cells = [None] * (2 * n)
+        cells[::2], cells[1::2] = profile.grid[:n], profile.values[:n]
+        stream.write(row * n % tuple(cells))
         return
     tail = f",{profile.kind}\n"
     _write_rows(

@@ -41,6 +41,14 @@ underflowing weight, a float subclass, bool, float and complex signs, sums
 off by more than TOLERANCE, lists and mixed float and Fraction entries) each
 must agree with the validating spelling, and an input in range must not
 reach require_probability or _require_pair.
+
+The float lanes compare and multiply with float constants, the hyperbolic
+and piecewise window filters add their slack once, and an all-float CSV body
+is one format call.  On the edges of each (zero, signed zero and unit
+weights, results of exactly 0 and 1, grid points at a window end plus its
+slack and an ulp past it, Fraction points, NaN, infinities, subnormals, a
+'%' in the kind, empty and ragged columns) each must agree with the
+spelling it replaced.
 """
 
 import cmath
@@ -420,6 +428,38 @@ def validating_sweep(algebra, p1, p2, sign, phases):
     return tuple(as_probability(_rule(base, weight, sign * cross(r)), what=what) for r in phases)
 
 
+def hyp_window_points(p1, p2, sign, grid):
+    """profile_hyp's kept grid as it was spelled, the slack added per point."""
+    hi = profiles._HyperbolicBranches(p1, p2).window(sign)
+    return tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
+
+
+def piecewise_points(partition, grid):
+    """profile_piecewise's grid as it was spelled, the slack added per point."""
+    out, taken = [], set()
+    for lo, hi, _ in partition:
+        lo, hi = float(lo), float(hi)
+        mine = [i for i, r in enumerate(grid) if lo - TOLERANCE <= r <= hi + TOLERANCE]
+        out += [grid[i] for i in mine if i not in taken]
+        taken.update(mine)
+    return tuple(out)
+
+
+def assert_windows_as_spelled(p1, p2, sign, partition, grid):
+    """The grids profile_hyp and profile_piecewise keep, in value, type and
+    order, against the filters they replaced, wherever the profile is built."""
+    for build, spelled in (
+        (lambda: profile_hyp(p1, p2, sign, grid), lambda: hyp_window_points(p1, p2, sign, grid)),
+        (lambda: profile_piecewise(p1, p2, partition, grid),
+         lambda: piecewise_points(partition, grid)),
+    ):
+        try:
+            kept = build().grid
+        except InterfereError:
+            continue
+        assert typed(kept) == typed(spelled()), (p1, p2, sign, partition, grid)
+
+
 class ValidatingTransform(ContextTransform):
     """ContextTransform with every field made a tuple and every range tested
     by a loop, as before fields already held as tuples were kept."""
@@ -517,6 +557,15 @@ def near_endpoints(draw):
 @example(p1=-0.0, p2=-0.0, theta=math.pi / 2, sign=1)
 @example(p1=0.25, p2=0.25, theta=math.pi, sign=1)  # a zero result
 @example(p1=0.25, p2=0.25, theta=0.0, sign=1 + 0j)  # equal to 1, and not real
+@example(p1=0.0, p2=0.25, theta=1.0, sign=1)  # lane edges: a zero weight
+@example(p1=0.25, p2=-0.0, theta=1.0, sign=-1)
+@example(p1=-0.0, p2=0.5, theta=2.0, sign=1)
+@example(p1=1.0, p2=0.0, theta=2.0, sign=1)  # exactly 1.0 with no cross term
+@example(p1=0.0, p2=1.0, theta=0.5, sign=-1)
+@example(p1=1.0, p2=-0.0, theta=3.0, sign=-1)
+@example(p1=0.36, p2=0.16, theta=0.0, sign=1)  # the trig peak (sqrt(p1) + sqrt(p2))**2 = 1
+@example(p1=0.25, p2=0.25, theta=0.0, sign=-1)  # trig 1.0; minus branch 0.0 at theta_min = 0
+@example(p1=1 / 16, p2=1 / 64, theta=math.log(2), sign=-1)  # minus branch at theta_min = ln 2
 def test_fast_rules_match_the_validating_path(p1, p2, theta, sign):
     assert_rules_same(p1, p2, theta, sign)
 
@@ -528,6 +577,16 @@ def test_fast_rules_match_at_the_endpoints(case):
     assert_rules_same(p1, p2, theta, sign)
 
 
+THETA_MIN_EDGE = theta_bounds(1 / 16, 1 / 64)[1]  # ln 2
+# with sign -1, each at an edge of profile_hyp's window [0, theta_min] or of
+# the partition [0, theta_min/3], [theta_min/2, theta_min]
+WINDOW_EDGES = [
+    THETA_MIN_EDGE + TOLERANCE,  # the window's end with its slack: kept
+    math.nextafter(THETA_MIN_EDGE + TOLERANCE, math.inf),  # an ulp past it: dropped
+    THETA_MIN_EDGE / 2 - TOLERANCE,  # the second interval's start less its slack: kept
+    math.nextafter(THETA_MIN_EDGE / 2 - TOLERANCE, -math.inf),  # an ulp below it: dropped
+    -TOLERANCE,  # kept by the partition, dropped by profile_hyp
+]
 GRID_POINTS = st.one_of(st.floats(0, 8), st.sampled_from((0.0, -0.0, math.pi, math.nan, 1e-9)),
                         st.integers(0, 3), st.fractions(0, 4, max_denominator=8))
 
@@ -538,8 +597,14 @@ GRID_POINTS = st.one_of(st.floats(0, 8), st.sampled_from((0.0, -0.0, math.pi, ma
        stretch=st.sampled_from((1.0, 1 + 2**-52, 1 - 2**-52, 1.5)))
 @example(pair=(0.36, 0.16), sign=1, extra=[], n=5, stretch=1.0)  # the trig peak snaps to 1
 @example(pair=(1 / 16, 1 / 16), sign=1, extra=[], n=9, stretch=1.0)
+@example(pair=(1 / 16, 1 / 64), sign=-1, extra=WINDOW_EDGES, n=2, stretch=1.0)
+@example(pair=(1 / 16, 1 / 16), sign=1, n=1, stretch=1.0,  # Fraction and int points
+         extra=[Fraction(1, 3), Fraction(-1, 3), Fraction(0), 2, Fraction(7, 2), 0])
+@example(pair=(Fraction(1, 16), Fraction(1, 16)), sign=1, n=3, stretch=1.0,
+         extra=[Fraction(1, 3), 0, Fraction(-1, 10**400), Fraction(5, 2)])
 def test_fast_profiles_match_the_validating_sweep(pair, sign, extra, n, stretch):
-    """Grids run to each branch's window end, where values snap, and past it."""
+    """Grids run to each branch's window end, where values snap, and past it;
+    the window filters keep what their per-point spellings kept."""
     p1, p2 = pair
     try:
         theta_max, theta_min = theta_bounds(p1, p2)
@@ -551,6 +616,7 @@ def test_fast_profiles_match_the_validating_sweep(pair, sign, extra, n, stretch)
         assert_profiles_same(profile_hyp, p1, p2, sign, grid)
         partition = [(0.0, hi / 3, -1), (hi / 2, hi, sign)]
         assert_profiles_same(profile_piecewise, p1, p2, partition, grid)
+        assert_windows_as_spelled(p1, p2, sign, partition, grid)
 
 
 def as_transform(cls, prior, cond, phases, signs, mode):
@@ -1395,7 +1461,7 @@ def sample_profile_padic(p, l, eps_max):
 
 def row_by_row_csv(profile, stream):
     """write_csv as it was spelled: on the exact path one cell lookup, one
-    f-string and one write per row."""
+    f-string and one write per row; on the float path one % per row, joined."""
     meta = dict(profile.metadata)
     if profile.theta_max is not None:
         meta["theta_max"] = profile.theta_max
@@ -1574,4 +1640,27 @@ def test_exact_csv_matches_the_row_by_row_spelling(pair, kind, n, extra):
     BrightnessProfile("padic", (10**5000, 2), (Fraction(1, 4), Fraction(1, 4))),
 ])
 def test_exact_csv_edges_match_the_row_by_row_spelling(profile):
+    assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)
+
+
+CSV_FLOATS = st.one_of(
+    st.floats(), st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7e308))
+)
+
+
+@settings(max_examples=200)
+@given(kind=st.one_of(st.sampled_from(("trig", "hyp", "100%", "%s%%d")), st.text(max_size=4)),
+       grid=st.lists(CSV_FLOATS, max_size=20), values=st.lists(CSV_FLOATS, max_size=20))
+@example(kind="trig", grid=[-0.0, 0.0], values=[-0.0, 0.0])
+@example(kind="trig", grid=[math.nan, math.inf, -math.inf], values=[-math.inf, math.nan, math.inf])
+@example(kind="hyp", grid=[5e-324, 1.7e308], values=[1.7e308, 5e-324])
+@example(kind="100%", grid=[0.5], values=[0.25])
+@example(kind="%s%%d", grid=[0.5, 1.0], values=[0.25, 1.0])
+@example(kind="trig", grid=[], values=[])  # the head only
+@example(kind="trig", grid=[0.0, 1.0, 2.0], values=[0.5])  # as many rows as zip makes
+@example(kind="hyp", grid=[0.0], values=[0.5, 0.25, 1.0])
+def test_float_csv_matches_the_row_by_row_spelling(kind, grid, values):
+    """write_csv on all-float profiles, whose body is one format call on the
+    columns interleaved, against one % per row, joined."""
+    profile = BrightnessProfile(kind, tuple(grid), tuple(values), {"p1": 0.25}, 1.5, 0.5, ("w",))
     assert csv_text(write_csv, profile) == csv_text(row_by_row_csv, profile)

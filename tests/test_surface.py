@@ -2,7 +2,9 @@
 command's arguments, the private names one module of the package takes
 from another, the modules that form the rule's cross weight, and the
 dataclass behaviour of the records whose constructors are written by hand.
-Adding or removing any of them is a reviewed change here."""
+Adding or removing any of them is a reviewed change here.  The float lanes'
+constants are pinned too: CPython 3.11 specializes float-with-float compares
+and products, not float-with-int, so an int literal there costs speed."""
 
 import argparse
 import ast
@@ -14,7 +16,7 @@ import pickle
 import pytest
 
 import interfere
-from interfere import cli
+from interfere import cli, engine, numeric
 from interfere.context import ContextTransform
 from interfere.engine import InterferenceRecord, fit_record
 
@@ -237,3 +239,34 @@ def test_replace_checks_a_transform_again():
             dataclasses.replace(t, **changes)
     assert dataclasses.replace(t, prior=[0.3, 0.7]).prior == (0.3, 0.7)
 
+
+def _float_lane(func):
+    """The one `if` block of func that tests for `float`."""
+    tree = ast.parse(inspect.getsource(func)).body[0]
+    [lane] = [node for node in tree.body
+              if isinstance(node, ast.If) and "float" in ast.unparse(node.test)]
+    return lane
+
+
+def _stray_int_literals(node):
+    """The int literals under node, except those in a comparison with `sign`."""
+    allowed = set()
+    for compare in ast.walk(node):
+        if isinstance(compare, ast.Compare):
+            operands = [compare.left, *compare.comparators]
+            if any(isinstance(op, ast.Name) and op.id == "sign" for op in operands):
+                allowed.update(id(sub) for op in operands for sub in ast.walk(op))
+    return [ast.unparse(sub) for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and type(sub.value) is int and id(sub) not in allowed]
+
+
+@pytest.mark.parametrize("lane", [
+    lambda: _float_lane(engine.lambda_of),
+    lambda: _float_lane(engine._sweep),
+    lambda: _float_lane(engine._interfere),
+    lambda: ast.parse(inspect.getsource(numeric.phase_cos)),
+], ids=["lambda_of", "_sweep", "_interfere", "phase_cos"])
+def test_float_lanes_use_float_literals(lane):
+    """Every constant a float lane compares or multiplies a float with is a
+    float literal; only the int sign is compared with ints."""
+    assert _stray_int_literals(lane()) == []
