@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import engine, hyperbolic, profiles
+from . import engine, hyperbolic
 from .context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -318,8 +318,8 @@ def check_amplitude_oracle_hyp(n: int = 50) -> CheckResult:
     each pair's validity window for both signs."""
 
     def phases(p1, p2):
-        window = profiles._HyperbolicBranches(p1, p2).window
-        return [(theta, sign) for sign in (1, -1) for theta in uniform_grid(0.0, window(sign), n)]
+        return [(theta, sign) for sign, hi in zip((1, -1), theta_bounds(p1, p2))
+                for theta in uniform_grid(0.0, hi, n)]
 
     return _oracle_sweep(engine.HYP, interfere_hyp, amplitudes_hyp, phases, n)
 
@@ -628,11 +628,11 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
         base = _random_transform(rng)
         phases, signs = [], []
         for j in (0, 1):
-            branches = profiles._HyperbolicBranches(
+            theta_max, theta_min = theta_bounds(
                 base.prior[0] * base.cond[0][j], base.prior[1] * base.cond[1][j]
             )
-            signs.append(1 if rng.random() < 0.5 and branches.theta_max is not None else -1)
-            phases.append(rng.uniform(0, 1) * branches.window(signs[-1]))
+            signs.append(1 if rng.random() < 0.5 and theta_max is not None else -1)
+            phases.append(rng.uniform(0, 1) * (theta_max if signs[-1] == 1 else theta_min))
         t = ContextTransform(
             prior=base.prior,
             cond=base.cond,

@@ -167,7 +167,7 @@ def _cmd_profile_hyp(args) -> int:
     p2 = _parse_number(args.p2, args.mode, "--p2")
     sign = _parse_sign(args.sign, "--sign")
     if args.auto_window:
-        hi = profiles._HyperbolicBranches(p1, p2).window(sign)
+        hi = profiles._window_end(profiles.theta_bounds(p1, p2), sign)
     elif args.max is not None:
         hi = args.max
     else:

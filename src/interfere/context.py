@@ -69,15 +69,9 @@ class ContextTransform:
                     and math.isfinite(t0) and math.isfinite(t1)
                     and (s0 == 1 or s0 == -1) and (s1 == 1 or s1 == -1)):
                 return
-        # a field already held as tuples is kept as it is
-        if type(prior) is not tuple:
-            object.__setattr__(self, "prior", prior := tuple(prior))
-        if type(cond) is not tuple or {*map(type, cond)} != {tuple}:
-            object.__setattr__(self, "cond", cond := tuple(tuple(row) for row in cond))
-        if type(phases) is not tuple:
-            object.__setattr__(self, "phases", phases := tuple(phases))
-        if type(signs) is not tuple:
-            object.__setattr__(self, "signs", signs := tuple(signs))
+        prior, cond = tuple(prior), tuple(tuple(row) for row in cond)
+        phases, signs = tuple(phases), tuple(signs)
+        self.__dict__.update(prior=prior, cond=cond, phases=phases, signs=signs)
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if len(prior) != 2 or len(cond) != 2 or len(phases) != 2:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateContextError, ValidationError
+from .errors import DegenerateContextError, ValidationError, shown
 from .padic import PadicRational, _require_prime, _unchecked, prime_multiplicity
 
 
@@ -162,7 +162,12 @@ def _slit_columns(p: int, l: int, eps_max: int):
     # v = v_p(r) for r = 1 + eps, sieved: each power q = p**k sets k at its
     # multiples.  Then every p-th eps, the ones divisible by p, is dropped.
     n = eps_max + 1
-    v = [0] * (n + 1)  # v[r] = v_p(r)
+    try:
+        v = [0] * (n + 1)  # v[r] = v_p(r)
+    except (MemoryError, OverflowError):  # past the index range or the memory
+        raise ValidationError(
+            f"eps_max = {shown(eps_max)} is too large: the table holds one row per eps up to it"
+        ) from None
     q, k = p, 1
     while q <= n:
         v[q::q] = [k] * (n // q)

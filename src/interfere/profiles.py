@@ -17,7 +17,8 @@ Profiles are rejected, never silently clipped: grid points outside a validity
 window are dropped with an explicit warning record on the profile.
 
 The package's CSV is written here: write_csv (a profile) and _write_slit_table
-(`padic --table`) share one head writer and one body writer.
+(`padic --table`) share one head writer.  An all-float profile's body is one
+% call in write_csv; an exact profile's and the table's go through _write_rows.
 """
 
 from __future__ import annotations
@@ -121,25 +122,16 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     )
 
 
-class _HyperbolicBranches:
-    """Both hyperbolic branches of one (p1, p2): their windows, and values
-    from engine._sweep, which forms p1 + p2 and 2*sqrt(p1*p2) once per call."""
-
-    def __init__(self, p1, p2):
-        self.theta_max, self.theta_min = theta_bounds(p1, p2)
-        self.p1, self.p2 = p1, p2
-
-    def window(self, sign):
-        """Upper end of the sign branch's validity window [0, hi]."""
-        if sign == 1 and self.theta_max is None:
-            raise ProfileError(
-                "plus branch has no valid window: p1 + p2 + 2*sqrt(p1*p2) > 1 "
-                "already at theta = 0"
-            )
-        return self.theta_max if sign == 1 else self.theta_min
-
-    def sample(self, sign, points):
-        return _sweep(HYP, self.p1, self.p2, sign, points)
+def _window_end(bounds, sign):
+    """Upper end of the sign branch's validity window [0, hi], from the
+    (theta_max, theta_min) pair of theta_bounds."""
+    theta_max, theta_min = bounds
+    if sign == 1 and theta_max is None:
+        raise ProfileError(
+            "plus branch has no valid window: p1 + p2 + 2*sqrt(p1*p2) > 1 "
+            "already at theta = 0"
+        )
+    return theta_max if sign == 1 else theta_min
 
 
 def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
@@ -152,8 +144,8 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
     grid = tuple(grid)
     if not _is_sign(sign):
         raise ProfileError(f"sign must be +1 or -1, got {shown(sign)}")
-    branches = _HyperbolicBranches(p1, p2)
-    hi = branches.window(sign)
+    theta_max, theta_min = bounds = theta_bounds(p1, p2)
+    hi = _window_end(bounds, sign)
     top = hi + TOLERANCE  # an int 0: a Fraction point would convert a float 0.0
     kept = tuple([r for r in grid if 0 <= r <= top])
     warnings = ()
@@ -169,10 +161,10 @@ def profile_hyp(p1, p2, sign, grid) -> BrightnessProfile:
     return BrightnessProfile(
         kind="hyp",
         grid=kept,
-        values=branches.sample(sign, kept),
+        values=_sweep(HYP, p1, p2, sign, kept),
         metadata={"p1": p1, "p2": p2, "sign": sign},
-        theta_max=branches.theta_max,
-        theta_min=branches.theta_min,
+        theta_max=theta_max,
+        theta_min=theta_min,
         warnings=warnings,
     )
 
@@ -190,15 +182,15 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
     pieces = [(float(lo), float(hi), sign) for lo, hi, sign in partition]
     if not pieces:
         raise ProfileError("partition must contain at least one interval")
-    branches = None
+    bounds = None
     for lo, hi, sign in pieces:
         if not _is_sign(sign):
             raise ProfileError(f"interval sign must be +1 or -1, got {shown(sign)}")
         if not 0 <= lo <= hi:
             raise ProfileError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi")
         # p1 and p2 are validated after the first interval's own checks
-        branches = branches or _HyperbolicBranches(p1, p2)
-        window_hi = branches.window(sign)
+        bounds = bounds or theta_bounds(p1, p2)
+        window_hi = _window_end(bounds, sign)
         if hi > window_hi + TOLERANCE:
             raise ProfileError(
                 f"interval [{lo}, {hi}] leaves the sign {int(sign):+d} validity window "
@@ -210,15 +202,21 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
             raise ProfileError(
                 f"intervals [{lo_a}, {hi_a}] and [{lo_b}, {hi_b}] overlap"
             )
-    out_grid, out_values, taken = [], [], set()
+    out_grid, out_values, windows = [], [], []
     for lo, hi, sign in pieces:
         # the window test's slack: a grid end lo + k*step may overshoot an edge by an ulp
         bottom, top = lo - TOLERANCE, hi + TOLERANCE
-        mine = [i for i, r in enumerate(grid) if bottom <= r <= top]
-        points = [grid[i] for i in mine if i not in taken]
-        taken.update(mine)
+        points = [r for r in grid if bottom <= r <= top]
+        # intervals meet at most at their ends, so an earlier window that reaches
+        # into this one holds one of its ends and took every point up to its edge
+        for left, right in windows:
+            if left <= bottom <= right:
+                points = [r for r in points if r > right]
+            elif left <= top <= right:
+                points = [r for r in points if r < left]
+        windows.append((bottom, top))
         out_grid += points
-        out_values += branches.sample(sign, points)
+        out_values += _sweep(HYP, p1, p2, sign, points)
     if not out_grid:
         raise ProfileError("no grid points fall inside the partition")
     return BrightnessProfile(
@@ -232,8 +230,8 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
                 f"{fmt_float(lo)}:{fmt_float(hi)}:{int(sign):+d}" for lo, hi, sign in pieces
             ),
         },
-        theta_max=branches.theta_max,
-        theta_min=branches.theta_min,
+        theta_max=bounds[0],
+        theta_min=bounds[1],
     )
 
 

@@ -445,6 +445,12 @@ class TestBoundaryInputs:
             # large is proven prime
             ("padic --p 3317044064679887385961981 --alpha1 1 --alpha2 1 --eps 2", 3),
             ("profile padic --p 618970019642690137449562111 --eps-max 3", 3),  # 2**89 - 1
+            # a table of 2**62 rows is refused before its sieve allocates, and 2**63
+            # rows are past the index range
+            ("profile padic --p 3 --eps-max 4611686018427387904", 3),
+            ("padic --p 3 --table --eps-max 4611686018427387904", 3),
+            ("profile padic --p 3 --eps-max 9223372036854775808", 3),
+            ("padic --p 3 --table --eps-max 9223372036854775808", 3),
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
@@ -607,6 +613,10 @@ class TestExitCodeContract:
     @example(argv=["fit", "--mode", "exact", "1e-300", "1e-300", "1"])
     @example(argv=["padic", "--p", "3317044064679887385961981", "--alpha1", "1", "--alpha2",
                    "1", "--eps", "2"])
+    @example(argv=["profile", "padic", "--p", "3", "--eps-max", "4611686018427387904"])
+    @example(argv=["padic", "--p", "3", "--table", "--eps-max", "4611686018427387904"])
+    @example(argv=["profile", "padic", "--p", "3", "--eps-max", "9223372036854775808"])
+    @example(argv=["padic", "--p", "3", "--table", "--eps-max", "9223372036854775808"])
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]

@@ -245,6 +245,13 @@ class TestSlitProfile:
         with pytest.raises(ValidationError):
             padic_slit_profile(3, 0, 0)
 
+    @pytest.mark.parametrize("eps_max", [2**62, 2**63, 10**5000],
+                             ids=["2**62", "2**63", "10**5000"])
+    def test_a_table_too_large_names_eps_max(self, eps_max):
+        # refused at once: the sieve's list is past the index range or the memory
+        with pytest.raises(ValidationError, match=r"^eps_max = .* is too large"):
+            padic_slit_profile(3, 0, eps_max)
+
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=1, max_value=300))
     def test_values_from_divisibility(self, p, eps):
         if eps % p == 0:

@@ -101,6 +101,7 @@ from interfere.errors import (
     InterfereError,
     NotAProbabilityError,
     PrimeMismatchError,
+    ProfileError,
     ValidationError,
     shown,
 )
@@ -429,8 +430,10 @@ def validating_sweep(algebra, p1, p2, sign, phases):
 
 
 def hyp_window_points(p1, p2, sign, grid):
-    """profile_hyp's kept grid as it was spelled, the slack added per point."""
-    hi = profiles._HyperbolicBranches(p1, p2).window(sign)
+    """profile_hyp's kept grid as it was spelled, the slack added per point,
+    where profile_hyp finds the sign branch's window."""
+    theta_max, theta_min = theta_bounds(p1, p2)
+    hi = theta_max if sign == 1 else theta_min
     return tuple(r for r in grid if 0 <= r <= hi + TOLERANCE)
 
 
@@ -617,6 +620,50 @@ def test_fast_profiles_match_the_validating_sweep(pair, sign, extra, n, stretch)
         partition = [(0.0, hi / 3, -1), (hi / 2, hi, sign)]
         assert_profiles_same(profile_piecewise, p1, p2, partition, grid)
         assert_windows_as_spelled(p1, p2, sign, partition, grid)
+
+
+# interval ends inside both windows of (1/16, 1/64), whose theta_min is ln 2
+CUT, TOP = 0.5, 0.6
+PIECE_ENDS = (0.0, TOLERANCE, 0.25, CUT, CUT + TOLERANCE, TOP)
+
+
+@st.composite
+def partitions(draw):
+    """Valid partitions: sorted ends paired off, so that intervals share ends or
+    shrink to a point, then given in any order."""
+    ends = sorted(draw(st.lists(st.sampled_from(PIECE_ENDS), min_size=2, max_size=6)))
+    pieces = [(lo, hi, draw(st.sampled_from((1, -1)))) for lo, hi in zip(ends[::2], ends[1::2])]
+    return draw(st.permutations(pieces))
+
+
+PIECE_POINTS = st.one_of(
+    st.sampled_from(PIECE_ENDS + (CUT - TOLERANCE / 2, CUT + TOLERANCE / 2, -TOLERANCE,
+                                  TOP + 2 * TOLERANCE, -0.0, math.nan)),
+    st.floats(-0.1, 0.7), st.sampled_from((0, 1, Fraction(1, 2), Fraction(3, 5))),
+)
+
+
+@settings(max_examples=200)
+@given(partition=partitions(), grid=st.lists(PIECE_POINTS, max_size=10).map(tuple))
+@example(partition=[(0, CUT, -1), (CUT, TOP, 1)], grid=(0.0, 0.25, CUT, 0.55, TOP))  # a shared end
+@example(partition=[(0, CUT, -1), (CUT, TOP, 1)],  # within TOLERANCE of that end
+         grid=(CUT - TOLERANCE / 2, CUT + TOLERANCE / 2, CUT + TOLERANCE, CUT - TOLERANCE))
+@example(partition=[(0, CUT, -1), (CUT, TOP, 1)],  # values at two positions each
+         grid=(CUT, 0.25, 0.55, CUT, 0.25, Fraction(1, 2)))
+@example(partition=[(CUT, CUT, 1), (CUT, CUT, -1)],  # two degenerate intervals
+         grid=(0.0, CUT, CUT + TOLERANCE / 2, TOP, CUT))
+@example(partition=[(CUT, TOP, 1), (0, CUT, -1)],  # in descending order
+         grid=(0.0, 0.25, CUT - TOLERANCE, CUT, 0.55, TOP))
+def test_piecewise_keeps_the_points_as_spelled(partition, grid):
+    """profile_piecewise keeps piecewise_points' grid in value, type and order:
+    each interval in turn takes the points within TOLERANCE of it that no
+    earlier interval took, and a repeated value is kept at each position."""
+    spelled = piecewise_points(partition, grid)
+    if not spelled:
+        with pytest.raises(ProfileError, match="no grid points fall inside the partition"):
+            profile_piecewise(1 / 16, 1 / 64, partition, grid)
+        return
+    assert typed(profile_piecewise(1 / 16, 1 / 64, partition, grid).grid) == typed(spelled)
 
 
 def as_transform(cls, prior, cond, phases, signs, mode):

@@ -53,6 +53,13 @@ class TestThetaBounds:
         theta_max, _ = theta_bounds(0.25, 0.25)
         assert theta_max == 0.0  # q+ = 1: saturated already at rest
 
+    def test_snap_band_below_one(self):
+        # q_plus within TOLERANCE below 1 snaps theta_max to 0.0; further below, no window
+        p = 0.25 + 1e-12
+        assert theta_bounds(p, p) == (0.0, 0.0)
+        assert theta_bounds(0.25 + 1e-10, 0.25 + 1e-10)[0] is None
+        assert profile_hyp(p, p, 1, (0.0,)).values == (1.0,)
+
     def test_window_absent_when_peak_exceeds_one(self):
         theta_max, theta_min = theta_bounds(0.45, 0.45)
         assert theta_max is None

@@ -98,9 +98,8 @@ COMMAND_ARGUMENTS = {
 
 # "importer: module._name", from `from .module import _name` or `module._name`
 PRIVATE_IMPORTS = [
-    "checks: profiles._HyperbolicBranches",
     "cli: padic._require_prime",
-    "cli: profiles._HyperbolicBranches",
+    "cli: profiles._window_end",
     "cli: profiles._write_slit_table",
     "context: engine._amplitudes",
     "context: engine._at_phase",
