@@ -182,9 +182,7 @@ def _parse_intervals(text: str):
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 3:
-            raise ConfigError(
-                f"--intervals: expected 'lo:hi:sign' got {chunk!r}"
-            )
+            raise ConfigError(f"--intervals: expected 'lo:hi:sign' got {chunk!r}")
         lo = _as_float(_parse_fraction(parts[0], "--intervals lo"))
         hi = _as_float(_parse_fraction(parts[1], "--intervals hi"))
         pieces.append((lo, hi, _parse_sign(parts[2], "--intervals sign")))
@@ -389,20 +387,6 @@ def _cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_out(parser):
-    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
-def _add_common(parser):
-    parser.add_argument(
-        "--mode",
-        choices=("exact", "float"),
-        default="float",
-        help="parse/print numbers as exact rationals or floats (default float)",
-    )
-    _add_out(parser)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="interfere",
@@ -412,83 +396,76 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"interfere {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    fit = sub.add_parser("fit", help="fit the deviation form to a (p1, p2, p) triple")
+    # Options shared between subcommands, each declared once in a parent.  The
+    # subcommands share a parent's actions, so none may change their defaults.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to a file instead of stdout")
+    mode = argparse.ArgumentParser(add_help=False, parents=[out])
+    mode.add_argument(
+        "--mode",
+        choices=("exact", "float"),
+        default="float",
+        help="parse/print numbers as exact rationals or floats (default float)",
+    )
+    pair = argparse.ArgumentParser(add_help=False, parents=[mode])
+    pair.add_argument("--p1", required=True)
+    pair.add_argument("--p2", required=True)
+    pair.add_argument("--n", type=int, default=100)
+    modulus = argparse.ArgumentParser(add_help=False, parents=[out])
+    modulus.add_argument("--p", type=int, required=True, help=_P_HELP)
+    modulus.add_argument("--l", type=int, default=0)
+
+    fit = sub.add_parser(
+        "fit", parents=[mode], help="fit the deviation form to a (p1, p2, p) triple"
+    )
     fit.add_argument("p1")
     fit.add_argument("p2")
     fit.add_argument("p")
-    _add_common(fit)
     fit.set_defaults(handler=_cmd_fit)
 
     profile = sub.add_parser("profile", help="emit a brightness profile as CSV")
     kinds = profile.add_subparsers(dest="kind")
 
-    trig = kinds.add_parser("trig", help="trigonometric oscillation")
-    trig.add_argument("--p1", required=True)
-    trig.add_argument("--p2", required=True)
+    trig = kinds.add_parser("trig", parents=[pair], help="trigonometric oscillation")
     trig.add_argument("--min", type=float, default=0.0)
     trig.add_argument("--max", type=float, required=True)
-    trig.add_argument("--n", type=int, default=100)
-    _add_common(trig)
     trig.set_defaults(handler=_cmd_profile_trig)
 
-    hyp = kinds.add_parser("hyp", help="one hyperbolic branch")
-    hyp.add_argument("--p1", required=True)
-    hyp.add_argument("--p2", required=True)
+    hyp = kinds.add_parser("hyp", parents=[pair], help="one hyperbolic branch")
     hyp.add_argument("--sign", required=True, help="'+' or '-'")
-    hyp.add_argument("--max", type=float, default=None)
+    hyp.add_argument("--max", type=float)
     hyp.add_argument("--auto-window", action="store_true", help="sample the full validity window")
-    hyp.add_argument("--n", type=int, default=100)
-    _add_common(hyp)
     hyp.set_defaults(handler=_cmd_profile_hyp)
 
-    piecewise = kinds.add_parser("piecewise", help="alternating +/- branches")
-    piecewise.add_argument("--p1", required=True)
-    piecewise.add_argument("--p2", required=True)
-    piecewise.add_argument(
-        "--intervals", required=True, help="comma-separated lo:hi:sign triples"
-    )
-    piecewise.add_argument("--n", type=int, default=100)
-    _add_common(piecewise)
+    piecewise = kinds.add_parser("piecewise", parents=[pair], help="alternating +/- branches")
+    piecewise.add_argument("--intervals", required=True, help="comma-separated lo:hi:sign triples")
     piecewise.set_defaults(handler=_cmd_profile_piecewise)
 
-    padic_profile = kinds.add_parser("padic", help="p-adic circle brightness")
-    padic_profile.add_argument("--p", type=int, required=True, help=_P_HELP)
-    padic_profile.add_argument("--l", type=int, default=0)
+    padic_profile = kinds.add_parser("padic", parents=[modulus], help="p-adic circle brightness")
     padic_profile.add_argument("--eps-max", type=int, required=True)
-    _add_out(padic_profile)
     padic_profile.set_defaults(handler=_cmd_profile_padic)
 
     totalprob = sub.add_parser(
-        "totalprob", help="classical / perturbed / hyperbolic total probability"
+        "totalprob", parents=[mode], help="classical / perturbed / hyperbolic total probability"
     )
-    totalprob.add_argument("--config", default=None, help="flat key=value config file")
+    totalprob.add_argument("--config", help="flat key=value config file")
     totalprob.add_argument(
-        "--kind",
-        choices=_KINDS,
-        default=None,
-        help="override the config field 'mode' (trig or hyp)",
+        "--kind", choices=_KINDS, help="override the config field 'mode' (trig or hyp)"
     )
-    for key in CONFIG_KEYS:
-        if key == "mode":
-            continue
-        totalprob.add_argument(f"--{key}", default=None, help=f"override config field {key}")
-    _add_common(totalprob)
+    for key in CONFIG_KEYS[1:]:
+        totalprob.add_argument(f"--{key}", help=f"override config field {key}")
     totalprob.set_defaults(handler=_cmd_totalprob)
 
-    padic = sub.add_parser("padic", help="p-adic amplitude rule")
-    padic.add_argument("--p", type=int, required=True, help=_P_HELP)
-    padic.add_argument("--alpha1", default=None)
-    padic.add_argument("--alpha2", default=None)
-    padic.add_argument("--eps", default=None)
+    padic = sub.add_parser("padic", parents=[modulus], help="p-adic amplitude rule")
+    padic.add_argument("--alpha1")
+    padic.add_argument("--alpha2")
+    padic.add_argument("--eps")
     padic.add_argument("--table", action="store_true", help="emit the two-slit CSV table")
-    padic.add_argument("--l", type=int, default=0)
     padic.add_argument("--eps-max", type=int, default=20)
-    _add_out(padic)
     padic.set_defaults(handler=_cmd_padic)
 
-    check = sub.add_parser("check", help="run the invariant suite")
+    check = sub.add_parser("check", parents=[out], help="run the invariant suite")
     check.add_argument("--fast", action="store_true", help="smaller sweeps")
-    _add_out(check)
     check.set_defaults(handler=_cmd_check)
 
     return parser

@@ -52,18 +52,33 @@ class BrightnessProfile:
     warnings: tuple = ()
 
 
+def _require_finite(name: str, value) -> None:
+    """Raise ValidationError naming a grid value not finite or past the float range."""
+    try:
+        if math.isfinite(value):
+            return
+        problem = f"must be finite, got {value!r}"
+    except OverflowError:  # an exact value
+        problem = f"= {shown(value)} exceeds the float range (~1.8e308)"
+    raise ValidationError(f"grid {name} {problem}")
+
+
 def uniform_grid(lo: float, hi: float, n: int):
-    """n evenly spaced samples covering [lo, hi] inclusive; an end or a span
-    hi - lo that is not finite raises ValidationError naming it."""
+    """n evenly spaced samples covering [lo, hi] inclusive.  ValidationError names
+    an end or span hi - lo that is not finite or past the float range; ProfileError
+    names an n that is not an int within the float range."""
     if n < 1:
         raise ProfileError(f"grid needs at least one sample, got n = {n}")
-    for name, value in (("end lo", lo), ("end hi", hi), ("span hi - lo", hi - lo)):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"grid {name} must be finite, got {value!r}")
+    _require_finite("end lo", lo)
+    _require_finite("end hi", hi)
+    _require_finite("span hi - lo", hi - lo)
     if n == 1:
         return (float(lo),)
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + i * step for i in range(n))
+    try:
+        step, samples = (hi - lo) / (n - 1), range(n)
+    except (OverflowError, TypeError):  # an int n past the float range, a float n
+        raise ProfileError(f"grid n must be an int in the float range, got {shown(n)}") from None
+    return tuple(lo + i * step for i in samples)
 
 
 def theta_bounds(p1, p2):
@@ -179,15 +194,19 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
     requested picture).
     """
     grid = tuple(grid)
-    pieces = [(float(lo), float(hi), sign) for lo, hi, sign in partition]
-    if not pieces:
-        raise ProfileError("partition must contain at least one interval")
-    bounds = None
-    for lo, hi, sign in pieces:
+    pieces, bounds = [], None
+    for lo, hi, sign in partition:
         if not _is_sign(sign):
             raise ProfileError(f"interval sign must be +1 or -1, got {shown(sign)}")
-        if not 0 <= lo <= hi:
-            raise ProfileError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi")
+        if not 0 <= lo <= hi:  # a non-number raises TypeError here
+            raise ProfileError(f"bad interval [{shown(lo)}, {shown(hi)}]: need 0 <= lo <= hi")
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:
+            raise ProfileError(
+                f"interval [{shown(lo)}, {shown(hi)}] exceeds the float range (~1.8e308)"
+            ) from None
+        pieces.append((lo, hi, sign))
         # p1 and p2 are validated after the first interval's own checks
         bounds = bounds or theta_bounds(p1, p2)
         window_hi = _window_end(bounds, sign)
@@ -196,6 +215,8 @@ def profile_piecewise(p1, p2, partition, grid) -> BrightnessProfile:
                 f"interval [{lo}, {hi}] leaves the sign {int(sign):+d} validity window "
                 f"[0, {fmt_float(window_hi)}]"
             )
+    if not pieces:
+        raise ProfileError("partition must contain at least one interval")
     ordered = sorted(pieces)
     for (lo_a, hi_a, _), (lo_b, hi_b, _) in zip(ordered, ordered[1:]):
         if lo_b < hi_a:

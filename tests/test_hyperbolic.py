@@ -153,6 +153,28 @@ class TestExactKernel:
             op(1, z)
 
 
+class TestOtherOperands:
+    """Operands outside the two kinds the kernel names."""
+
+    def test_float_subclass_components_take_the_float_formulas(self):
+        class Real(float):
+            pass
+
+        z = HyperbolicNumber(Real(1.5), Real(0.5))
+        assert z._d == 0 and z.norm_sq() == 2.0
+
+    def test_an_exact_number_equals_its_float_spelling(self):
+        a, b = HyperbolicNumber(1, 2), HyperbolicNumber(1.0, 2.0)
+        assert a == b and hash(a) == hash(b)
+
+    def test_other_types_are_not_equal(self):
+        assert HyperbolicNumber(1, 2) != (1, 2)
+
+    def test_a_product_with_a_non_number_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            HyperbolicNumber(1, 2) * "x"
+
+
 class TestNorm:
     def test_values(self):
         assert HyperbolicNumber(5, 4).norm_sq() == 9  # 25 - 16

@@ -38,6 +38,34 @@ class TestUniformGrid:
         with pytest.raises(ProfileError):
             uniform_grid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("lo, hi, n, name, value", [
+        (0.0, 10**400, 5, "end hi", 10**400),
+        (0.0, -10**400, 5, "end hi", -10**400),
+        (0.0, 2**1100, 5, "end hi", 2**1100),
+        (0.0, Fraction(10**400, 3), 5, "end hi", Fraction(10**400, 3)),
+        (10**400, 0.0, 1, "end lo", 10**400),
+        (-10**308, 10**308, 2, "span hi - lo", 2 * 10**308),
+        (-10**308, 10**308, 5, "span hi - lo", 2 * 10**308),
+    ], ids=["hi", "-hi", "2**1100", "fraction", "lo", "span", "span-5"])
+    def test_an_exact_value_past_the_float_range_is_named(self, lo, hi, n, name, value):
+        with pytest.raises(ValidationError) as info:
+            uniform_grid(lo, hi, n)
+        assert str(info.value) == f"grid {name} = {value!r} exceeds the float range (~1.8e308)"
+
+    @pytest.mark.parametrize(
+        "n", [math.inf, math.nan, 2.5, 10**400, 2**1100],
+        ids=["inf", "nan", "2.5", "10**400", "2**1100"],
+    )
+    def test_an_n_that_is_no_int_in_the_float_range_is_named(self, n):
+        with pytest.raises(ProfileError) as info:
+            uniform_grid(0.0, 1.0, n)
+        assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
+
+    @pytest.mark.parametrize("lo, hi, n", [("a", 1.0, 3), (0.0, None, 3), (0.0, 1.0, "3")])
+    def test_a_non_number_is_a_type_error(self, lo, hi, n):
+        with pytest.raises(TypeError):
+            uniform_grid(lo, hi, n)
+
 
 class TestThetaBounds:
     def test_symmetric_sixteenths(self):
@@ -243,6 +271,15 @@ class TestPiecewiseProfile:
         for hi in (0.5, 50.0):  # inside, then past, the branch's window
             assert outcome(sign, hi) == outcome(int(sign), hi)
         assert outcome(sign, 0.5)[1] == f"0:0.5:{int(sign):+d}"
+
+    def test_an_end_past_the_float_range_is_named(self):
+        with pytest.raises(ProfileError) as info:
+            profile_piecewise(0.1, 0.1, [(0, 10**400, 1)], (0.0,))
+        assert str(info.value) == f"interval [0, {10**400}] exceeds the float range (~1.8e308)"
+
+    def test_a_non_number_end_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            profile_piecewise(0.1, 0.1, [("a", 1, 1)], (0.0,))
 
     def test_points_outside_partition_are_dropped(self):
         profile = profile_piecewise(

@@ -2,12 +2,14 @@
 command's arguments, the private names one module of the package takes
 from another, the modules that form the rule's cross weight, and the
 dataclass behaviour of the records whose constructors are written by hand.
-Adding or removing any of them is a reviewed change here.  The float lanes'
+Adding or removing any of them is a reviewed change here, and each CLI
+option string is declared once in the parser.  The float lanes'
 constants are pinned too: CPython 3.11 specializes float-with-float compares
 and products, not float-with-int, so an int literal there costs speed."""
 
 import argparse
 import ast
+import collections
 import dataclasses
 import inspect
 import pathlib
@@ -169,6 +171,25 @@ def test_public_names():
 
 def test_cli_arguments():
     assert _arguments(cli._build_parser()) == COMMAND_ARGUMENTS
+
+
+# options that two subcommands declare with different types, defaults or
+# requiredness; every other option string is declared once, shared through a
+# parent parser
+REDECLARED_OPTIONS = ["--eps-max", "--max"]
+
+
+def test_cli_options_are_declared_once():
+    tree = ast.parse(inspect.getsource(cli._build_parser))
+    declared = collections.Counter(
+        arg.value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "add_argument"
+        for arg in call.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")
+    )
+    assert sorted(option for option, count in declared.items() if count > 1) == REDECLARED_OPTIONS
 
 
 def test_private_imports():
