@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import hyperbolic
+from .hyperbolic import _float
 from .errors import DegenerateContextError, ValidationError, shown
 from .numeric import (
     _exact_root,
@@ -44,25 +45,29 @@ class _Algebra(NamedTuple):
     name: str  # as in the CLI
     what: str  # names a result in NotAProbabilityError
     cross: Callable  # theta -> cross factor
-    unit: Callable  # theta -> u(theta)
-    lift: Callable  # real number -> amplitude
+    unit: Callable  # (theta, k) -> k*u(theta) for a float k, as one amplitude
+    lift: Callable  # float -> amplitude
     norm: Callable  # amplitude -> N(amplitude)
     overflow: str  # why a finite phase can be out of range
 
 
 TRIG = _Algebra(
-    "trig", "trigonometric interference", phase_cos, lambda theta: cmath.exp(1j * theta),
+    "trig", "trigonometric interference", phase_cos, lambda theta, k: cmath.exp(1j * theta) * k,
     complex, lambda z: abs(z) ** 2, "it does not fit in a float",
 )
+# Each split-complex amplitude is built as one number: for floats theta, k and
+# x, unit(theta, k) has the bits of hyperbolic.exp(theta) * k and lift(x) those
+# of HyperbolicNumber(x).
 HYP = _Algebra(
-    "hyp", "hyperbolic interference", math.cosh, hyperbolic.exp, hyperbolic.HyperbolicNumber,
+    "hyp", "hyperbolic interference", math.cosh,
+    lambda theta, k: _float(math.cosh(theta) * k, math.sinh(theta) * k), lambda x: _float(x, 0),
     hyperbolic.HyperbolicNumber.norm_sq, "cosh overflows the float range beyond |theta| ~ 710",
 )
 
 
 def _at_phase(algebra: _Algebra, f, theta, name="theta"):
-    """f(theta) for f = algebra.cross or algebra.unit, with ValidationError
-    naming the phase when theta is not finite or f(theta) overflows."""
+    """f(theta) for f = algebra.cross, with ValidationError naming the phase
+    when theta is not finite or f(theta) overflows."""
     try:
         if math.isfinite(theta):
             return f(theta)
@@ -295,9 +300,18 @@ def interfere_hyp(p1, p2, theta, sign):
 
 def _amplitudes(algebra: _Algebra, p1, p2, theta, sign, name="theta"):
     """(sqrt(p1), sign * u(theta) * sqrt(p2)), whose sum has norm _interfere."""
+    # Fast accept: _interfere's lane test.  An overflow takes the validating
+    # path below, which names the phase.
+    if (type(p1) is float and type(p2) is float and type(theta) is float
+            and type(sign) is int and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
+            and (sign == 1 or sign == -1) and math.isfinite(theta)):
+        try:
+            return algebra.lift(math.sqrt(p1)), algebra.unit(theta, sign * math.sqrt(p2))
+        except OverflowError:
+            pass
     _require_inputs(p1, p2, sign)
-    unit = _at_phase(algebra, algebra.unit, theta, name)
-    return algebra.lift(math.sqrt(p1)), unit * (sign * math.sqrt(p2))
+    _at_phase(algebra, algebra.cross, theta, name)  # unit overflows where cross does
+    return algebra.lift(math.sqrt(p1)), algebra.unit(theta, sign * math.sqrt(p2))
 
 
 def amplitudes_trig(p1, p2, theta):

@@ -18,13 +18,15 @@ float-valued.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .errors import NonPositiveNormError, shown
+from .errors import NonPositiveNormError, ValidationError, shown
 
 _EXACT = (int, Fraction)
 _SCALARS = (int, float, Fraction)
+_FLOAT_MAX = sys.float_info.max
 
 
 class _Slots:
@@ -198,15 +200,30 @@ def polar(z: HyperbolicNumber) -> PolarForm:
 
     There x**2 > y**2 forces x != 0, so the sign factor sign(x) and the phase
     atanh(y/x) are uniquely determined; no tie-breaking is ever needed.
+    ValidationError names an exact component, or an exact norm_sq, past the
+    float range, which has no float polar form.
     """
-    n = z.norm_sq()
-    if n <= 0:
-        raise NonPositiveNormError(
-            f"polar form needs norm_sq > 0, "
-            f"got norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(n)}"
-        )
-    sign = 1 if z.x > 0 else -1
-    return PolarForm(sign, math.sqrt(n), math.atanh(z.y / z.x))
+    try:
+        n = z.norm_sq()
+        if n <= 0:
+            raise NonPositiveNormError(
+                f"polar form needs norm_sq > 0, "
+                f"got norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(n)}"
+            )
+        sign = 1 if z.x > 0 else -1
+        return PolarForm(sign, math.sqrt(n), math.atanh(z.y / z.x))
+    except OverflowError:
+        pass
+    for name, part in (("x", z.x), ("y", z.y)):
+        if not -_FLOAT_MAX <= part <= _FLOAT_MAX:
+            raise ValidationError(
+                f"polar form needs components in the float range (~1.8e308), "
+                f"got {name} = {shown(part)}"
+            )
+    raise ValidationError(
+        f"polar form needs norm_sq in the float range (~1.8e308), got "
+        f"norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(z.norm_sq())}"
+    )
 
 
 def inverse(z: HyperbolicNumber) -> HyperbolicNumber:

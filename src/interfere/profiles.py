@@ -72,10 +72,11 @@ def uniform_grid(lo: float, hi: float, n: int):
     _require_finite("end lo", lo)
     _require_finite("end hi", hi)
     _require_finite("span hi - lo", hi - lo)
-    if n == 1:
-        return (float(lo),)
     try:
-        step, samples = (hi - lo) / (n - 1), range(n)
+        samples = range(n)  # refuses a float n, 1.0 too, before the one-point grid
+        if n == 1:
+            return (float(lo),)
+        step = (hi - lo) / (n - 1)
     except (OverflowError, TypeError):  # an int n past the float range, a float n
         raise ProfileError(f"grid n must be an int in the float range, got {shown(n)}") from None
     return tuple(lo + i * step for i in samples)
@@ -118,7 +119,8 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
     """Sample the trigonometric picture; the whole curve must be a probability.
 
     Requires peak = p1 + p2 + 2*sqrt(p1*p2) <= 1, since the curve attains the
-    peak at every even multiple of pi.
+    peak at every even multiple of pi.  ValidationError names the first grid
+    point that is not finite or is past the float range.
     """
     grid = tuple(grid)
     require_probability(p1, "p1")
@@ -129,12 +131,13 @@ def profile_trig(p1, p2, grid) -> BrightnessProfile:
             f"trigonometric profile would peak at {shown(peak)} > 1; "
             "reduce p1, p2 so that (sqrt(p1)+sqrt(p2))**2 <= 1"
         )
-    return BrightnessProfile(
-        kind="trig",
-        grid=grid,
-        values=_sweep(TRIG, p1, p2, 1, grid),
-        metadata={"p1": p1, "p2": p2},
-    )
+    try:
+        values = _sweep(TRIG, p1, p2, 1, grid)
+    except (OverflowError, ValueError):  # cos of a point that is not a finite float
+        for i, r in enumerate(grid):
+            _require_finite(f"point {i}", r)
+        raise
+    return BrightnessProfile(kind="trig", grid=grid, values=values, metadata={"p1": p1, "p2": p2})
 
 
 def _window_end(bounds, sign):

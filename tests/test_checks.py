@@ -175,6 +175,17 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(checks, "_available_cpus", lambda: count)
 
 
+class TestAvailableCpus:
+    def test_without_an_affinity_mask_the_machine_count(self, monkeypatch):
+        monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
+        assert checks._available_cpus() == checks.os.cpu_count()
+
+    def test_an_unknown_machine_count_is_one(self, monkeypatch):
+        monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(checks.os, "cpu_count", lambda: None)
+        assert checks._available_cpus() == 1
+
+
 class TestPool:
     def test_workers_return_what_the_sweeps_return_here(self, monkeypatch, pools, fast_direct):
         cpus(monkeypatch, 2)

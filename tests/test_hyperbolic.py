@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from interfere import hyperbolic
-from interfere.errors import NonPositiveNormError
+from interfere.errors import NonPositiveNormError, ValidationError
 from interfere.hyperbolic import J, ONE, ZERO, HyperbolicNumber, PolarForm
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -246,6 +246,30 @@ class TestPolar:
     def test_rejects_outside_positive_interior(self, z):
         with pytest.raises(NonPositiveNormError):
             hyperbolic.polar(z)
+
+    @pytest.mark.parametrize("z, name, part", [
+        (HyperbolicNumber(10**400, 0.5), "x", 10**400),
+        (HyperbolicNumber(-10**400, 0.5), "x", -10**400),
+        (HyperbolicNumber(2**1100, 0.5), "x", 2**1100),
+        (HyperbolicNumber(Fraction(10**400, 3), 0.5), "x", Fraction(10**400, 3)),
+        (HyperbolicNumber(0.5, 10**400), "y", 10**400),
+        (HyperbolicNumber(10**400, 1), "x", 10**400),
+    ], ids=["10**400", "-10**400", "2**1100", "fraction", "y", "exact"])
+    def test_a_component_past_the_float_range_is_named(self, z, name, part):
+        with pytest.raises(ValidationError) as info:
+            hyperbolic.polar(z)
+        assert str(info.value) == (
+            f"polar form needs components in the float range (~1.8e308), got {name} = {part!r}"
+        )
+
+    def test_an_exact_norm_past_the_float_range_is_named(self):
+        z = HyperbolicNumber(10**200, 1)
+        with pytest.raises(ValidationError) as info:
+            hyperbolic.polar(z)
+        assert str(info.value) == (
+            "polar form needs norm_sq in the float range (~1.8e308), got "
+            f"norm_sq({10**200} + j*1) = {10**400 - 1}"
+        )
 
     def test_pure_j_multiples_are_never_polar(self):
         # x = 0 with norm_sq > 0 is impossible: the norm is -y**2 <= 0 there

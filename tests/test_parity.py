@@ -42,6 +42,12 @@ off by more than TOLERANCE, lists and mixed float and Fraction entries) each
 must agree with the validating spelling, and an input in range must not
 reach require_probability or _require_pair.
 
+The amplitude builders take the rules' float lane and build each amplitude
+as one number.  The lift and the unit times sign*sqrt(p2) they were built
+from are written out here, and on the same generated inputs the amplitudes
+and both square-root transforms must agree with them part by part in value,
+type and sign of zero, or raise the same error with the same message.
+
 The float lanes compare and multiply with float constants, the hyperbolic
 and piecewise window filters add their slack once, and an all-float CSV body
 is one format call.  On the edges of each (zero, signed zero and unit
@@ -578,6 +584,75 @@ def test_fast_rules_match_the_validating_path(p1, p2, theta, sign):
 def test_fast_rules_match_at_the_endpoints(case):
     p1, p2, theta, sign = case
     assert_rules_same(p1, p2, theta, sign)
+
+
+UNITS = {"trig": lambda theta: cmath.exp(1j * theta), "hyp": hyperbolic.exp}
+
+
+def validating_amplitudes(algebra, p1, p2, theta, sign, name="theta"):
+    """engine._amplitudes without its float lane, each amplitude built as it
+    was: the lift of sqrt(p1), and u(theta) times sign*sqrt(p2)."""
+    _require_inputs(p1, p2, sign)
+    unit = _at_phase(algebra, UNITS[algebra.name], theta, name)
+    lift = complex if algebra is TRIG else H
+    return lift(math.sqrt(p1)), unit * (sign * math.sqrt(p2))
+
+
+def parts(value):
+    """value with each complex or split-complex leaf as (its type, its two
+    parts), so that typed() sees the type and sign of each part."""
+    if isinstance(value, tuple):
+        return tuple(parts(v) for v in value)
+    if isinstance(value, complex):
+        return complex, value.real, value.imag
+    if isinstance(value, H):
+        return type(value), value.x, value.y
+    return value
+
+
+def refuse(*args):
+    raise AssertionError(f"the float lane let {args} reach the validating path")
+
+
+@settings(max_examples=200)
+@given(p1=PROBS, p2=PROBS, theta=PHASES, sign=SIGNS)
+@example(p1=0.25, p2=0.5, theta=0.0, sign=1)
+@example(p1=0.25, p2=0.5, theta=-0.0, sign=-1)
+@example(p1=0.25, p2=0.5, theta=710.5, sign=1)  # cosh overflows
+@example(p1=0.25, p2=0.5, theta=-710.5, sign=-1)
+@example(p1=0.25, p2=0.5, theta=math.nan, sign=1)
+@example(p1=0.25, p2=0.5, theta=math.inf, sign=1)
+@example(p1=0.25, p2=0.5, theta=-math.inf, sign=-1)
+@example(p1=0.0, p2=1.0, theta=1.0, sign=-1)
+@example(p1=1.0, p2=0.0, theta=-1.0, sign=-1)  # k = -0.0
+@example(p1=Real(0.25), p2=Real(0.5), theta=Real(1.0), sign=1)  # a float subclass
+@example(p1=0.25, p2=0.5, theta=1.0, sign=True)
+@example(p1=0.25, p2=0.5, theta=1.0, sign=1.0)
+@example(p1=0.25, p2=0.5, theta=1.0, sign=Fraction(1))
+@example(p1=0.25, p2=0.5, theta=1.0, sign=1 + 0j)  # equal to 1, and not real
+def test_fast_amplitudes_match_the_validating_path(p1, p2, theta, sign):
+    """amplitudes_trig/hyp and the square-root transforms against the same
+    calls with validating_amplitudes, part by part in value, type and sign,
+    or in error type and message; plain floats in range take the lane."""
+    cases = [(amplitudes_trig, p1, p2, theta), (amplitudes_hyp, p1, p2, theta, sign)]
+    try:
+        t = ContextTransform((0.5, 0.5), ((p1, 1 - p1), (p2, 1 - p2)), (theta, 0.5), (sign, 1),
+                             "hyp")
+    except Exception:
+        pass  # only the transforms that can be built are compared
+    else:
+        cases += [(sqrt_linear_transform, t.with_mode("trig")), (hyperbolic_sqrt_transform, t)]
+    for build, *args in cases:
+        fast = outcome(lambda *a: parts(build(*a)), *args, errors=Exception)
+        with mock.patch.object(engine, "_amplitudes", validating_amplitudes), \
+                mock.patch.object(context, "_amplitudes", validating_amplitudes):
+            slow = outcome(lambda *a: parts(build(*a)), *args, errors=Exception)
+        assert fast == slow, (build.__name__, args)
+    if (type(p1) is type(p2) is type(theta) is float and type(sign) is int
+            and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and sign in (1, -1) and abs(theta) < 700.0):
+        with mock.patch.object(engine, "_require_inputs", refuse):
+            amplitudes_trig(p1, p2, theta)
+            amplitudes_hyp(p1, p2, theta, sign)
 
 
 THETA_MIN_EDGE = theta_bounds(1 / 16, 1 / 64)[1]  # ln 2

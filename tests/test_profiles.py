@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from interfere.engine import interfere_hyp, interfere_trig
-from interfere.errors import DegenerateContextError, ProfileError, ValidationError
+from interfere.errors import (
+    DegenerateContextError,
+    NotAProbabilityError,
+    ProfileError,
+    ValidationError,
+)
 from interfere.padic_rule import padic_slit_profile
 from interfere.numeric import fmt_float, fmt_number, is_exact
 from interfere.profiles import (
@@ -60,6 +65,15 @@ class TestUniformGrid:
         with pytest.raises(ProfileError) as info:
             uniform_grid(0.0, 1.0, n)
         assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
+
+    @pytest.mark.parametrize("n", [1.0, Fraction(1)], ids=["1.0", "Fraction(1)"])
+    def test_a_float_n_is_refused_even_for_one_sample(self, n):
+        with pytest.raises(ProfileError) as info:
+            uniform_grid(0.0, 1.0, n)
+        assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
+
+    def test_a_bool_n_counts_as_an_int(self):
+        assert uniform_grid(2.0, 9.0, True) == (2.0,)
 
     @pytest.mark.parametrize("lo, hi, n", [("a", 1.0, 3), (0.0, None, 3), (0.0, 1.0, "3")])
     def test_a_non_number_is_a_type_error(self, lo, hi, n):
@@ -145,6 +159,26 @@ class TestTrigProfile:
     def test_peak_precondition(self):
         with pytest.raises(ProfileError, match="peak"):
             profile_trig(0.5, 0.5, (0.0,))
+
+    @pytest.mark.parametrize("point, problem", [
+        (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"),
+        (10**400, f"= {10**400!r} exceeds the float range (~1.8e308)"),
+        (-10**400, f"= {-10**400!r} exceeds the float range (~1.8e308)"),
+        (2**1100, f"= {2**1100!r} exceeds the float range (~1.8e308)"),
+        (Fraction(10**400, 3), f"= {Fraction(10**400, 3)!r} exceeds the float range (~1.8e308)"),
+    ], ids=["inf", "-inf", "10**400", "-10**400", "2**1100", "fraction"])
+    @pytest.mark.parametrize("pair", [(0.25, 0.25), (Fraction(1, 4), Fraction(1, 4))],
+                             ids=["float", "exact"])
+    def test_a_point_past_the_float_range_is_named(self, point, problem, pair):
+        """The first such point, on the float lane and on the validating path."""
+        with pytest.raises(ValidationError) as info:
+            profile_trig(*pair, (0.0, 1.0, point, math.inf))
+        assert str(info.value) == f"grid point 2 {problem}"
+
+    def test_a_nan_point_is_still_no_probability(self):
+        with pytest.raises(NotAProbabilityError):
+            profile_trig(0.25, 0.25, (0.0, math.nan, math.inf))
 
     def test_extrema_locations(self):
         grid = uniform_grid(0.0, 4 * math.pi, 1001)

@@ -107,6 +107,7 @@ PRIVATE_IMPORTS = [
     "context: engine._at_phase",
     "context: engine._interfere",
     "context: engine._is_sign",
+    "engine: hyperbolic._float",
     "engine: numeric._exact_root",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._unchecked",
@@ -284,8 +285,9 @@ def _stray_int_literals(node):
     lambda: _float_lane(engine.lambda_of),
     lambda: _float_lane(engine._sweep),
     lambda: _float_lane(engine._interfere),
+    lambda: _float_lane(engine._amplitudes),
     lambda: ast.parse(inspect.getsource(numeric.phase_cos)),
-], ids=["lambda_of", "_sweep", "_interfere", "phase_cos"])
+], ids=["lambda_of", "_sweep", "_interfere", "_amplitudes", "phase_cos"])
 def test_float_lanes_use_float_literals(lane):
     """Every constant a float lane compares or multiplies a float with is a
     float literal; only the int sign is compared with ints."""
