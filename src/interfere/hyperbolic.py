@@ -195,14 +195,25 @@ class PolarForm:
         return HyperbolicNumber(scale * math.cosh(self.phase), scale * math.sinh(self.phase))
 
 
+def _require_finite(z: HyperbolicNumber, what: str) -> None:
+    """Raise ValidationError naming a float component of z that is nan or
+    infinite, which no polar form or inverse has."""
+    for name, part in (("x", z.x), ("y", z.y)):
+        if isinstance(part, float) and not math.isfinite(part):
+            raise ValidationError(f"{what} needs finite components, got {name} = {part!r}")
+
+
 def polar(z: HyperbolicNumber) -> PolarForm:
     """Polar form of an element with norm_sq > 0.
 
     There x**2 > y**2 forces x != 0, so the sign factor sign(x) and the phase
     atanh(y/x) are uniquely determined; no tie-breaking is ever needed.
     ValidationError names an exact component, or an exact norm_sq, past the
-    float range, which has no float polar form.
+    float range, which has no float polar form, and a float component that
+    is not finite.
     """
+    if not z._d:
+        _require_finite(z, "polar form")
     try:
         n = z.norm_sq()
         if n <= 0:
@@ -231,9 +242,14 @@ def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
 
     Only elements with norm_sq > 0 are invertible: the light cone consists of
     zero divisors and negative-norm elements fall outside the positive cone.
+    ValidationError names a float component that is not finite.
     """
     d = z._d
-    n = z._a * z._a - z._b * z._b if d else z.norm_sq()  # d*d * norm_sq when exact
+    if d:
+        n = z._a * z._a - z._b * z._b  # d*d * norm_sq
+    else:
+        _require_finite(z, "inverse")
+        n = z.norm_sq()
     if n == 0:
         raise NonPositiveNormError(f"{shown(z)} is a zero divisor (light cone), not invertible")
     if n < 0:

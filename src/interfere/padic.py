@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PrimeMismatchError, ValidationError, shown
 
@@ -88,6 +89,17 @@ def _require_prime(p) -> None:
         raise ValidationError(f"modulus must be a prime number, got {shown(p)}")
     if type(p) is int and len(_PROVEN) < _PROVEN_MAX:
         _PROVEN.add(p)
+
+
+# at most 1024 (p, k) pairs are kept, far more than the primes and orders of
+# any sweep or table; typed, so that a float k, whose power is a float, is
+# never served an int k's Fraction
+@lru_cache(maxsize=1024, typed=True)
+def _power(p: int, k: int) -> Fraction:
+    """Fraction(p) ** k, an exact Fraction for any integer k: the valuations
+    |x|_p and the ball radii are such powers.  A Fraction is immutable, so
+    every caller shares the one object."""
+    return Fraction(p) ** k
 
 
 def _fraction(value) -> Fraction:
@@ -176,9 +188,7 @@ class PadicRational(_Slots):
     def abs(self) -> Fraction:
         """|x|_p = p**(-order), exactly (Fraction; 0 for x = 0)."""
         order = self.order
-        if order == math.inf:
-            return Fraction(0)
-        return Fraction(1, self.p**order) if order >= 0 else Fraction(self.p**-order)
+        return Fraction(0) if order == math.inf else _power(self.p, -order)
 
     def unit_part(self) -> "PadicRational":
         """The unit e in x = p**order * e (so |e|_p = 1); undefined for 0."""
@@ -340,7 +350,7 @@ def _quotient(x: PadicRational, y: PadicRational) -> PadicRational:
     return _product(x, d, n, x.order - y.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicExpansion:
     """Leading digits a_k of a canonical base-p series sum(a_k * p**k).
 
@@ -351,6 +361,11 @@ class PadicExpansion:
     p: int
     exponent: int
     digits: tuple
+
+    def __init__(self, p, exponent, digits):
+        # one update of the instance dict, where the generated __init__ makes
+        # an object.__setattr__ call per field
+        self.__dict__.update(p=p, exponent=exponent, digits=digits)
 
     @property
     def is_zero(self) -> bool:
@@ -404,7 +419,7 @@ class PadicBall:
 
     @property
     def radius(self) -> Fraction:
-        return Fraction(self.p) ** self.radius_exponent
+        return _power(self.p, self.radius_exponent)
 
     def contains(self, x) -> bool:
         if not isinstance(x, PadicRational):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateContextError, ValidationError, shown
-from .padic import PadicRational, _require_prime, _unchecked, prime_multiplicity
+from .padic import PadicRational, _power, _require_prime, _unchecked, prime_multiplicity
 
 
 def _lift(p: int, value, name: str) -> PadicRational:
@@ -34,7 +34,7 @@ def _lift(p: int, value, name: str) -> PadicRational:
     return _unchecked(p, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicAmplitudePair:
     """Two nonzero p-adic integer amplitudes and a unit interference factor.
 
@@ -47,13 +47,20 @@ class PadicAmplitudePair:
     alpha2: PadicRational
     epsilon: PadicRational
 
+    def __init__(self, p, alpha1, alpha2, epsilon):
+        # one update of the instance dict, where the generated __init__ makes
+        # an object.__setattr__ call per field
+        self.__dict__.update(p=p, alpha1=alpha1, alpha2=alpha2, epsilon=epsilon)
+        self.__post_init__()
+
     def __post_init__(self):
-        _require_prime(self.p)
-        object.__setattr__(self, "alpha1", _lift(self.p, self.alpha1, "alpha1"))
-        object.__setattr__(self, "alpha2", _lift(self.p, self.alpha2, "alpha2"))
-        object.__setattr__(self, "epsilon", _lift(self.p, self.epsilon, "epsilon"))
-        for name in ("alpha1", "alpha2"):
-            amp = getattr(self, name)
+        p = self.p
+        _require_prime(p)
+        alpha1 = _lift(p, self.alpha1, "alpha1")
+        alpha2 = _lift(p, self.alpha2, "alpha2")
+        epsilon = _lift(p, self.epsilon, "epsilon")
+        self.__dict__.update(alpha1=alpha1, alpha2=alpha2, epsilon=epsilon)
+        for name, amp in (("alpha1", alpha1), ("alpha2", alpha2)):
             if amp.order == math.inf:
                 raise DegenerateContextError(f"{name} must be nonzero")
             if amp.order < 0:
@@ -61,21 +68,21 @@ class PadicAmplitudePair:
                     f"{name} must be a p-adic integer (order >= 0) so that "
                     f"|{name}|_p**2 is a probability; got order {amp.order}"
                 )
-        if self.epsilon.order != 0:
+        if epsilon.order != 0:
             raise ValidationError(
-                f"epsilon must be a p-adic unit (|eps|_p = 1), got |eps|_p = {self.epsilon.abs()}"
+                f"epsilon must be a p-adic unit (|eps|_p = 1), got |eps|_p = {epsilon.abs()}"
             )
 
 
 def _squared_abs(p: int, order) -> Fraction:
     """|x|_p**2 = p**(-2*order) for order >= 0 (0 when x = 0)."""
-    return Fraction(0) if order == math.inf else Fraction(1, p ** (2 * order))
+    return Fraction(0) if order == math.inf else _power(p, -2 * order)
 
 
 _MINUS_HALF = Fraction(-1, 2)  # where the case C range meets cases A/B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicInterference:
     """Outcome of the p-adic rule: exact probabilities, case, and deviation."""
 
@@ -86,6 +93,14 @@ class PadicInterference:
     p2: Fraction
     lam: Fraction
     cross_factor: Fraction | None  # c, case C only
+
+    def __init__(self, p, case, probability, p1, p2, lam, cross_factor):
+        # one update of the instance dict, where the generated __init__ makes
+        # an object.__setattr__ call per field
+        self.__dict__.update(
+            p=p, case=case, probability=probability, p1=p1, p2=p2, lam=lam,
+            cross_factor=cross_factor,
+        )
 
     @property
     def theta(self) -> float:
@@ -127,7 +142,7 @@ def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
             order = prime_multiplicity(p, top)
             probability = _squared_abs(p, order)
             scale = p ** (2 * (order - o1))  # c = 1/scale
-            cross, lam = Fraction(1, scale), Fraction(1 - 2 * scale, 2 * scale)
+            cross, lam = _power(p, 2 * (o1 - order)), Fraction(1 - 2 * scale, 2 * scale)
         else:
             probability = cross = Fraction(0)
             lam = Fraction(-1)
@@ -174,6 +189,8 @@ def _slit_columns(p: int, l: int, eps_max: int):
         q, k = q * p, k + 1
     eps, v = list(range(1, n)), v[2:]
     del eps[p - 1::p], v[p - 1::p]
+    if isinstance(l, float):  # a float power of p is no exact probability
+        raise ValidationError(f"l must be an integer, got {l!r}")
     level = {k: _squared_abs(p, l + k) for k in set(v)}
     return eps, v, [level[k] for k in v]
 

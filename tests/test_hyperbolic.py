@@ -271,6 +271,18 @@ class TestPolar:
             f"norm_sq({10**200} + j*1) = {10**400 - 1}"
         )
 
+    @pytest.mark.parametrize("z, message", [
+        (HyperbolicNumber(math.nan, 0.5), "got x = nan"),
+        (HyperbolicNumber(math.inf, 0.5), "got x = inf"),
+        (HyperbolicNumber(0.5, -math.inf), "got y = -inf"),
+        (HyperbolicNumber(math.inf, math.inf), "got x = inf"),
+    ], ids=["nan", "inf", "y", "both"])
+    def test_a_non_finite_component_is_named(self, z, message):
+        # a NaN x read as negative and an inf x gave an infinite modulus
+        with pytest.raises(ValidationError) as info:
+            hyperbolic.polar(z)
+        assert str(info.value) == f"polar form needs finite components, {message}"
+
     def test_pure_j_multiples_are_never_polar(self):
         # x = 0 with norm_sq > 0 is impossible: the norm is -y**2 <= 0 there
         for y in (1, -2, 5):
@@ -301,6 +313,18 @@ class TestInverse:
     def test_negative_norm_not_invertible(self):
         with pytest.raises(NonPositiveNormError, match="has negative norm_sq -3, not invertible"):
             hyperbolic.inverse(HyperbolicNumber(1, 2))
+
+    @pytest.mark.parametrize("z, message", [
+        (HyperbolicNumber(math.inf, 0.5), "got x = inf"),
+        (HyperbolicNumber(math.nan, 0.5), "got x = nan"),
+        (HyperbolicNumber(2.0, math.nan), "got y = nan"),
+        (HyperbolicNumber(1, -math.inf), "got y = -inf"),
+    ], ids=["inf", "nan", "y", "int-x"])
+    def test_a_non_finite_component_is_named(self, z, message):
+        # (inf, 0.5) gave (nan, -0.0), and a NaN x gave (nan, nan)
+        with pytest.raises(ValidationError) as info:
+            hyperbolic.inverse(z)
+        assert str(info.value) == f"inverse needs finite components, {message}"
 
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=30))
     def test_random_positive_norm_inverses(self, y):

@@ -17,6 +17,7 @@ from interfere.padic_rule import (
     padic_interfere,
     padic_slit_profile,
 )
+from interfere.profiles import profile_padic
 
 
 def pair(p, alpha1, alpha2, eps):
@@ -244,6 +245,15 @@ class TestSlitProfile:
             padic_slit_profile(3, -1, 10)
         with pytest.raises(ValidationError):
             padic_slit_profile(3, 0, 0)
+
+    def test_a_float_l_is_named(self):
+        # the shared powers would give a float brightness where the table is exact
+        for build in (padic_slit_profile, profile_padic):
+            with pytest.raises(ValidationError) as info:
+                build(3, 1.0, 10)
+            assert str(info.value) == "l must be an integer, got 1.0"
+        assert [s.probability for s in padic_slit_profile(3, Fraction(1), 2)] == [
+            Fraction(1, 9), Fraction(1, 81)]
 
     @pytest.mark.parametrize("eps_max", [2**62, 2**63, 10**5000],
                              ids=["2**62", "2**63", "10**5000"])

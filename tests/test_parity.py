@@ -73,7 +73,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interfere import cli, context, engine, hyperbolic, padic, profiles
+from interfere import cli, context, engine, hyperbolic, padic, padic_rule, profiles
 from interfere.context import (
     ContextTransform,
     hyperbolic_sqrt_transform,
@@ -1545,6 +1545,97 @@ def test_ball_membership_matches_the_fraction_spelling(operands, radius, kind):
     for new, old in ((y, y), (PadicRational(q, y), FractionPadic(q, y)), (f, f), (n, n),
                      (0.5, 0.5)):
         assert_agree(ball.contains, lambda _: fraction_contains(p, x, radius, kind, old), new)
+
+
+# -- cached powers and records built in one step -------------------------------
+
+@settings(max_examples=300)
+@given(p=st.sampled_from(PADIC_PRIMES), k=st.one_of(st.integers(-40, 40), st.integers()),
+       unit=st.sampled_from((1, -1, Fraction(11, 13), Fraction(-13, 11))))  # units for PADIC_PRIMES
+@example(p=BIG_PRIME, k=0, unit=1)
+@example(p=BIG_PRIME, k=-1, unit=Fraction(11, 13))
+@example(p=BIG_PRIME, k=2000, unit=-1)
+@example(p=2, k=-3000, unit=1)
+def test_cached_powers_match_the_fraction_power(p, k, unit):
+    """|x|_p, a ball's radius and |x|_p**2 read from the shared cached powers
+    against Fraction(p) ** k written out, in value and type, on either side of
+    0 and far from it."""
+    k = max(-3000, min(k, 3000))  # st.integers() draws without bound
+    x = PadicRational(p, Fraction(p) ** k * unit)
+    assert typed(x.abs()) == typed(Fraction(p) ** -k)
+    assert typed(PadicBall(p, 0, k).radius) == typed(Fraction(p) ** k)
+    assert typed(_squared_abs(p, abs(k))) == typed(Fraction(p) ** (-2 * abs(k)))
+    assert typed(PadicRational(p, 0).abs()) == typed(_squared_abs(p, math.inf)) == typed(
+        Fraction(0))
+
+
+def test_cached_powers_keep_int_and_float_exponents_apart():
+    """An int exponent and the equal float one are cached apart: the float
+    power of a ball with a float radius exponent stays a float."""
+    for k in (2, 2.0, 2, True, 1):
+        assert typed(PadicBall(3, 0, k).radius) == typed(Fraction(3) ** k), k
+    assert padic._power.cache_info().maxsize == 1024
+
+
+@dataclass(frozen=True)
+class FieldwisePair:
+    """PadicAmplitudePair as the generated dataclass __init__ built it, one
+    object.__setattr__ per field and per lifted amplitude."""
+
+    p: int
+    alpha1: object
+    alpha2: object
+    epsilon: object
+
+    def __post_init__(self):
+        _require_prime(self.p)
+        object.__setattr__(self, "alpha1", padic_rule._lift(self.p, self.alpha1, "alpha1"))
+        object.__setattr__(self, "alpha2", padic_rule._lift(self.p, self.alpha2, "alpha2"))
+        object.__setattr__(self, "epsilon", padic_rule._lift(self.p, self.epsilon, "epsilon"))
+        for name in ("alpha1", "alpha2"):
+            amp = getattr(self, name)
+            if amp.order == math.inf:
+                raise DegenerateContextError(f"{name} must be nonzero")
+            if amp.order < 0:
+                raise ValidationError(
+                    f"{name} must be a p-adic integer (order >= 0) so that "
+                    f"|{name}|_p**2 is a probability; got order {amp.order}"
+                )
+        if self.epsilon.order != 0:
+            raise ValidationError(
+                f"epsilon must be a p-adic unit (|eps|_p = 1), got |eps|_p = {self.epsilon.abs()}"
+            )
+
+
+PAIR_MODULI = (3, 4, 1, 3.0, True, padic._PSI_13, "3")
+PAIR_ENTRIES = (
+    1, 2, -9, Fraction(2, 5), PadicRational(3, 7),  # good for p = 3
+    0, 0.5, Fraction(1, 3), Fraction(5, 9), 3, PadicRational(5, 2), "x",
+)
+
+
+@settings(max_examples=400)
+@given(p=st.sampled_from(PAIR_MODULI), entries=st.tuples(*[st.sampled_from(PAIR_ENTRIES)] * 3))
+@example(p=4, entries=(0.5, 0, 3))  # every input bad: the modulus is named first
+@example(p=3, entries=(Fraction(1, 3), 0.5, 3))  # an order < 0 before a float alpha2
+@example(p=3, entries=(2, 0, Fraction(1, 3)))  # a zero alpha2 before a non-unit eps
+@example(p=3, entries=(1, 0.5, PadicRational(5, 2)))  # a float alpha2 before a foreign eps
+@example(p=3, entries=(PadicRational(5, 2), 0, 0))  # a foreign alpha1 first
+@example(p=3, entries=(2, Fraction(2, 5), 3))  # a non-unit eps alone
+@example(p=3, entries=(9, Fraction(2, 5), -1))  # a good pair
+def test_pair_matches_the_fieldwise_dataclass(p, entries):
+    """The pair built in one update checks its inputs as the generated
+    dataclass did: the same fields on success, and on bad inputs (a bad
+    modulus, a float, a zero amplitude, an order < 0, a non-unit eps and a
+    foreign prime) the same first error and message."""
+    def fields(pair):
+        return tuple(observed(getattr(pair, name)) for name in ("p", "alpha1", "alpha2", "epsilon"))
+
+    assert seen(lambda *a: fields(PadicAmplitudePair(*a)), p, *entries) == seen(
+        lambda *a: fields(FieldwisePair(*a)), p, *entries)
+    names = dict(zip(("alpha1", "alpha2", "epsilon"), entries))
+    assert seen(lambda: fields(PadicAmplitudePair(p=p, **names))) == seen(
+        lambda: fields(FieldwisePair(p=p, **names)))
 
 
 # -- the slit table as columns ------------------------------------------------

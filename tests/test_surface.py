@@ -11,9 +11,12 @@ import argparse
 import ast
 import collections
 import dataclasses
+import importlib
 import inspect
+import json
 import pathlib
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +24,8 @@ import interfere
 from interfere import cli, engine, numeric
 from interfere.context import ContextTransform
 from interfere.engine import InterferenceRecord, fit_record
+from interfere.padic import PadicExpansion, PadicRational
+from interfere.padic_rule import PadicAmplitudePair, PadicInterference, padic_interfere
 
 PUBLIC_NAMES = [
     "BrightnessProfile",
@@ -109,6 +114,7 @@ PRIVATE_IMPORTS = [
     "context: engine._is_sign",
     "engine: hyperbolic._float",
     "engine: numeric._exact_root",
+    "padic_rule: padic._power",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._unchecked",
     "profiles: engine._is_sign",
@@ -215,15 +221,25 @@ RECORDS = {
         ContextTransform,
         [("prior", None), ("cond", None), ("phases", None), ("signs", (1, 1)), ("mode", "trig")],
     ),
+    "pair": (lambda: PadicAmplitudePair(3, 9, Fraction(2, 5), -4), PadicAmplitudePair, [
+        ("p", None), ("alpha1", None), ("alpha2", None), ("epsilon", None),
+    ]),
+    "rule": (lambda: padic_interfere(PadicAmplitudePair(3, 2, 5, 1)), PadicInterference, [
+        ("p", None), ("case", None), ("probability", None), ("p1", None), ("p2", None),
+        ("lam", None), ("cross_factor", None),
+    ]),
+    "expansion": (lambda: PadicRational(3, Fraction(7, 9)).digits(5), PadicExpansion, [
+        ("p", None), ("exponent", None), ("digits", None),
+    ]),
 }
 
 
 @pytest.mark.parametrize("kind", RECORDS)
 def test_records_keep_the_dataclass_surface(kind):
-    """A fitted record and a float transform are frozen dataclasses like the
-    ones the generated __init__ builds: equal, with the same hash and repr,
-    to the record built from their fields by the public constructor, and
-    unchanged through replace, asdict and pickle."""
+    """Each record is a frozen dataclass like the ones the generated __init__
+    builds: equal, with the same hash and repr, to the record built from its
+    fields by the public constructor, and unchanged through replace, asdict
+    and pickle."""
     build, cls, parameters = RECORDS[kind]
     record = build()
     names = [name for name, _ in parameters]
@@ -259,6 +275,30 @@ def test_replace_checks_a_transform_again():
         with pytest.raises(interfere.ValidationError):
             dataclasses.replace(t, **changes)
     assert dataclasses.replace(t, prior=[0.3, 0.7]).prior == (0.3, 0.7)
+
+
+
+def _traced_names():
+    """The functions that per-layer figures of BENCHMARK.json are named after,
+    <module>.<qualname>.<calls|self_s|total_s>, each once."""
+    spec = json.loads((pathlib.Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    split = (figure["name"].rpartition(".") for figure in spec["per_layer"])
+    return list(dict.fromkeys(
+        name for name, _, kind in split if "." in name and kind in ("calls", "self_s", "total_s")))
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_traced_names_resolve(name):
+    """Each per-layer figure names a function defined in its module, held in
+    the module's or its class's own namespace: the traced benchmark finds no
+    figure for a traced function that a refactor renamed, removed, imported
+    from elsewhere or moved to a base class."""
+    module, *qualname = name.split(".")
+    owner = importlib.import_module(f"interfere.{module}")
+    for part in qualname:
+        assert part in vars(owner), name
+        owner = vars(owner)[part]
+    assert inspect.isfunction(owner) and owner.__module__ == f"interfere.{module}"
 
 
 def _float_lane(func):
