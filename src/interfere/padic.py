@@ -91,15 +91,22 @@ def _require_prime(p) -> None:
         _PROVEN.add(p)
 
 
-# at most 1024 (p, k) pairs are kept, far more than the primes and orders of
-# any sweep or table; typed, so that a float k, whose power is a float, is
-# never served an int k's Fraction
-@lru_cache(maxsize=1024, typed=True)
+# Powers with |k| <= _KEPT are cached, at most 1024 (p, k) pairs of them: the
+# orders of the batches, sweeps and tables fall well inside, so nearly every
+# call is a hit, and no power of a huge order outlives its caller.
+_KEPT = 64
+
+
+@lru_cache(maxsize=1024)
+def _kept_power(p: int, k: int) -> Fraction:
+    return Fraction(p) ** k
+
+
 def _power(p: int, k: int) -> Fraction:
     """Fraction(p) ** k, an exact Fraction for any integer k: the valuations
-    |x|_p and the ball radii are such powers.  A Fraction is immutable, so
-    every caller shares the one object."""
-    return Fraction(p) ** k
+    |x|_p and the probabilities p**(-2*order) are such powers.  A Fraction is
+    immutable, so callers share the cached objects."""
+    return _kept_power(p, k) if -_KEPT <= k <= _KEPT else Fraction(p) ** k
 
 
 def _fraction(value) -> Fraction:
@@ -350,7 +357,7 @@ def _quotient(x: PadicRational, y: PadicRational) -> PadicRational:
     return _product(x, d, n, x.order - y.order)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PadicExpansion:
     """Leading digits a_k of a canonical base-p series sum(a_k * p**k).
 
@@ -361,11 +368,6 @@ class PadicExpansion:
     p: int
     exponent: int
     digits: tuple
-
-    def __init__(self, p, exponent, digits):
-        # one update of the instance dict, where the generated __init__ makes
-        # an object.__setattr__ call per field
-        self.__dict__.update(p=p, exponent=exponent, digits=digits)
 
     @property
     def is_zero(self) -> bool:
@@ -419,7 +421,7 @@ class PadicBall:
 
     @property
     def radius(self) -> Fraction:
-        return _power(self.p, self.radius_exponent)
+        return Fraction(self.p) ** self.radius_exponent
 
     def contains(self, x) -> bool:
         if not isinstance(x, PadicRational):

@@ -189,7 +189,8 @@ def _slit_columns(p: int, l: int, eps_max: int):
         q, k = q * p, k + 1
     eps, v = list(range(1, n)), v[2:]
     del eps[p - 1::p], v[p - 1::p]
-    if isinstance(l, float):  # a float power of p is no exact probability
+    if isinstance(l, float) or getattr(l, "denominator", 1) != 1:
+        # p**(-2l) is then no exact probability
         raise ValidationError(f"l must be an integer, got {l!r}")
     level = {k: _squared_abs(p, l + k) for k in set(v)}
     return eps, v, [level[k] for k in v]

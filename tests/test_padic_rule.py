@@ -246,14 +246,19 @@ class TestSlitProfile:
         with pytest.raises(ValidationError):
             padic_slit_profile(3, 0, 0)
 
-    def test_a_float_l_is_named(self):
+    @pytest.mark.parametrize("l", [1.0, Fraction(1, 3), Fraction(4, 3), Fraction(1, 2)],
+                             ids=["1.0", "1/3", "4/3", "1/2"])
+    def test_an_l_that_is_no_integer_is_named(self, l):
         # the shared powers would give a float brightness where the table is exact
         for build in (padic_slit_profile, profile_padic):
             with pytest.raises(ValidationError) as info:
-                build(3, 1.0, 10)
-            assert str(info.value) == "l must be an integer, got 1.0"
-        assert [s.probability for s in padic_slit_profile(3, Fraction(1), 2)] == [
-            Fraction(1, 9), Fraction(1, 81)]
+                build(3, l, 10)
+            assert str(info.value) == f"l must be an integer, got {l!r}"
+
+    def test_an_integral_l_of_any_type_gives_the_exact_table(self):
+        for l in (1, Fraction(1), True):
+            assert [s.probability for s in padic_slit_profile(3, l, 2)] == [
+                Fraction(1, 9), Fraction(1, 81)], l
 
     @pytest.mark.parametrize("eps_max", [2**62, 2**63, 10**5000],
                              ids=["2**62", "2**63", "10**5000"])

@@ -1557,9 +1557,9 @@ def test_ball_membership_matches_the_fraction_spelling(operands, radius, kind):
 @example(p=BIG_PRIME, k=2000, unit=-1)
 @example(p=2, k=-3000, unit=1)
 def test_cached_powers_match_the_fraction_power(p, k, unit):
-    """|x|_p, a ball's radius and |x|_p**2 read from the shared cached powers
+    """|x|_p and |x|_p**2, read from the shared powers, and a ball's radius
     against Fraction(p) ** k written out, in value and type, on either side of
-    0 and far from it."""
+    0, inside the kept range and far past it."""
     k = max(-3000, min(k, 3000))  # st.integers() draws without bound
     x = PadicRational(p, Fraction(p) ** k * unit)
     assert typed(x.abs()) == typed(Fraction(p) ** -k)
@@ -1569,12 +1569,15 @@ def test_cached_powers_match_the_fraction_power(p, k, unit):
         Fraction(0))
 
 
-def test_cached_powers_keep_int_and_float_exponents_apart():
-    """An int exponent and the equal float one are cached apart: the float
-    power of a ball with a float radius exponent stays a float."""
-    for k in (2, 2.0, 2, True, 1):
-        assert typed(PadicBall(3, 0, k).radius) == typed(Fraction(3) ** k), k
-    assert padic._power.cache_info().maxsize == 1024
+def test_only_powers_of_small_order_are_kept():
+    """A power of small order is one shared object; one of huge order is
+    computed each time and outlives no caller."""
+    padic._kept_power.cache_clear()  # a full cache would hide a kept huge power
+    assert padic._power(3, -2) is padic._power(3, -2)
+    huge = PadicRational(3, Fraction(1, 3**5000))
+    assert typed(huge.abs()) == typed(Fraction(3) ** 5000)
+    assert typed(_squared_abs(3, 10**4)) == typed(Fraction(3) ** -(2 * 10**4))
+    assert padic._kept_power.cache_info().currsize == 1
 
 
 @dataclass(frozen=True)
