@@ -116,14 +116,29 @@ _PHASES = ("phases[0]", "phases[1]")  # names in errors
 
 def _totals(t: ContextTransform, algebra, signs, what: str):
     """Both components, each engine's checked rule on its pair (pb1*p1j,
-    pb2*p2j), computed in turn: one outside [0, 1] raises NotAProbabilityError
-    naming the component, a phase out of range raises ValidationError naming it."""
-    (pb1, pb2), (row1, row2) = t.prior, t.cond
-    out = []
-    for j in (0, 1):
+    pb2*p2j): one outside [0, 1] raises NotAProbabilityError naming the
+    component, a phase out of range raises ValidationError naming it."""
+    (pb1, pb2), ((c, d), (e, f)), (t0, t1), (s0, s1) = t.prior, t.cond, t.phases, signs
+    (a0, b0), (a1, b1) = pairs = (pb1 * c, pb2 * e), (pb1 * d, pb2 * f)
+    # Fast accept: _interfere's float lane on both pairs.  The transform has
+    # proved its entries in [0, 1], float phases finite and signs +/-1.  Anything
+    # else (exact values, an overflowing cross factor, a component outside
+    # (0, 1]) takes the loop, which snaps or names the component or the phase.
+    if (type(a0) is type(b0) is type(a1) is type(b1) is type(t0) is type(t1) is float
+            and type(s0) is type(s1) is int):
+        cross = algebra.cross
         try:
-            out.append(_interfere(algebra, pb1 * row1[j], pb2 * row2[j], t.phases[j], signs[j],
-                                  _PHASES[j]))
+            v0 = (a0 + b0) + 2.0 * math.sqrt(a0 * b0) * (s0 * cross(t0))
+            v1 = (a1 + b1) + 2.0 * math.sqrt(a1 * b1) * (s1 * cross(t1))
+        except OverflowError:
+            pass
+        else:
+            if 0.0 < v0 <= 1.0 and 0.0 < v1 <= 1.0:
+                return v0, v1
+    out = []
+    for j, (p1, p2) in enumerate(pairs):
+        try:
+            out.append(_interfere(algebra, p1, p2, t.phases[j], signs[j], _PHASES[j]))
         except NotAProbabilityError as exc:
             raise NotAProbabilityError(exc.value, what=what, component=j + 1) from None
     return tuple(out)

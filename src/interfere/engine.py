@@ -98,6 +98,10 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"  # |lam| = 1: compatible with both parameterizations
 
 
+# The members as module globals: reading Regime.X looks it up on the enum class,
+# about ten times slower than reading a global.
+_TRIGONOMETRIC, _HYPERBOLIC, _BOUNDARY = Regime
+
 _EXACT = (int, Fraction)  # exactly these types, not bool or a subclass
 
 
@@ -175,10 +179,10 @@ def classify(lam) -> Regime:
     else:
         magnitude, one = abs(lam), 1
     if magnitude < one:
-        return Regime.TRIGONOMETRIC
+        return _TRIGONOMETRIC
     if magnitude == one:
-        return Regime.BOUNDARY
-    return Regime.HYPERBOLIC
+        return _BOUNDARY
+    return _HYPERBOLIC
 
 
 def phase_of(lam):
@@ -346,7 +350,7 @@ class InterferenceRecord:
         is checked as in interfere_trig/hyp, so a hand-built record with a
         bad probability, sign or phase raises ValidationError or
         NotAProbabilityError."""
-        algebra = HYP if self.regime is Regime.HYPERBOLIC else TRIG
+        algebra = HYP if self.regime is _HYPERBOLIC else TRIG
         return _interfere(algebra, self.p1, self.p2, self.phase, self.sign)
 
     def residual(self) -> float:
@@ -360,6 +364,17 @@ def fit_record(p1, p2, p) -> InterferenceRecord:
     alternative missing there is nothing to interfere and lam is undefined).
     """
     lam = lambda_of(p1, p2, p)
+    # Fast accept: a plain finite float lam off |lam| = 1 gets classify's and
+    # phase_of's float results in one step.  Everything else (Fractions, ints,
+    # +/-1.0, NaN and infinities) goes through them.
+    if type(lam) is float:
+        magnitude = abs(lam)
+        if magnitude < 1.0:
+            sign = 1
+            return InterferenceRecord(p1, p2, p, lam, _TRIGONOMETRIC, math.acos(lam), sign)
+        if 1.0 < magnitude < math.inf:
+            sign = 1 if lam > 0.0 else -1
+            return InterferenceRecord(p1, p2, p, lam, _HYPERBOLIC, math.acosh(magnitude), sign)
     regime = classify(lam)
     phase, sign = phase_of(lam)
     return InterferenceRecord(p1, p2, p, lam, regime, phase, sign)

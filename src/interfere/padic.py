@@ -414,6 +414,10 @@ class PadicBall:
     def __post_init__(self):
         if self.kind not in _BALL_KINDS:
             raise ValidationError(f"kind must be one of {_BALL_KINDS}, got {self.kind!r}")
+        _require_prime(self.p)
+        k = self.radius_exponent
+        if isinstance(k, float) or getattr(k, "denominator", 1) != 1:  # p**k is then no Fraction
+            raise ValidationError(f"radius_exponent must be an integer, got {k!r}")
         if not isinstance(self.center, PadicRational):
             object.__setattr__(self, "center", PadicRational(self.p, self.center))
         if self.center.p != self.p:

@@ -92,11 +92,16 @@ def theta_bounds(p1, p2):
     q_minus = (p1 + p2) / (2*sqrt(p1*p2)) >= 1 by AM-GM.  Both are undefined
     when p1*p2 = 0 and out of reach when it underflows (engine.nonzero_weight).
     """
-    require_probability(p1, "p1")
-    require_probability(p2, "p2")
-    weight = nonzero_weight(p1, p2, "hyperbolic validity window")
-    q_plus = (1 - p1 - p2) / weight
-    q_minus = (p1 + p2) / weight
+    # Fast accept: plain floats in (0, 1] with a nonzero weight pass the checks
+    # below; q_plus and q_minus are formed as there, with float constants.
+    if (type(p1) is float and type(p2) is float and 0.0 < p1 <= 1.0 and 0.0 < p2 <= 1.0
+            and (weight := 2.0 * math.sqrt(p1 * p2))):
+        q_plus, q_minus = (1.0 - p1 - p2) / weight, (p1 + p2) / weight
+    else:
+        require_probability(p1, "p1")
+        require_probability(p2, "p2")
+        weight = nonzero_weight(p1, p2, "hyperbolic validity window")
+        q_plus, q_minus = (1 - p1 - p2) / weight, (p1 + p2) / weight
     try:
         if q_plus >= 1:
             theta_max = math.acosh(q_plus)

@@ -409,6 +409,24 @@ class TestBalls:
         with pytest.raises(PrimeMismatchError):
             PadicBall(3, PadicRational(5, 0), 0)
 
+    @pytest.mark.parametrize("p", [3.0, 4, True])
+    def test_the_modulus_is_checked_before_the_center(self, p):
+        # 3.0 == 3 would pass the center's prime check; it must not build a ball
+        with pytest.raises(ValidationError) as caught:
+            PadicBall(p, PadicRational(3, 1), 2)
+        assert str(caught.value) == f"modulus must be a prime number, got {p!r}"
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, Fraction(1, 2), Fraction(-4, 3)])
+    def test_a_radius_exponent_that_is_no_integer_is_named(self, k):
+        with pytest.raises(ValidationError) as caught:
+            PadicBall(3, 1, k)
+        assert str(caught.value) == f"radius_exponent must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("k", [2, -2, Fraction(2), True])
+    def test_an_integral_radius_exponent_gives_a_fraction_radius(self, k):
+        radius = PadicBall(3, 1, k).radius
+        assert type(radius) is Fraction and radius == Fraction(3) ** int(k)
+
     def test_nesting(self):
         big = PadicBall(3, PadicRational(3, 0), 1)
         small = PadicBall(3, PadicRational(3, 9), -1)

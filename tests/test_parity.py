@@ -55,6 +55,15 @@ weights, results of exactly 0 and 1, grid points at a window end plus its
 slack and an ulp past it, Fraction points, NaN, infinities, subnormals, a
 '%' in the kind, empty and ragged columns) each must agree with the
 spelling it replaced.
+
+The fit reads a float deviation's regime and phase in one step, the totals
+compute both components of a float transform at once, and theta_bounds
+forms its window on floats with float constants.  On deviations at and one
+ulp either side of +/-1, NaN, infinities and a float subclass, components
+of exactly 0 and 1, snaps, errors in either component and overflowing
+phases, and window pairs equal, at q_plus within TOLERANCE of 1,
+underflowing, exact or bool, each must agree with classify and phase_of,
+the per-component rule, and the validating theta_bounds written out here.
 """
 
 import cmath
@@ -65,6 +74,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from unittest import mock
@@ -824,10 +834,20 @@ PAIR_PHASES = st.one_of(st.floats(0, 2 * math.pi), st.floats(0, 3),
 @example(pb1=Fraction(1, 2), r0=Fraction(1, 10), r1=Fraction(1, 10), phases=(0, 0),
          signs=(1, 1))
 @example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 800.0), signs=(-1, 1))  # cosh overflows
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 0.0), signs=(1, -1))  # components 1.0 and 0.0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(math.pi, 0.0), signs=(1, 1))  # trig 0.0 and 1.0
+@example(pb1=0.5, r0=0.5 + 1e-13, r1=0.5 + 1e-13, phases=(0.0, 0.0), signs=(1, 1))  # snaps to 1
+@example(pb1=0.5, r0=0.41733594947706254, r1=0.41733594921170003, phases=(0.0, math.pi),
+         signs=(1, 1))  # trig component 2 is -1.1e-16 and snaps to 0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(3.0, 0.0), signs=(-1, 1))  # component 1 < 0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 3.0), signs=(1, -1))  # component 2 < 0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(710.5, 0.5), signs=(-1, -1))  # cosh overflows at j = 0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.5, 710.5), signs=(-1, -1))  # and at j = 1
 def test_totals_are_the_pair_rule(pb1, r0, r1, phases, signs):
     """Component j of each total is interfere_trig/hyp on outcome j's pair,
     and the raw components are combine on the pairs, in value, type and sign
-    of zero, or in error type and message."""
+    of zero, or in error type and message; and plain-float totals clear of
+    0 and 1, which no snap gives, are computed by the float lane."""
     t = ContextTransform((pb1, 1 - pb1), ((r0, 1 - r0), (r1, 1 - r1)), phases, signs, "hyp")
     trig = t.with_mode("trig")
     assert_same(total_prob_quantum, pair_totals(
@@ -836,6 +856,95 @@ def test_totals_are_the_pair_rule(pb1, r0, r1, phases, signs):
     assert_same(total_prob_hyperbolic, pair_totals(interfere_hyp, "hyperbolic total probability"),
                 t)
     assert_same(raw_quantum_components, pair_components, trig, errors=Exception)
+    if all(type(v) is float for v in (pb1, r0, r1, *phases)):
+        for total, transform in ((total_prob_quantum, trig), (total_prob_hyperbolic, t)):
+            expected = outcome(total, transform)
+            if expected[0] == "value" and all(1e-9 <= v <= 1 - 1e-9 for v in total(transform)):
+                with mock.patch.object(context, "_interfere", refuse):
+                    assert outcome(total, transform) == expected
+
+
+def validating_theta_bounds(p1, p2):
+    """profiles.theta_bounds as spelled before its float lane."""
+    require_probability(p1, "p1")
+    require_probability(p2, "p2")
+    weight = engine.nonzero_weight(p1, p2, "hyperbolic validity window")
+    q_plus = (1 - p1 - p2) / weight
+    q_minus = (p1 + p2) / weight
+    try:
+        if q_plus >= 1:
+            theta_max = math.acosh(q_plus)
+        elif q_plus >= 1 - TOLERANCE:
+            theta_max = 0.0
+        else:
+            theta_max = None
+        theta_min = math.acosh(q_minus) if q_minus > 1 else 0.0
+    except OverflowError:
+        top = "1 - p1 - p2" if q_plus > sys.float_info.max else "p1 + p2"
+        raise ValidationError(
+            f"theta bounds: ({top}) / (2*sqrt(p1*p2)) exceeds the float range (~1.8e308), "
+            "so its arccosh cannot be computed"
+        ) from None
+    return theta_max, theta_min
+
+
+BOUND_PROBS = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 1e-150),  # p1*p2 underflows for a pair of these
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(0, 1).map(Real),
+    st.fractions(0, 1, max_denominator=64),
+    st.integers(-1, 2),
+    st.booleans(),
+)
+
+
+@st.composite
+def bound_pairs(draw):
+    """(p1, p2) drawn freely, equal, or with sqrt(p1) + sqrt(p2) near 1, where
+    q_plus lies within TOLERANCE of 1 on either side."""
+    kind = draw(st.sampled_from(("free", "equal", "near the plus window")))
+    if kind == "free":
+        return draw(BOUND_PROBS), draw(BOUND_PROBS)
+    if kind == "equal":
+        p = draw(BOUND_PROBS)
+        return p, p
+    r = draw(st.floats(0.05, 0.95))
+    return r * r, (1 - r + draw(st.floats(-1e-10, 1e-10))) ** 2
+
+
+@settings(max_examples=400)
+@given(pair=bound_pairs())
+@example(pair=(0.25, 0.25))  # q_plus = 1 exactly: theta_max = 0
+@example(pair=(0.25, 0.25 * (1 + 1e-11)))  # q_plus a hair below 1, within TOLERANCE
+@example(pair=(0.25, 0.25 * (1 + 1e-9)))  # below 1 by more than TOLERANCE: no theta_max
+@example(pair=(0.1, 0.1))  # p1 == p2: q_minus may round a hair below 1
+@example(pair=(1.0, 0.25))  # p1 = 1.0
+@example(pair=(1.0, 1.0))
+@example(pair=(1e-200, 1e-200))  # p1*p2 underflows
+@example(pair=(5e-324, 1.0))  # the smallest weight that does not
+@example(pair=(0.0, 0.25))
+@example(pair=(-0.0, 0.25))
+@example(pair=(math.nan, 0.25))
+@example(pair=(0.25, math.inf))
+@example(pair=(1 + 1e-12, 0.25))
+@example(pair=(Fraction(1, 4), Fraction(1, 9)))
+@example(pair=(Fraction(1, 4), Fraction(1, 4)))
+@example(pair=(Fraction(1, 10**400), Fraction(1, 10**400)))  # q past the float range
+@example(pair=(1, Fraction(1, 4)))
+@example(pair=(True, 0.25))
+@example(pair=(0.25, False))
+@example(pair=(Real(0.25), 0.04))
+@example(pair=(0.25, Fraction(1, 25)))
+def test_theta_bounds_match_the_validating_spelling(pair):
+    """theta_bounds against the validating spelling in value, type and sign,
+    or error; and a plain float pair in range with a nonzero weight takes the
+    float lane, without reaching require_probability."""
+    assert_same(theta_bounds, validating_theta_bounds, *pair, errors=Exception)
+    expected = outcome(validating_theta_bounds, *pair, errors=Exception)
+    if all(type(v) is float for v in pair) and expected[0] == "value":
+        with mock.patch.object(profiles, "require_probability", refuse):
+            assert outcome(theta_bounds, *pair) == expected
 
 
 # -- the exact fit on integers ------------------------------------------------
@@ -1046,19 +1155,58 @@ FLOAT_FIT_PROBS = st.one_of(
 @example(p1=0.25, p2=Fraction(1, 4), p=0.5)
 @example(p1=0.25, p2=0.25, p=1)
 @example(p1=0.0625, p2=0.5625, p=1.0)  # lam = 1
+@example(p1=0.25, p2=0.25, p=0.0)  # lam = -1
+@example(p1=0.015625, p2=0.03125, p=0.09106917382415923)  # lam = 1 + 1 ulp
+@example(p1=0.015625, p2=0.03125, p=0.09106917382415922)  # lam = 1 - 1 ulp
+@example(p1=0.015625, p2=0.03125, p=0.00268082617584078)  # lam = -1 + 1 ulp
+@example(p1=0.015625, p2=0.046875, p=0.008373412263472576)  # lam = -1 - 1 ulp
+@example(p1=math.inf, p2=0.0, p=0.5)  # p1*p2 is NaN
+@example(p1=0.25, p2=math.nan, p=math.nan)
+@example(p1=math.inf, p2=math.inf, p=math.inf)  # p - (p1 + p2) is NaN
+@example(p1=1e-160, p2=1e-160, p=0.5)  # a subnormal p1*p2: a huge hyperbolic lam
+@example(p1=1e-160, p2=1e-160, p=0.0)
+@example(p1=5e-324, p2=0.5, p=0.25)
+@example(p1=0.25, p2=Real(0.0625), p=1.0)
+@example(p1=Real(0.0625), p2=Real(0.5625), p=Real(1.0))
 def test_float_fit_matches_the_validating_spelling(p1, p2, p):
     """lambda_of and fit_record against the validating path in value, type
-    and sign of zero, or error; and a float triple it fits is fitted by the
-    float lane, without reaching require_probability."""
+    and sign of zero, or error; a record's regime, phase and sign are what
+    classify and phase_of give its lam; and a float triple it fits is fitted
+    by the float lane, without reaching require_probability."""
     triple = (p1, p2, p)
     assert_same(lambda_of, fraction_lambda, *triple, errors=Exception)
     assert_same(record_fields(fit_record), record_fields(fraction_fit), *triple,
                 errors=Exception)
+    with contextlib.suppress(InterfereError):
+        r = fit_record(*triple)
+        assert typed((r.regime, r.phase, r.sign)) == typed((classify(r.lam), *phase_of(r.lam)))
     if all(type(v) is float for v in triple):
         expected = outcome(record_fields(fraction_fit), *triple, errors=Exception)
         if expected[0] == "value":
             with mock.patch.object(engine, "require_probability", refuse):
                 assert outcome(record_fields(fit_record), *triple) == expected
+
+
+@pytest.mark.parametrize("lam", [
+    0.5, -0.5, 0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+    math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), 1e300, -1e300, 5e-324,
+    math.nan, math.inf, -math.inf, Real(0.5), Real(2.0), Real(math.nan), Fraction(1, 2),
+    Fraction(-3, 2), Fraction(1), 1, -1, 0, True,
+])
+def test_fit_lane_gives_classify_and_phase_of(lam):
+    """Whatever deviation lambda_of hands the fit, the record carries what
+    classify and phase_of give it, in value, type and sign, or their error;
+    a plain finite float off |lam| = 1 reaches neither of them."""
+    def spelled(*triple):
+        return InterferenceRecord(*triple, lam, classify(lam), *phase_of(lam))
+
+    with mock.patch.object(engine, "lambda_of", lambda p1, p2, p: lam):
+        expected = outcome(record_fields(spelled), 0.25, 0.25, 0.5, errors=Exception)
+        assert outcome(record_fields(fit_record), 0.25, 0.25, 0.5, errors=Exception) == expected
+        if type(lam) is float and math.isfinite(lam) and abs(lam) != 1:
+            with mock.patch.object(engine, "classify", refuse), \
+                    mock.patch.object(engine, "phase_of", refuse):
+                assert outcome(record_fields(fit_record), 0.25, 0.25, 0.5) == expected
 
 
 def transform_fields(cls, *args):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 import interfere
-from interfere import cli, engine, numeric
+from interfere import cli, context, engine, numeric, profiles
 from interfere.context import ContextTransform
 from interfere.engine import InterferenceRecord, fit_record
 from interfere.padic import PadicExpansion, PadicRational
@@ -302,21 +302,25 @@ def test_traced_names_resolve(name):
 
 
 def _float_lane(func):
-    """The one `if` block of func that tests for `float`."""
+    """The one `if` block of func that tests for `float`, without its `else`,
+    which is the validating path."""
     tree = ast.parse(inspect.getsource(func)).body[0]
     [lane] = [node for node in tree.body
               if isinstance(node, ast.If) and "float" in ast.unparse(node.test)]
-    return lane
+    return ast.If(test=lane.test, body=lane.body, orelse=[])
 
 
 def _stray_int_literals(node):
-    """The int literals under node, except those in a comparison with `sign`."""
+    """The int literals under node, except those in a comparison with `sign`
+    or in a value assigned to `sign`."""
     allowed = set()
-    for compare in ast.walk(node):
-        if isinstance(compare, ast.Compare):
-            operands = [compare.left, *compare.comparators]
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Compare):
+            operands = [sub.left, *sub.comparators]
             if any(isinstance(op, ast.Name) and op.id == "sign" for op in operands):
-                allowed.update(id(sub) for op in operands for sub in ast.walk(op))
+                allowed.update(id(part) for op in operands for part in ast.walk(op))
+        elif isinstance(sub, ast.Assign) and [ast.unparse(t) for t in sub.targets] == ["sign"]:
+            allowed.update(id(part) for part in ast.walk(sub.value))
     return [ast.unparse(sub) for sub in ast.walk(node)
             if isinstance(sub, ast.Constant) and type(sub.value) is int and id(sub) not in allowed]
 
@@ -326,9 +330,13 @@ def _stray_int_literals(node):
     lambda: _float_lane(engine._sweep),
     lambda: _float_lane(engine._interfere),
     lambda: _float_lane(engine._amplitudes),
+    lambda: _float_lane(engine.fit_record),
+    lambda: _float_lane(context._totals),
+    lambda: _float_lane(profiles.theta_bounds),
     lambda: ast.parse(inspect.getsource(numeric.phase_cos)),
-], ids=["lambda_of", "_sweep", "_interfere", "_amplitudes", "phase_cos"])
+], ids=["lambda_of", "_sweep", "_interfere", "_amplitudes", "fit_record", "_totals",
+        "theta_bounds", "phase_cos"])
 def test_float_lanes_use_float_literals(lane):
     """Every constant a float lane compares or multiplies a float with is a
-    float literal; only the int sign is compared with ints."""
+    float literal; only the int sign is compared with or set to ints."""
     assert _stray_int_literals(lane()) == []
