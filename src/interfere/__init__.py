@@ -51,6 +51,7 @@ _EXPORTS = {
     ),
     "errors": (
         "DegenerateContextError",
+        "FrozenRecordError",
         "InterfereError",
         "NonPositiveNormError",
         "NotAProbabilityError",

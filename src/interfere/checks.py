@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import engine, hyperbolic
 from .context import (
@@ -32,20 +31,20 @@ from .context import (
     total_prob_quantum,
 )
 from .engine import amplitudes_hyp, amplitudes_trig, combine, interfere_hyp, interfere_trig
+from .errors import _Record
 from .numeric import exact_sqrt
 from .padic import PadicBall, PadicRational, prime_multiplicity
 from .padic_rule import PadicAmplitudePair, padic_interfere, padic_slit_profile
 from .profiles import profile_hyp, profile_padic, profile_trig, theta_bounds, uniform_grid
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Record, frozen=False):
     """Accumulates case/violation counts and the first counterexample."""
 
-    name: str
-    cases: int = 0
-    violations: int = 0
-    detail: str = ""
+    __slots__ = ("name", "cases", "violations", "detail")
+
+    def __init__(self, name: str, cases: int = 0, violations: int = 0, detail: str = ""):
+        self.name, self.cases, self.violations, self.detail = name, cases, violations, detail
 
     @property
     def passed(self) -> bool:

@@ -122,19 +122,9 @@ def _cmd_fit(args) -> int:
     p2 = _parse_number(args.p2, args.mode, "p2")
     p = _parse_number(args.p, args.mode, "p")
     record = fit_record(p1, p2, p)
-    _emit_json(
-        {
-            "p1": record.p1,
-            "p2": record.p2,
-            "p": record.p,
-            "lambda": record.lam,
-            "regime": record.regime.value,
-            "phase": record.phase,
-            "sign": record.sign,
-            "residual": float(record.residual()),
-        },
-        args.out,
-    )
+    fields = record._asdict()  # printed with lam as "lambda" and the regime's value
+    fields["lambda"], fields["regime"] = fields.pop("lam"), record.regime.value
+    _emit_json({**fields, "residual": float(record.residual())}, args.out)
     return 0
 
 

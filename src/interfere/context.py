@@ -19,17 +19,16 @@ Each public function chooses its algebra, ``engine.TRIG`` with signs +1 or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .engine import HYP, TRIG, _amplitudes, _at_phase, _interfere, _is_sign, combine
-from .errors import NotAProbabilityError, ValidationError, shown
+from .errors import NotAProbabilityError, ValidationError, _Record, shown
 from .numeric import TOLERANCE, require_probability
 
 _MODES = (TRIG.name, HYP.name)
+_new = object.__new__
 
 
-@dataclass(frozen=True, init=False)
-class ContextTransform:
+class ContextTransform(_Record):
     """Prior pair, 2x2 conditional matrix, and per-outcome phase data.
 
     ``cond[i][j]`` is the probability of outcome j given condition i; each
@@ -37,20 +36,19 @@ class ContextTransform:
     mode, ``signs``) parameterize the cross terms.
     """
 
-    prior: tuple
-    cond: tuple
-    phases: tuple
-    signs: tuple = (1, 1)
-    mode: str = "trig"
+    __slots__ = ("prior", "cond", "phases", "signs", "mode")
 
-    def __init__(self, prior, cond, phases, signs=(1, 1), mode="trig"):
-        # one update of the instance dict, where the generated __init__ makes
-        # an object.__setattr__ call per field
-        self.__dict__.update(prior=prior, cond=cond, phases=phases, signs=signs, mode=mode)
-        self.__post_init__()
+    def __new__(cls, prior, cond, phases, signs=(1, 1), mode="trig"):
+        t = _new(cls._draft)
+        t.__post_init__(prior, cond, phases, signs, mode)
+        t.__class__ = cls
+        return t
 
-    def __post_init__(self):
-        prior, cond, phases, signs = self.prior, self.cond, self.phases, self.signs
+    def __post_init__(self, prior, cond, phases, signs, mode):
+        """Test the constructor's arguments and fill the draft with them.
+        Named as perfbench traces it."""
+        self.prior, self.cond, self.phases = prior, cond, phases
+        self.signs, self.mode = signs, mode
         # Fast accept: pairs held as tuples, a known mode, plain floats in
         # [0, 1] whose prior and rows sum to 1, finite float phases and plain
         # int signs of +/-1, which pass every check below.  The constants are
@@ -59,7 +57,7 @@ class ContextTransform:
         if (type(prior) is type(cond) is type(phases) is type(signs) is tuple
                 and len(prior) == len(cond) == len(phases) == len(signs) == 2
                 and type(cond[0]) is type(cond[1]) is tuple and len(cond[0]) == len(cond[1]) == 2
-                and self.mode in _MODES):
+                and mode in _MODES):
             (a, b), ((c, d), (e, f)), (t0, t1), (s0, s1) = prior, cond, phases, signs
             if (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is type(t0)
                     is type(t1) is float and type(s0) is type(s1) is int
@@ -69,11 +67,10 @@ class ContextTransform:
                     and math.isfinite(t0) and math.isfinite(t1)
                     and (s0 == 1 or s0 == -1) and (s1 == 1 or s1 == -1)):
                 return
-        prior, cond = tuple(prior), tuple(tuple(row) for row in cond)
-        phases, signs = tuple(phases), tuple(signs)
-        self.__dict__.update(prior=prior, cond=cond, phases=phases, signs=signs)
-        if self.mode not in _MODES:
-            raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        self.prior, self.cond = prior, cond = tuple(prior), tuple(tuple(row) for row in cond)
+        self.phases, self.signs = phases, signs = tuple(phases), tuple(signs)
+        if mode not in _MODES:
+            raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
         if len(prior) != 2 or len(cond) != 2 or len(phases) != 2:
             raise ValidationError("prior, cond rows, and phases must all be pairs")
         _require_pair(prior, "prior")
@@ -97,7 +94,7 @@ class ContextTransform:
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
     def with_mode(self, mode: str) -> "ContextTransform":
-        return replace(self, mode=mode)
+        return self._replace(mode=mode)
 
 
 def _require_pair(pair, name: str) -> None:
@@ -121,11 +118,12 @@ def _totals(t: ContextTransform, algebra, signs, what: str):
     (pb1, pb2), ((c, d), (e, f)), (t0, t1), (s0, s1) = t.prior, t.cond, t.phases, signs
     (a0, b0), (a1, b1) = pairs = (pb1 * c, pb2 * e), (pb1 * d, pb2 * f)
     # Fast accept: _interfere's float lane on both pairs.  The transform has
-    # proved its entries in [0, 1], float phases finite and signs +/-1.  Anything
-    # else (exact values, an overflowing cross factor, a component outside
-    # (0, 1]) takes the loop, which snaps or names the component or the phase.
-    if (type(a0) is type(b0) is type(a1) is type(b1) is type(t0) is type(t1) is float
-            and type(s0) is type(s1) is int):
+    # proved its entries in [0, 1], float phases finite and signs +/-1, and
+    # each sign it accepts (int, bool, float or Fraction) gives the bits of
+    # the int through s * cross(t).  Anything else (exact values, an
+    # overflowing cross factor, a component outside (0, 1]) takes the loop,
+    # which snaps or names the component or the phase.
+    if type(a0) is type(b0) is type(a1) is type(b1) is type(t0) is type(t1) is float:
         cross = algebra.cross
         try:
             v0 = (a0 + b0) + 2.0 * math.sqrt(a0 * b0) * (s0 * cross(t0))

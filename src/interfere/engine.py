@@ -22,13 +22,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import hyperbolic
 from .hyperbolic import _float
-from .errors import DegenerateContextError, ValidationError, shown
+from .errors import DegenerateContextError, ValidationError, _Record, shown
 from .numeric import (
     _exact_root,
     as_probability,
@@ -103,6 +102,7 @@ class Regime(enum.Enum):
 _TRIGONOMETRIC, _HYPERBOLIC, _BOUNDARY = Regime
 
 _EXACT = (int, Fraction)  # exactly these types, not bool or a subclass
+_new = object.__new__
 
 
 def lambda_of(p1, p2, p):
@@ -328,22 +328,18 @@ def amplitudes_hyp(p1, p2, theta, sign):
     return _amplitudes(HYP, p1, p2, theta, sign)
 
 
-@dataclass(frozen=True, init=False)
-class InterferenceRecord:
+class InterferenceRecord(_Record):
     """A fitted triple (p1, p2, p) with its deviation, regime, and phase."""
 
-    p1: float
-    p2: float
-    p: float
-    lam: float
-    regime: Regime
-    phase: float
-    sign: int
+    __slots__ = ("p1", "p2", "p", "lam", "regime", "phase", "sign")
 
-    def __init__(self, p1, p2, p, lam, regime, phase, sign):
-        # one update of the instance dict, where the generated __init__ makes
-        # an object.__setattr__ call per field
-        self.__dict__.update(p1=p1, p2=p2, p=p, lam=lam, regime=regime, phase=phase, sign=sign)
+    def __new__(cls, p1, p2, p, lam, regime, phase, sign):
+        record = _new(cls._draft)
+        record.p1, record.p2, record.p = p1, p2, p
+        record.lam, record.regime = lam, regime
+        record.phase, record.sign = phase, sign
+        record.__class__ = cls
+        return record
 
     def reconstruct(self):
         """Recompute p from the fitted phase; inverse of the fit.  The rule

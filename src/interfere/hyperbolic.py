@@ -19,27 +19,23 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .errors import NonPositiveNormError, ValidationError, shown
+from .errors import NonPositiveNormError, ValidationError, _Record, shown
 
 _EXACT = (int, Fraction)
 _SCALARS = (int, float, Fraction)
 _FLOAT_MAX = sys.float_info.max
 
 
-class _Slots:
-    # A float number sets x, y and _d = 0; an exact one sets _a, _b, _d and
-    # is a _Exact, whose x and y are properties.  New numbers are filled in
-    # here, where attributes are writable, and then retyped.
-    __slots__ = ("x", "y", "_a", "_b", "_d")
-
-
-class HyperbolicNumber(_Slots):
+class HyperbolicNumber(_Record):
     """x + j*y with j*j = +1; immutable."""
 
-    __slots__ = ()
+    # A float number sets x, y and _d = 0; an exact one sets _a, _b, _d and
+    # is a _Exact, whose x and y are properties.  New numbers are filled in
+    # the writable _draft and then retyped.
+    __slots__ = ("x", "y", "_a", "_b", "_d")
+    _fields = ("x", "y")
 
     def __new__(cls, x, y=0):
         # floats first: a miss on Fraction costs an ABCMeta.__instancecheck__
@@ -49,15 +45,6 @@ class HyperbolicNumber(_Slots):
             (a, m), (b, n) = x.as_integer_ratio(), y.as_integer_ratio()
             return _exact(a * n, b * m, m * n)
         return _float(x, y)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return HyperbolicNumber, (self.x, self.y)
 
     def __repr__(self):
         return f"HyperbolicNumber(x={self.x!r}, y={self.y!r})"
@@ -69,8 +56,7 @@ class HyperbolicNumber(_Slots):
             return self._a == other._a and self._b == other._b and self._d == other._d
         return (self.x, self.y) == (other.x, other.y)
 
-    def __hash__(self):
-        return hash((self.x, self.y))
+    __hash__ = _Record.__hash__  # of (x, y); defining __eq__ dropped the inherited one
 
     def __add__(self, other):
         if not isinstance(other, HyperbolicNumber):
@@ -141,6 +127,7 @@ class _Exact(HyperbolicNumber):
 
 
 _new = object.__new__
+_Draft = HyperbolicNumber._draft
 
 
 def _exact(a: int, b: int, d: int) -> HyperbolicNumber:
@@ -148,19 +135,15 @@ def _exact(a: int, b: int, d: int) -> HyperbolicNumber:
     g = math.gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
-    z = _new(_Slots)
-    z._a = a
-    z._b = b
-    z._d = d
+    z = _new(_Draft)
+    z._a, z._b, z._d = a, b, d
     z.__class__ = _Exact
     return z
 
 
 def _float(x, y) -> HyperbolicNumber:
-    z = _new(_Slots)
-    z.x = x
-    z.y = y
-    z._d = 0
+    z = _new(_Draft)
+    z.x, z.y, z._d = x, y, 0
     z.__class__ = HyperbolicNumber
     return z
 
@@ -182,13 +165,16 @@ def exp(theta: float) -> HyperbolicNumber:
     return _float(math.cosh(theta), math.sinh(theta))
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(_Record):
     """Decomposition sign * modulus * exp(j * phase) of a positive-norm element."""
 
-    sign: int
-    modulus: float
-    phase: float
+    __slots__ = ("sign", "modulus", "phase")
+
+    def __new__(cls, sign: int, modulus: float, phase: float):
+        form = _new(cls._draft)
+        form.sign, form.modulus, form.phase = sign, modulus, phase
+        form.__class__ = cls
+        return form
 
     def to_number(self) -> HyperbolicNumber:
         scale = self.sign * self.modulus

@@ -16,11 +16,10 @@ approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PrimeMismatchError, ValidationError, shown
+from .errors import PrimeMismatchError, ValidationError, _Record, shown
 
 # Miller-Rabin bases: the first 13 primes.  No composite below
 # psi_13 = 3317044064679887385961981 (about 3.3e24) passes them all; the first
@@ -131,13 +130,7 @@ def _order(p: int, n: int, d: int):
     return -prime_multiplicity(p, d) if d % p == 0 else 0
 
 
-class _Slots:
-    # An arithmetic result is filled in here, where attributes are writable,
-    # and then retyped; a validated construction sets them in __post_init__.
-    __slots__ = ("p", "_n", "_d", "order")
-
-
-class PadicRational(_Slots):
+class PadicRational(_Record):
     """An exact rational seen through the p-adic valuation; immutable.
 
     The value is held as two integers n/d with d > 0 and gcd(n, d) = 1, and
@@ -150,33 +143,22 @@ class PadicRational(_Slots):
     equality).
     """
 
-    __slots__ = ()
+    __slots__ = ("p", "_n", "_d", "order")
+    _fields = ("p", "value")
 
     def __new__(cls, p, value):
-        x = _new(cls)
+        x = _new(cls._draft)
         x.__post_init__(p, value)
+        x.__class__ = cls
         return x
 
     def __post_init__(self, p, value):
-        """Check the prime, then take the value as reduced integers and its
-        order.  Arithmetic results are built without this step.  It keeps
-        the name of the dataclass hook it replaces, under which perfbench
-        traces validated constructions."""
+        """Check the prime and fill the draft with the reduced value and its
+        order; arithmetic results skip this.  Named as perfbench traces it."""
         _require_prime(p)
         n, d = _ratio(value)
-        _set(self, "p", p)
-        _set(self, "_n", n)
-        _set(self, "_d", d)
-        _set(self, "order", _order(p, n, d))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return PadicRational, (self.p, self.value)
+        self.p, self._n, self._d = p, n, d
+        self.order = _order(p, n, d)
 
     @property
     def value(self) -> Fraction:
@@ -187,8 +169,7 @@ class PadicRational(_Slots):
             return NotImplemented
         return self.p == other.p and self._n == other._n and self._d == other._d
 
-    def __hash__(self):
-        return hash((self.p, self.value))
+    __hash__ = _Record.__hash__  # of (p, value); defining __eq__ dropped the inherited one
 
     # -- valuation ---------------------------------------------------------
 
@@ -299,16 +280,14 @@ class PadicRational(_Slots):
 
 
 _new = object.__new__
-_set = object.__setattr__
+_Draft = PadicRational._draft
 
 
 def _make(p: int, n: int, d: int, order=None) -> PadicRational:
     """n/d over the prime p, already checked, for d > 0 and gcd(n, d) = 1;
     the order is computed unless given."""
-    x = _new(_Slots)
-    x.p = p
-    x._n = n
-    x._d = d
+    x = _new(_Draft)
+    x.p, x._n, x._d = p, n, d
     x.order = _order(p, n, d) if order is None else order
     x.__class__ = PadicRational
     return x
@@ -357,17 +336,20 @@ def _quotient(x: PadicRational, y: PadicRational) -> PadicRational:
     return _product(x, d, n, x.order - y.order)
 
 
-@dataclass(frozen=True)
-class PadicExpansion:
+class PadicExpansion(_Record):
     """Leading digits a_k of a canonical base-p series sum(a_k * p**k).
 
     `exponent` is the position k of digits[0]; an empty digit tuple is the
     sentinel for the expansion of zero.
     """
 
-    p: int
-    exponent: int
-    digits: tuple
+    __slots__ = ("p", "exponent", "digits")
+
+    def __new__(cls, p: int, exponent: int, digits: tuple):
+        expansion = _new(cls._draft)
+        expansion.p, expansion.exponent, expansion.digits = p, exponent, digits
+        expansion.__class__ = cls
+        return expansion
 
     @property
     def is_zero(self) -> bool:
@@ -396,8 +378,7 @@ class PadicExpansion:
 _BALL_KINDS = ("closed", "open", "sphere")
 
 
-@dataclass(frozen=True)
-class PadicBall:
+class PadicBall(_Record):
     """Ball or sphere of radius p**radius_exponent around a center.
 
     Membership is the exact valuation comparison: <= r for closed, < r for
@@ -406,22 +387,23 @@ class PadicBall:
     one contains the other.
     """
 
-    p: int
-    center: PadicRational
-    radius_exponent: int
-    kind: str = "closed"
+    __slots__ = ("p", "center", "radius_exponent", "kind")
 
-    def __post_init__(self):
-        if self.kind not in _BALL_KINDS:
-            raise ValidationError(f"kind must be one of {_BALL_KINDS}, got {self.kind!r}")
-        _require_prime(self.p)
-        k = self.radius_exponent
+    def __new__(cls, p: int, center: PadicRational, radius_exponent: int, kind: str = "closed"):
+        if kind not in _BALL_KINDS:
+            raise ValidationError(f"kind must be one of {_BALL_KINDS}, got {kind!r}")
+        _require_prime(p)
+        k = radius_exponent
         if isinstance(k, float) or getattr(k, "denominator", 1) != 1:  # p**k is then no Fraction
             raise ValidationError(f"radius_exponent must be an integer, got {k!r}")
-        if not isinstance(self.center, PadicRational):
-            object.__setattr__(self, "center", PadicRational(self.p, self.center))
-        if self.center.p != self.p:
-            raise PrimeMismatchError(f"center prime {self.center.p} != ball prime {self.p}")
+        if not isinstance(center, PadicRational):
+            center = PadicRational(p, center)
+        if center.p != p:
+            raise PrimeMismatchError(f"center prime {center.p} != ball prime {p}")
+        ball = _new(cls._draft)
+        ball.p, ball.center, ball.radius_exponent, ball.kind = p, center, k, kind
+        ball.__class__ = cls
+        return ball
 
     @property
     def radius(self) -> Fraction:

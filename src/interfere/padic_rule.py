@@ -18,10 +18,9 @@ Hence lam always lies in [-1, 0]: cases A/B inside (-1/2, 0), case C inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateContextError, ValidationError, shown
+from .errors import DegenerateContextError, ValidationError, _Record, shown
 from .padic import PadicRational, _power, _require_prime, _unchecked, prime_multiplicity
 
 
@@ -34,32 +33,27 @@ def _lift(p: int, value, name: str) -> PadicRational:
     return _unchecked(p, value)
 
 
-@dataclass(frozen=True, init=False)
-class PadicAmplitudePair:
+class PadicAmplitudePair(_Record):
     """Two nonzero p-adic integer amplitudes and a unit interference factor.
 
     Amplitudes must have order >= 0 so that their squared valuations are
     probabilities (<= 1); eps must sit on the unit sphere |eps|_p = 1.
     """
 
-    p: int
-    alpha1: PadicRational
-    alpha2: PadicRational
-    epsilon: PadicRational
+    __slots__ = ("p", "alpha1", "alpha2", "epsilon")
 
-    def __init__(self, p, alpha1, alpha2, epsilon):
-        # one update of the instance dict, where the generated __init__ makes
-        # an object.__setattr__ call per field
-        self.__dict__.update(p=p, alpha1=alpha1, alpha2=alpha2, epsilon=epsilon)
-        self.__post_init__()
+    def __new__(cls, p, alpha1, alpha2, epsilon):
+        pair = _new(cls._draft)
+        pair.__post_init__(p, alpha1, alpha2, epsilon)
+        pair.__class__ = cls
+        return pair
 
-    def __post_init__(self):
-        p = self.p
+    def __post_init__(self, p, alpha1, alpha2, epsilon):
         _require_prime(p)
-        alpha1 = _lift(p, self.alpha1, "alpha1")
-        alpha2 = _lift(p, self.alpha2, "alpha2")
-        epsilon = _lift(p, self.epsilon, "epsilon")
-        self.__dict__.update(alpha1=alpha1, alpha2=alpha2, epsilon=epsilon)
+        self.p = p
+        self.alpha1 = alpha1 = _lift(p, alpha1, "alpha1")
+        self.alpha2 = alpha2 = _lift(p, alpha2, "alpha2")
+        self.epsilon = epsilon = _lift(p, epsilon, "epsilon")
         for name, amp in (("alpha1", alpha1), ("alpha2", alpha2)):
             if amp.order == math.inf:
                 raise DegenerateContextError(f"{name} must be nonzero")
@@ -79,28 +73,24 @@ def _squared_abs(p: int, order) -> Fraction:
     return Fraction(0) if order == math.inf else _power(p, -2 * order)
 
 
+_new = object.__new__
 _MINUS_HALF = Fraction(-1, 2)  # where the case C range meets cases A/B
 
 
-@dataclass(frozen=True, init=False)
-class PadicInterference:
-    """Outcome of the p-adic rule: exact probabilities, case, and deviation."""
+class PadicInterference(_Record):
+    """Outcome of the p-adic rule: exact probabilities, case, and deviation.
+    The case is "A" (P1 > P2), "B" (P1 < P2) or "C" (P1 = P2); the cross
+    factor c is None outside case C."""
 
-    p: int
-    case: str  # "A" (P1 > P2), "B" (P1 < P2), or "C" (P1 = P2)
-    probability: Fraction
-    p1: Fraction
-    p2: Fraction
-    lam: Fraction
-    cross_factor: Fraction | None  # c, case C only
+    __slots__ = ("p", "case", "probability", "p1", "p2", "lam", "cross_factor")
 
-    def __init__(self, p, case, probability, p1, p2, lam, cross_factor):
-        # one update of the instance dict, where the generated __init__ makes
-        # an object.__setattr__ call per field
-        self.__dict__.update(
-            p=p, case=case, probability=probability, p1=p1, p2=p2, lam=lam,
-            cross_factor=cross_factor,
-        )
+    def __new__(cls, p, case, probability, p1, p2, lam, cross_factor):
+        rule = _new(cls._draft)
+        rule.p, rule.case, rule.probability = p, case, probability
+        rule.p1, rule.p2 = p1, p2
+        rule.lam, rule.cross_factor = lam, cross_factor
+        rule.__class__ = cls
+        return rule
 
     @property
     def theta(self) -> float:
@@ -149,13 +139,17 @@ def padic_interfere(pair: PadicAmplitudePair) -> PadicInterference:
     return PadicInterference(p, case, probability, p1, p2, lam, cross)
 
 
-@dataclass(frozen=True)
-class SlitSample:
-    """One symmetric two-slit sample: interference factor eps and exact P."""
+class SlitSample(_Record):
+    """One symmetric two-slit sample: eps, v_p(1 + eps) and exact P."""
 
-    epsilon: int
-    multiplicity: int  # v_p(1 + eps)
-    probability: Fraction
+    __slots__ = ("epsilon", "multiplicity", "probability")
+
+    def __new__(cls, epsilon: int, multiplicity: int, probability: Fraction):
+        sample = _new(cls._draft)
+        sample.epsilon, sample.multiplicity = epsilon, multiplicity
+        sample.probability = probability
+        sample.__class__ = cls
+        return sample
 
 
 def _slit_columns(p: int, l: int, eps_max: int):

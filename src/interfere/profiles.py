@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .engine import HYP, TRIG, _is_sign, _sweep, combine, nonzero_weight
-from .errors import ProfileError, ValidationError, shown
+from .errors import ProfileError, ValidationError, _Record, shown
 from .numeric import (
     TOLERANCE,
     fmt_float,
@@ -39,17 +38,18 @@ from .numeric import (
 )
 
 
-@dataclass
-class BrightnessProfile:
-    """A sampled curve radius -> probability with its provenance."""
+class BrightnessProfile(_Record, frozen=False):
+    """A sampled curve radius -> probability with its provenance: the kind is
+    trig, hyp, piecewise or padic, the values floats, or exact Fractions for
+    the padic picture, and the metadata a new dict unless one is given."""
 
-    kind: str  # trig | hyp | piecewise | padic
-    grid: tuple
-    values: tuple  # floats, or exact Fractions for the padic picture
-    metadata: dict = field(default_factory=dict)
-    theta_max: float | None = None
-    theta_min: float | None = None
-    warnings: tuple = ()
+    __slots__ = ("kind", "grid", "values", "metadata", "theta_max", "theta_min", "warnings")
+
+    def __init__(self, kind, grid, values, metadata=None, theta_max=None, theta_min=None,
+                 warnings=()):
+        self.kind, self.grid, self.values = kind, grid, values
+        self.metadata = {} if metadata is None else metadata
+        self.theta_max, self.theta_min, self.warnings = theta_max, theta_min, warnings
 
 
 def _require_finite(name: str, value) -> None:

@@ -2,7 +2,6 @@
 worker processes that run its sweeps."""
 
 import concurrent.futures
-import dataclasses
 import inspect
 import math
 import multiprocessing
@@ -118,7 +117,7 @@ class TestInjectedFault:
             samples = real(p, l, eps_max)
             if l == 0 and eps_max in {p ** m for m in range(1, 6)} and len(samples) > 1:
                 dark = samples[-1].probability
-                samples[-2] = dataclasses.replace(samples[-2], probability=dark)
+                samples[-2] = samples[-2]._replace(probability=dark)
             return samples
 
         monkeypatch.setattr(checks, "padic_slit_profile", flattened)

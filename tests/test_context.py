@@ -1,7 +1,6 @@
 """Two-context total probability: classical, cos- and cosh-perturbed forms."""
 
 import math
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from interfere.context import (
     total_prob_hyperbolic,
     total_prob_quantum,
 )
-from interfere.errors import NotAProbabilityError, ValidationError
+from interfere.errors import FrozenRecordError, NotAProbabilityError, ValidationError
 
 HALF = ((0.5, 0.5), (0.5, 0.5))
 
@@ -91,7 +90,7 @@ class TestValidation:
 
     def test_immutable(self):
         t = make()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenRecordError):
             t.mode = "hyp"
 
 

@@ -1,7 +1,8 @@
 """The import contract: `import interfere.cli` loads only what every command
-needs, each command loads only the modules it runs, and the package binds
-its public names on first use.  Import state is global to an interpreter, so
-each case runs in a fresh one."""
+needs, each command loads only the modules it runs and none of them loads
+dataclasses or inspect, and the package binds its public names on first
+use.  Import state is global to an interpreter, so each case runs in a fresh
+one."""
 
 import importlib
 import json
@@ -21,15 +22,15 @@ TWO_SLIT_FLAGS = (
 )
 
 
-def _loaded_after(code):
-    """Short names of the interfere submodules loaded after running code in
-    a fresh interpreter; the code's own output is discarded."""
+def _loaded_after(code, prefix="interfere."):
+    """Names, less the prefix, of the modules under prefix loaded after
+    running code in a fresh interpreter; the code's own output is discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {code}\n"
-        "print(json.dumps(sorted(n[len('interfere.'):] for n in sys.modules"
-        " if n.startswith('interfere.'))))\n"
+        f"print(json.dumps(sorted(n[len({prefix!r}):] for n in sys.modules"
+        f" if n.startswith({prefix!r}))))\n"
     )
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -72,6 +73,44 @@ def test_each_command_loads_only_what_it_runs(argv, needed, not_loaded):
     loaded = _loaded_after(f"assert __import__('interfere.cli').cli.main({argv.split()!r}) == 0")
     assert needed <= loaded
     assert loaded.isdisjoint(not_loaded)
+
+
+# acceptance criterion 8's commands
+CRITERION_8 = [
+    "fit 0.36 0.16 0.76",
+    "fit --mode exact 0.36 0.16 0.76",
+    "fit 0.25 0.25 0.5",
+    "fit 0.25 0 0.3",
+    "profile trig --p1 0.25 --p2 0.25 --max 6.2832 --n 100",
+    "profile hyp --p1 0.0625 --p2 0.0625 --sign + --auto-window --n 50",
+    "profile piecewise --p1 0.25 --p2 0.0625 --intervals 0:0.5:-,0.8:1.5:+ --n 40",
+    "profile padic --p 3 --l 0 --eps-max 8",
+    "totalprob --config {config}",
+    "padic --p 3 --alpha1 1 --alpha2 1 --eps 2",
+    "padic --p 3 --table --eps-max 8",
+    "check --fast",
+]
+CONFIG = (
+    "mode = trig\npb1 = 1/2\npb2 = 1/2\np11 = 1/2\np12 = 1/2\n"
+    "p21 = 1/2\np22 = 1/2\ntheta1 = 0\ntheta2 = pi\n"
+)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_after("import interfere.cli", prefix="").isdisjoint({"dataclasses", "inspect"})
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Every criterion-8 command, check --fast among them, run one after
+    another in one interpreter, leaves neither module loaded, so none of
+    them loads one."""
+    config = tmp_path / "two_slit.cfg"
+    config.write_text(CONFIG)
+    argvs = [argv.format(config=config).split() for argv in CRITERION_8]
+    main = "__import__('interfere.cli').cli.main"
+    loaded = _loaded_after(f"codes = [{main}(argv) for argv in {argvs!r}]", prefix="")
+    assert "interfere.checks" in loaded and "interfere.context" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 def test_star_import_binds_exactly_all():

@@ -1,6 +1,5 @@
 """The p-adic amplitude rule: case analysis, lambda range, slit table."""
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -161,11 +160,11 @@ class TestLambdaRange:
     def test_claimed_range_edges(self):
         # lam = -1/2 belongs to case C's band [-1, -1/2], not to (-1/2, 0)
         a, c = padic_interfere(pair(3, 3, 9, 1)), padic_interfere(pair(3, 1, 1, 2))
-        assert dataclasses.replace(c, lam=Fraction(-1, 2)).within_claimed_range
-        assert not dataclasses.replace(a, lam=Fraction(-1, 2)).within_claimed_range
-        assert not dataclasses.replace(c, lam=Fraction(-1, 4)).within_claimed_range
-        assert not dataclasses.replace(a, lam=Fraction(0)).within_claimed_range
-        assert not dataclasses.replace(c, lam=Fraction(-9, 8)).within_claimed_range
+        assert c._replace(lam=Fraction(-1, 2)).within_claimed_range
+        assert not a._replace(lam=Fraction(-1, 2)).within_claimed_range
+        assert not c._replace(lam=Fraction(-1, 4)).within_claimed_range
+        assert not a._replace(lam=Fraction(0)).within_claimed_range
+        assert not c._replace(lam=Fraction(-9, 8)).within_claimed_range
 
     def test_unreachable_lambda_zero(self):
         # nonzero amplitudes keep cases A/B strictly below zero

@@ -483,11 +483,11 @@ class ValidatingTransform(ContextTransform):
     """ContextTransform with every field made a tuple and every range tested
     by a loop, as before fields already held as tuples were kept."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "prior", tuple(self.prior))
-        object.__setattr__(self, "cond", tuple(tuple(row) for row in self.cond))
-        object.__setattr__(self, "phases", tuple(self.phases))
-        object.__setattr__(self, "signs", tuple(self.signs))
+    __slots__ = ()
+
+    def __post_init__(self, prior, cond, phases, signs, mode):
+        self.prior, self.cond = tuple(prior), tuple(tuple(row) for row in cond)
+        self.phases, self.signs, self.mode = tuple(phases), tuple(signs), mode
         if self.mode not in ("trig", "hyp"):
             raise ValidationError(f"mode must be one of ('trig', 'hyp'), got {self.mode!r}")
         if len(self.prior) != 2 or len(self.cond) != 2 or len(self.phases) != 2:
@@ -505,6 +505,8 @@ class ValidatingTransform(ContextTransform):
             row_sum = row[0] + row[1]
             if abs(row_sum - 1) > TOLERANCE:
                 raise ValidationError(f"cond row {i} sums to {shown(row_sum)}, expected 1")
+        if len(self.signs) != 2:
+            raise ValidationError(f"signs must have 2 entries, got {len(self.signs)}")
         for j, sign in enumerate(self.signs):
             if not _is_sign(sign):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
@@ -764,8 +766,15 @@ PAIRS = st.one_of(
 
 @settings(max_examples=120)
 @given(prior=PAIRS, rows=st.tuples(PAIRS, PAIRS), phases=st.tuples(PHASES, PHASES),
-       signs=st.tuples(SIGNS, SIGNS), mode=st.sampled_from(("trig", "hyp", "x")),
+       signs=st.one_of(st.tuples(SIGNS, SIGNS), st.lists(SIGNS, max_size=3).map(tuple)),
+       mode=st.sampled_from(("trig", "hyp", "x")),
        shape=st.sampled_from(("tuples", "lists", "rows as lists")))
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(), mode="hyp", shape="tuples")  # signs of every length but 2 are refused
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1,), mode="trig", shape="lists")
+@example(prior=(0.5, 0.5), rows=((0.3, 0.7), (0.25, 0.75)), phases=(0.0, 1.0),
+         signs=(1, -1, 1), mode="hyp", shape="tuples")
 @example(prior=(0.5, math.nan), rows=((0.5, 0.5), (1.0, -1e-12)), phases=(0.0, 1.0),
          signs=(1, -1), mode="hyp", shape="tuples")  # out of range, and still summing to 1
 @example(prior=(1.0, -1e-12), rows=((0.5, 0.5), (math.nan, 0.5)), phases=(0.0, 1.0),
@@ -780,6 +789,9 @@ def test_fast_transforms_match_the_validating_fields(prior, rows, phases, signs,
     assert outcome(as_transform, ContextTransform, *args, errors=Exception) == outcome(
         as_transform, ValidatingTransform, *args, errors=Exception
     )
+    if len(signs) != 2:
+        with pytest.raises(ValidationError):
+            ValidatingTransform(*args)
     try:
         fast, slow = ContextTransform(*args), ValidatingTransform(*args)
     except Exception:
@@ -822,9 +834,13 @@ PAIR_PHASES = st.one_of(st.floats(0, 2 * math.pi), st.floats(0, 3),
                         st.fractions(0, 4, max_denominator=8))
 
 
+PAIR_SIGNS = st.sampled_from((1, -1, 1.0, -1.0, True, Fraction(1), Fraction(-1)))
+
+
 @settings(max_examples=300)
 @given(pb1=PAIR_PROBS, r0=PAIR_PROBS, r1=PAIR_PROBS, phases=st.tuples(PAIR_PHASES, PAIR_PHASES),
-       signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+       signs=st.one_of(st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                       st.tuples(PAIR_SIGNS, PAIR_SIGNS)))
 @example(pb1=0.09, r0=0.94, r1=0.53, phases=(1.5, 2.0), signs=(1, 1))  # the weight's grouping
 @example(pb1=0.3, r0=0.6, r1=0.2, phases=(math.pi / 2, math.pi / 2), signs=(1, -1))  # quarter
 @example(pb1=Fraction(1, 3), r0=Fraction(1, 5), r1=Fraction(1, 7), phases=(0, math.pi / 2),
@@ -843,11 +859,18 @@ PAIR_PHASES = st.one_of(st.floats(0, 2 * math.pi), st.floats(0, 3),
 @example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 3.0), signs=(1, -1))  # component 2 < 0
 @example(pb1=0.5, r0=0.5, r1=0.5, phases=(710.5, 0.5), signs=(-1, -1))  # cosh overflows at j = 0
 @example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.5, 710.5), signs=(-1, -1))  # and at j = 1
+@example(pb1=0.5, r0=0.9, r1=0.1, phases=(0.5, 0.25), signs=(-1.0, 1.0))  # every sign the
+@example(pb1=0.5, r0=0.9, r1=0.1, phases=(0.5, 0.25), signs=(True, -1))  # transform takes,
+@example(pb1=0.5, r0=0.9, r1=0.1, phases=(0.5, 0.25), signs=(Fraction(-1), Fraction(1)))
+@example(pb1=0.5, r0=0.9, r1=0.1, phases=(0.25, 0.5), signs=(1.0, Fraction(-1)))  # on the lane
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 0.0), signs=(True, -1.0))  # 1.0 and 0.0
+@example(pb1=0.5, r0=0.5, r1=0.5, phases=(0.0, 0.0), signs=(Fraction(-1), True))  # 0.0, 1.0
 def test_totals_are_the_pair_rule(pb1, r0, r1, phases, signs):
     """Component j of each total is interfere_trig/hyp on outcome j's pair,
     and the raw components are combine on the pairs, in value, type and sign
     of zero, or in error type and message; and plain-float totals clear of
-    0 and 1, which no snap gives, are computed by the float lane."""
+    0 and 1, which no snap gives, are computed by the float lane, whatever
+    the type of the signs."""
     t = ContextTransform((pb1, 1 - pb1), ((r0, 1 - r0), (r1, 1 - r1)), phases, signs, "hyp")
     trig = t.with_mode("trig")
     assert_same(total_prob_quantum, pair_totals(
@@ -1018,7 +1041,7 @@ def record_fields(fit):
     return fields
 
 
-def refuse(*args):
+def refuse_validating(*args):
     raise AssertionError(f"validating path taken for {args}")
 
 
@@ -1082,7 +1105,7 @@ def test_exact_fit_matches_the_fraction_spelling(triple):
     if all(type(v) in (int, Fraction) for v in triple):
         expected = outcome(fraction_lambda, *triple, errors=Exception)
         if expected[0] == "value":
-            with mock.patch.object(engine, "require_probability", refuse):
+            with mock.patch.object(engine, "require_probability", refuse_validating):
                 assert outcome(lambda_of, *triple) == expected
 
 
@@ -1183,7 +1206,7 @@ def test_float_fit_matches_the_validating_spelling(p1, p2, p):
     if all(type(v) is float for v in triple):
         expected = outcome(record_fields(fraction_fit), *triple, errors=Exception)
         if expected[0] == "value":
-            with mock.patch.object(engine, "require_probability", refuse):
+            with mock.patch.object(engine, "require_probability", refuse_validating):
                 assert outcome(record_fields(fit_record), *triple) == expected
 
 
@@ -1204,8 +1227,8 @@ def test_fit_lane_gives_classify_and_phase_of(lam):
         expected = outcome(record_fields(spelled), 0.25, 0.25, 0.5, errors=Exception)
         assert outcome(record_fields(fit_record), 0.25, 0.25, 0.5, errors=Exception) == expected
         if type(lam) is float and math.isfinite(lam) and abs(lam) != 1:
-            with mock.patch.object(engine, "classify", refuse), \
-                    mock.patch.object(engine, "phase_of", refuse):
+            with mock.patch.object(engine, "classify", refuse_validating), \
+                    mock.patch.object(engine, "phase_of", refuse_validating):
                 assert outcome(record_fields(fit_record), 0.25, 0.25, 0.5) == expected
 
 
@@ -1309,7 +1332,7 @@ def test_float_transform_matches_the_validating_spelling(prior, rows, phases, si
     plain = (shape == "tuples" and {*map(type, (*prior, *rows[0], *rows[1], *phases))} == {float}
              and {*map(type, signs)} == {int})
     if plain and expected[0] == "value":
-        with mock.patch.object(context, "_require_pair", refuse):
+        with mock.patch.object(context, "_require_pair", refuse_validating):
             t = ContextTransform(*args)
         assert (t.prior, t.cond, t.phases, t.signs, t.mode) == args
 
@@ -1511,7 +1534,7 @@ def observed(value):
     if isinstance(value, PadicExpansion):
         return "expansion", value.p, value.exponent, value.digits, str(value)
     if isinstance(value, PadicInterference):
-        return tuple(typed(getattr(value, name)) for name in PadicInterference.__dataclass_fields__)
+        return tuple(typed(getattr(value, name)) for name in PadicInterference._fields)
     if isinstance(value, tuple):
         return tuple(observed(v) for v in value)
     return typed(value)

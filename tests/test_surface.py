@@ -1,7 +1,7 @@
 """The public surface, pinned: the package's exported names, each CLI
 command's arguments, the private names one module of the package takes
 from another, the modules that form the rule's cross weight, and the
-dataclass behaviour of the records whose constructors are written by hand.
+behaviour of the records, which share one slotted base.
 Adding or removing any of them is a reviewed change here, and each CLI
 option string is declared once in the parser.  The float lanes'
 constants are pinned too: CPython 3.11 specializes float-with-float compares
@@ -10,7 +10,6 @@ and products, not float-with-int, so an int literal there costs speed."""
 import argparse
 import ast
 import collections
-import dataclasses
 import importlib
 import inspect
 import json
@@ -22,15 +21,26 @@ import pytest
 
 import interfere
 from interfere import cli, context, engine, numeric, profiles
+from interfere.checks import CheckResult
 from interfere.context import ContextTransform
 from interfere.engine import InterferenceRecord, fit_record
-from interfere.padic import PadicExpansion, PadicRational
-from interfere.padic_rule import PadicAmplitudePair, PadicInterference, padic_interfere
+from interfere.errors import FrozenRecordError, _Record
+from interfere.hyperbolic import HyperbolicNumber, PolarForm, polar
+from interfere.padic import PadicBall, PadicExpansion, PadicRational
+from interfere.padic_rule import (
+    PadicAmplitudePair,
+    PadicInterference,
+    SlitSample,
+    padic_interfere,
+    padic_slit_profile,
+)
+from interfere.profiles import BrightnessProfile, profile_trig
 
 PUBLIC_NAMES = [
     "BrightnessProfile",
     "ContextTransform",
     "DegenerateContextError",
+    "FrozenRecordError",
     "HyperbolicNumber",
     "InterfereError",
     "InterferenceRecord",
@@ -105,6 +115,7 @@ COMMAND_ARGUMENTS = {
 
 # "importer: module._name", from `from .module import _name` or `module._name`
 PRIVATE_IMPORTS = [
+    "checks: errors._Record",
     "cli: padic._require_prime",
     "cli: profiles._window_end",
     "cli: profiles._write_slit_table",
@@ -112,13 +123,19 @@ PRIVATE_IMPORTS = [
     "context: engine._at_phase",
     "context: engine._interfere",
     "context: engine._is_sign",
+    "context: errors._Record",
+    "engine: errors._Record",
     "engine: hyperbolic._float",
     "engine: numeric._exact_root",
+    "hyperbolic: errors._Record",
+    "padic: errors._Record",
+    "padic_rule: errors._Record",
     "padic_rule: padic._power",
     "padic_rule: padic._require_prime",
     "padic_rule: padic._unchecked",
     "profiles: engine._is_sign",
     "profiles: engine._sweep",
+    "profiles: errors._Record",
     "profiles: padic_rule._slit_columns",
     "profiles: padic_rule._squared_abs",
 ]
@@ -209,8 +226,22 @@ def test_weight_importers():
     assert sorted(importers) == WEIGHT_IMPORTERS
 
 
-# records built by a hand-written __init__, with each one's constructor
-# parameters and defaults
+def test_no_module_imports_dataclasses():
+    """The records are built on errors._Record, so no command pays for
+    importing dataclasses, and with it inspect."""
+    found = []
+    for path in pathlib.Path(interfere.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{path.stem}: {node.module}")
+    assert found == []
+
+
+# the frozen records, each built by its public constructor, with that
+# constructor's parameters and defaults
 RECORDS = {
     "fit": (lambda: fit_record(0.2, 0.3, 0.45), InterferenceRecord, [
         ("p1", None), ("p2", None), ("p", None), ("lam", None), ("regime", None),
@@ -231,51 +262,124 @@ RECORDS = {
     "expansion": (lambda: PadicRational(3, Fraction(7, 9)).digits(5), PadicExpansion, [
         ("p", None), ("exponent", None), ("digits", None),
     ]),
+    "polar": (lambda: polar(HyperbolicNumber(3.0, 1.0)), PolarForm, [
+        ("sign", None), ("modulus", None), ("phase", None),
+    ]),
+    "ball": (lambda: PadicBall(3, Fraction(2, 9), -1, "open"), PadicBall, [
+        ("p", None), ("center", None), ("radius_exponent", None), ("kind", "closed"),
+    ]),
+    "slit": (lambda: padic_slit_profile(3, 1, 8)[1], SlitSample, [
+        ("epsilon", None), ("multiplicity", None), ("probability", None),
+    ]),
+}
+
+# the mutable records, built the same way
+MUTABLE_RECORDS = {
+    "profile": (lambda: profile_trig(0.25, 0.25, (0.0, 1.0, 2.0)), BrightnessProfile, [
+        ("kind", None), ("grid", None), ("values", None), ("metadata", None),
+        ("theta_max", None), ("theta_min", None), ("warnings", ()),
+    ]),
+    "check": (lambda: CheckResult("a check", 3, 1, "a detail"), CheckResult, [
+        ("name", None), ("cases", 0), ("violations", 0), ("detail", ""),
+    ]),
 }
 
 
-@pytest.mark.parametrize("kind", RECORDS)
-def test_records_keep_the_dataclass_surface(kind):
-    """Each record is a frozen dataclass like the ones the generated __init__
-    builds: equal, with the same hash and repr, to the record built from its
-    fields by the public constructor, and unchanged through replace, asdict
-    and pickle."""
-    build, cls, parameters = RECORDS[kind]
-    record = build()
+def _assert_record_surface(record, cls, parameters):
+    """The fields of record, in order, name cls's constructor parameters, and
+    record is equal, in repr and _asdict(), to the record its constructor
+    builds from them by position, by name, through _replace() and through
+    pickle; a slotted record holds nothing else.  Returns the fields and
+    those copies."""
     names = [name for name, _ in parameters]
-    assert [f.name for f in dataclasses.fields(cls)] == names == list(cls.__match_args__)
+    assert list(cls._fields) == names == list(cls.__match_args__)
     empty = inspect.Parameter.empty
     assert [(p.name, None if p.default is empty else p.default)
             for p in inspect.signature(cls).parameters.values()] == parameters
     values = {name: getattr(record, name) for name in names}
-    assert vars(record) == values
-    by_position = cls(*values.values())
-    by_name = cls(**values)
-    for other in (by_position, by_name, dataclasses.replace(record),
-                  pickle.loads(pickle.dumps(record))):
-        assert type(other) is cls
-        assert other == record and hash(other) == hash(record) and repr(other) == repr(record)
-        assert vars(other) == values
-    assert dataclasses.asdict(record) == values
+    assert record._asdict() == values and not hasattr(record, "__dict__")
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in values.items()) + ")"
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    copies = (cls(*values.values()), cls(**values), record._replace(),
+              pickle.loads(pickle.dumps(record)))
+    for other in copies:
+        assert type(other) is cls
+        assert other == record and repr(other) == repr(record)
+        assert other._asdict() == values
+    return values, copies
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_keep_the_dataclass_surface(kind):
+    """Each frozen record keeps what its frozen dataclass gave, in the
+    base's spelling: it is built and compared as _assert_record_surface
+    says, hashes as the tuple of its fields, and refuses assignment and
+    deletion."""
+    build, cls, parameters = RECORDS[kind]
+    record = build()
+    values, copies = _assert_record_surface(record, cls, parameters)
+    assert all(hash(other) == hash(record) == hash(tuple(values.values())) for other in copies)
+    for name in values:
+        with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, values[name])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenRecordError, match=f"cannot delete field '{name}'"):
             delattr(record, name)
-    assert vars(record) == values
+    with pytest.raises(FrozenRecordError):
+        record.not_a_field = 1
+    assert record._asdict() == values
+
+
+@pytest.mark.parametrize("kind", MUTABLE_RECORDS)
+def test_mutable_records_keep_their_surface(kind):
+    """Each mutable record is built and compared as _assert_record_surface
+    says, is unhashable, and takes assignment to its fields only."""
+    build, cls, parameters = MUTABLE_RECORDS[kind]
+    record = build()
+    values, _ = _assert_record_surface(record, cls, parameters)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    first = parameters[0][0]
+    setattr(record, first, "changed")
+    assert getattr(record, first) == "changed" and record != cls(**values)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_every_record_is_pinned():
+    """The package's records are the ones pinned above and the two numbers,
+    whose fields are read back from private slots."""
+    records = {cls for cls in _Record.__subclasses__() if not cls.__name__.startswith("_")}
+    pinned = {cls for _, cls, _ in (*RECORDS.values(), *MUTABLE_RECORDS.values())}
+    assert records == pinned | {HyperbolicNumber, PadicRational}
+    assert HyperbolicNumber._fields == ("x", "y") and PadicRational._fields == ("p", "value")
 
 
 def test_replace_checks_a_transform_again():
+    """_replace() builds through the constructor, as dataclasses.replace did,
+    so a transform, a pair, a ball or a p-adic value is checked again."""
     t = ContextTransform((0.3, 0.7), ((0.4, 0.6), (0.25, 0.75)), (0.5, 1.5), (1, -1), "hyp")
-    assert t.with_mode("trig") == dataclasses.replace(t, mode="trig")
+    assert t.with_mode("trig") == t._replace(mode="trig")
     assert t.with_mode("trig").mode == "trig"
     for changes in ({"mode": "x"}, {"prior": (0.3, 0.8)}, {"signs": (1, 2)}):
         with pytest.raises(interfere.ValidationError):
-            dataclasses.replace(t, **changes)
-    assert dataclasses.replace(t, prior=[0.3, 0.7]).prior == (0.3, 0.7)
-
+            t._replace(**changes)
+    assert t._replace(prior=[0.3, 0.7]).prior == (0.3, 0.7)
+    with pytest.raises(TypeError):
+        t._replace(not_a_field=1)
+    pair = PadicAmplitudePair(3, 9, Fraction(2, 5), -4)
+    assert pair._replace(alpha1=2).alpha1 == PadicRational(3, 2)
+    with pytest.raises(interfere.DegenerateContextError):
+        pair._replace(alpha2=0)
+    ball = PadicBall(3, Fraction(2, 9), -1)
+    assert ball._replace(center=1).center == PadicRational(3, 1)
+    with pytest.raises(interfere.ValidationError, match="kind must be one of"):
+        ball._replace(kind="cube")
+    with pytest.raises(interfere.PrimeMismatchError):
+        ball._replace(center=PadicRational(5, 1))
+    assert PadicRational(3, 7)._replace(value=Fraction(1, 3)) == PadicRational(3, Fraction(1, 3))
+    with pytest.raises(interfere.ValidationError, match="refusing float"):
+        PadicRational(3, 7)._replace(value=0.5)
+    assert HyperbolicNumber(1, 2)._replace(y=0.5) == HyperbolicNumber(1, 0.5)
 
 
 def _traced_names():
