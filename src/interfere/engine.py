@@ -252,6 +252,7 @@ def _sweep(algebra: _Algebra, p1, p2, sign, phases):
     base and weight formed here once; the phases themselves are not checked."""
     base, weight = p1 + p2, 2 * sqrt_keeping_exact(p1 * p2)
     cross, what = algebra.cross, algebra.what
+    # Fast accept: float base and weight, a plain int sign and a positive base.
     if type(base) is float and type(weight) is float and type(sign) is int and base > 0.0:
         # The bare rule gives _rule's floats: (sign*weight)*c is weight*(sign*c),
         # and a nonzero base absorbs a zero cross term of either sign as base + 0

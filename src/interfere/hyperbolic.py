@@ -210,16 +210,22 @@ def polar(z: HyperbolicNumber) -> PolarForm:
         sign = 1 if z.x > 0 else -1
         return PolarForm(sign, math.sqrt(n), math.atanh(z.y / z.x))
     except OverflowError:
-        pass
+        raise _past_float_range(z, "polar form") from None
+
+
+def _past_float_range(z: HyperbolicNumber, what: str) -> ValidationError:
+    """The error for a z whose float form overflowed: it names a component
+    past the float range or, with both in it, the exact norm_sq."""
     for name, part in (("x", z.x), ("y", z.y)):
         if not -_FLOAT_MAX <= part <= _FLOAT_MAX:
-            raise ValidationError(
-                f"polar form needs components in the float range (~1.8e308), "
+            return ValidationError(
+                f"{what} needs components in the float range (~1.8e308), "
                 f"got {name} = {shown(part)}"
             )
-    raise ValidationError(
-        f"polar form needs norm_sq in the float range (~1.8e308), got "
-        f"norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(z.norm_sq())}"
+    norm = z.norm_sq() if z._d else Fraction(z.x) ** 2 - Fraction(z.y) ** 2
+    return ValidationError(
+        f"{what} needs norm_sq in the float range (~1.8e308), got "
+        f"norm_sq({shown(z.x)} + j*{shown(z.y)}) = {shown(norm)}"
     )
 
 
@@ -228,14 +234,18 @@ def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
 
     Only elements with norm_sq > 0 are invertible: the light cone consists of
     zero divisors and negative-norm elements fall outside the positive cone.
-    ValidationError names a float component that is not finite.
+    ValidationError names a float component that is not finite, and an int
+    component past the float range, as polar does.
     """
     d = z._d
     if d:
         n = z._a * z._a - z._b * z._b  # d*d * norm_sq
     else:
         _require_finite(z, "inverse")
-        n = z.norm_sq()
+        try:
+            n = z.norm_sq()
+        except OverflowError:  # an int component
+            raise _past_float_range(z, "inverse") from None
     if n == 0:
         raise NonPositiveNormError(f"{shown(z)} is a zero divisor (light cone), not invertible")
     if n < 0:

@@ -166,8 +166,13 @@ def _slit_columns(p: int, l: int, eps_max: int):
     _require_prime(p)
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}")
+    if isinstance(l, float) or getattr(l, "denominator", 1) != 1:
+        # p**(-2l) is then no exact probability
+        raise ValidationError(f"l must be an integer, got {l!r}")
     if eps_max < 1:
         raise ValidationError(f"eps_max must be >= 1, got {eps_max}")
+    if not isinstance(eps_max, int):
+        raise ValidationError(f"eps_max must be an integer, got {eps_max!r}")
     # v = v_p(r) for r = 1 + eps, sieved: each power q = p**k sets k at its
     # multiples.  Then every p-th eps, the ones divisible by p, is dropped.
     n = eps_max + 1
@@ -183,9 +188,6 @@ def _slit_columns(p: int, l: int, eps_max: int):
         q, k = q * p, k + 1
     eps, v = list(range(1, n)), v[2:]
     del eps[p - 1::p], v[p - 1::p]
-    if isinstance(l, float) or getattr(l, "denominator", 1) != 1:
-        # p**(-2l) is then no exact probability
-        raise ValidationError(f"l must be an integer, got {l!r}")
     level = {k: _squared_abs(p, l + k) for k in set(v)}
     return eps, v, [level[k] for k in v]
 

@@ -74,6 +74,7 @@ def uniform_grid(lo: float, hi: float, n: int):
     _require_finite("span hi - lo", hi - lo)
     try:
         samples = range(n)  # refuses a float n, 1.0 too, before the one-point grid
+        float(n)  # an int n past the float range, whatever the type of the ends
         if n == 1:
             return (float(lo),)
         step = (hi - lo) / (n - 1)

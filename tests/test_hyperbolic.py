@@ -326,6 +326,19 @@ class TestInverse:
             hyperbolic.inverse(z)
         assert str(info.value) == f"inverse needs finite components, {message}"
 
+    @pytest.mark.parametrize("z, name, part", [
+        (HyperbolicNumber(0.5, 10**400), "y", 10**400),
+        (HyperbolicNumber(10**400, 0.5), "x", 10**400),
+    ], ids=["y", "x"])
+    def test_a_component_past_the_float_range_is_named(self, z, name, part):
+        # an int component beside a float one raised a bare OverflowError
+        for func, what in ((hyperbolic.inverse, "inverse"), (hyperbolic.polar, "polar form")):
+            with pytest.raises(ValidationError) as info:
+                func(z)
+            assert str(info.value) == (
+                f"{what} needs components in the float range (~1.8e308), got {name} = {part!r}"
+            )
+
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=30))
     def test_random_positive_norm_inverses(self, y):
         z = HyperbolicNumber(abs(y) + 1, y)  # |x| > |y| puts z in the group

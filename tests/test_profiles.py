@@ -62,9 +62,11 @@ class TestUniformGrid:
         ids=["inf", "nan", "2.5", "10**400", "2**1100"],
     )
     def test_an_n_that_is_no_int_in_the_float_range_is_named(self, n):
-        with pytest.raises(ProfileError) as info:
-            uniform_grid(0.0, 1.0, n)
-        assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
+        # int and Fraction ends divide by a huge n without overflow
+        for lo, hi in ((0.0, 1.0), (0, 1), (Fraction(0), Fraction(1))):
+            with pytest.raises(ProfileError) as info:
+                uniform_grid(lo, hi, n)
+            assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
 
     @pytest.mark.parametrize("n", [1.0, Fraction(1)], ids=["1.0", "Fraction(1)"])
     def test_a_float_n_is_refused_even_for_one_sample(self, n):

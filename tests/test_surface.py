@@ -5,7 +5,9 @@ behaviour of the records, which share one slotted base.
 Adding or removing any of them is a reviewed change here, and each CLI
 option string is declared once in the parser.  The float lanes'
 constants are pinned too: CPython 3.11 specializes float-with-float compares
-and products, not float-with-int, so an int literal there costs speed."""
+and products, not float-with-int, so an int literal there costs speed.  Each
+'# Fast accept' comment has an entry in the lane table of tests/lanes.py,
+and the table keeps every example the parity tests held before it."""
 
 import argparse
 import ast
@@ -15,12 +17,14 @@ import inspect
 import json
 import pathlib
 import pickle
+import textwrap
 from fractions import Fraction
 
+import lanes
 import pytest
 
 import interfere
-from interfere import cli, context, engine, numeric, profiles
+from interfere import cli
 from interfere.checks import CheckResult
 from interfere.context import ContextTransform
 from interfere.engine import InterferenceRecord, fit_record
@@ -405,42 +409,100 @@ def test_traced_names_resolve(name):
     assert inspect.isfunction(owner) and owner.__module__ == f"interfere.{module}"
 
 
+def _function(where):
+    """The function `where` names: module.function or module.Class.method."""
+    module, *path = where.split(".")
+    owner = importlib.import_module(f"interfere.{module}")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner
+
+
 def _float_lane(func):
-    """The one `if` block of func that tests for `float`, without its `else`,
-    which is the validating path."""
-    tree = ast.parse(inspect.getsource(func)).body[0]
-    [lane] = [node for node in tree.body
-              if isinstance(node, ast.If) and "float" in ast.unparse(node.test)]
+    """The one top-level `if` block of func with `float` in its test or in a
+    nested one, without its `else`, which is the validating path."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+    [lane] = [node for node in tree.body if isinstance(node, ast.If) and any(
+        "float" in ast.unparse(sub.test) for sub in ast.walk(node) if isinstance(sub, ast.If))]
     return ast.If(test=lane.test, body=lane.body, orelse=[])
 
 
 def _stray_int_literals(node):
-    """The int literals under node, except those in a comparison with `sign`
-    or in a value assigned to `sign`."""
+    """The int literals under node, except those in a comparison with a sign
+    (sign, s0, s1) or a len(), in a value assigned to `sign`, or indexing."""
     allowed = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Compare):
             operands = [sub.left, *sub.comparators]
-            if any(isinstance(op, ast.Name) and op.id == "sign" for op in operands):
+            if any(isinstance(op, ast.Name) and op.id in ("sign", "s0", "s1")
+                   or isinstance(op, ast.Call) and ast.unparse(op.func) == "len"
+                   for op in operands):
                 allowed.update(id(part) for op in operands for part in ast.walk(op))
         elif isinstance(sub, ast.Assign) and [ast.unparse(t) for t in sub.targets] == ["sign"]:
             allowed.update(id(part) for part in ast.walk(sub.value))
+        elif isinstance(sub, ast.Subscript):
+            allowed.update(id(part) for part in ast.walk(sub.slice))
     return [ast.unparse(sub) for sub in ast.walk(node)
             if isinstance(sub, ast.Constant) and type(sub.value) is int and id(sub) not in allowed]
 
 
-@pytest.mark.parametrize("lane", [
-    lambda: _float_lane(engine.lambda_of),
-    lambda: _float_lane(engine._sweep),
-    lambda: _float_lane(engine._interfere),
-    lambda: _float_lane(engine._amplitudes),
-    lambda: _float_lane(engine.fit_record),
-    lambda: _float_lane(context._totals),
-    lambda: _float_lane(profiles.theta_bounds),
-    lambda: ast.parse(inspect.getsource(numeric.phase_cos)),
-], ids=["lambda_of", "_sweep", "_interfere", "_amplitudes", "fit_record", "_totals",
-        "theta_bounds", "phase_cos"])
-def test_float_lanes_use_float_literals(lane):
-    """Every constant a float lane compares or multiplies a float with is a
-    float literal; only the int sign is compared with or set to ints."""
-    assert _stray_int_literals(lane()) == []
+FLOAT_LANES = list(dict.fromkeys(lane.where for lane in lanes.LANES if lane.where))
+
+
+@pytest.mark.parametrize("where", [*FLOAT_LANES, "numeric.phase_cos"],
+                         ids=lambda where: where.split(".", 1)[1])
+def test_float_lanes_use_float_literals(where):
+    """Every constant a float lane of the lane table, or phase_cos, compares
+    or multiplies a float with is a float literal; only the int signs and
+    lengths are compared with ints, and the int sign is set to one."""
+    func = _function(where)
+    lane = ast.parse(inspect.getsource(func)) if where == "numeric.phase_cos" else _float_lane(func)
+    assert _stray_int_literals(lane) == []
+
+
+def _enclosing(node, line, prefix=""):
+    """The qualified name of the innermost function under node holding line."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and (
+                child.lineno <= line <= child.end_lineno):
+            name = prefix + child.name
+            inner = _enclosing(child, line, name + ".")
+            return inner or (name if isinstance(child, ast.FunctionDef) else None)
+    return None
+
+
+def test_every_fast_accept_has_a_lane_entry():
+    """Each '# Fast accept' comment in the package has a lane table entry for
+    the function holding it, one entry per comment."""
+    markers = collections.Counter()
+    for path in pathlib.Path(interfere.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        tree = ast.parse(source)
+        for number, line in enumerate(source.splitlines(), 1):
+            if "# Fast accept" in line:
+                markers[f"{path.stem}.{_enclosing(tree, number)}"] += 1
+    assert markers == collections.Counter(lane.where for lane in lanes.LANES if lane.where)
+
+
+def _key(value):
+    """value by its types and text, so that NaN and -0.0 compare."""
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(_key, value))
+    if isinstance(value, dict):
+        return tuple(sorted((k, _key(v)) for k, v in value.items()))
+    return type(value), repr(value)
+
+
+def test_the_table_keeps_the_inventory_of_the_parity_tests():
+    """Each example, and each max_examples, the parity tests held before
+    they became table entries, keyed by lane."""
+    budget = dict.fromkeys(lanes.LANE, 0)
+    for line in pathlib.Path(__file__).with_name("parity_inventory.txt").read_text().splitlines():
+        if line.startswith("@"):
+            _, name, max_examples, _ = line.split("\t")
+            lane, kept = lanes.LANE[name], {_key(case) for case in lanes.LANE[name].examples}
+            budget[name] += int(max_examples)
+        else:
+            assert _key(eval(line.strip(), vars(lanes))) in kept, (lane.name, line)
+    for name, lane in lanes.LANE.items():
+        assert lane.max_examples >= budget[name], name
