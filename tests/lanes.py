@@ -5,9 +5,9 @@ the same bits, types, signs of zero, errors and error order as the path it
 skips.  Each entry of LANES names the calls a lane serves and their one
 reference, the cases to draw, the examples and max_examples, the names its
 refusal hook patches and the calls that must stay on the lane; typed is how
-every result is observed.  test_parity.py makes one test of each entry, so a
-new lane is one entry here.  The p-adic records, the slit columns and the CSV
-bodies are held to the spellings they replaced in the same way.
+every result is observed.  test_parity.py tests each entry and each `also`
+strategy, so a new lane is one entry here.  The p-adic records, the slit
+columns and the CSV bodies are held to the spellings they replaced likewise.
 """
 
 import cmath
@@ -142,6 +142,7 @@ class Lane(NamedTuple):
     hooks: tuple = ()  # module.name each refused while a call stays on the lane
     stays: Callable = None  # (outcome of a fast call, **case) -> whether it must stay
     errors: type = Exception  # what a call may raise
+    also: tuple = ()  # (test, cases, max_examples) of each further test of the lane
 
 
 def cases(**strategies):
@@ -1307,9 +1308,7 @@ LANES = (
          ), max_examples=50, where="engine._sweep", hooks=("engine.as_probability",),
          stays=sweep_stays),
     Lane("_interfere", "test_fast_rules_match_the_validating_path",
-         RULES, SPELLED_RULES,
-         st.one_of(cases(p1=PROBS, p2=PROBS, theta=PHASES, sign=SIGNS),
-                   near_endpoints().map(lambda c: dict(zip(("p1", "p2", "theta", "sign"), c)))),
+         RULES, SPELLED_RULES, cases(p1=PROBS, p2=PROBS, theta=PHASES, sign=SIGNS),
          examples=(
             dict(p1=0.25, p2=0.25, theta=math.inf, sign=1),  # sin(-inf) raises
             dict(p1=0.25, p2=0.25, theta=711.0, sign=-1),  # cosh overflows
@@ -1328,7 +1327,9 @@ LANES = (
             dict(p1=0.25, p2=0.25, theta=0.0, sign=-1),
             # minus branch at theta_min = ln 2
             dict(p1=1 / 16, p2=1 / 64, theta=math.log(2), sign=-1),
-         ), max_examples=250, where="engine._interfere", hooks=("engine._require_inputs",),
+         ), max_examples=150, where="engine._interfere", hooks=("engine._require_inputs",),
+         also=(("test_fast_rules_match_at_the_endpoints",
+                near_endpoints().map(lambda c: dict(zip(("p1", "p2", "theta", "sign"), c))), 100),),
          stays=lambda seen, **case: (plain(**case) and seen[0] == "value"
                                      and 0.0 < seen[1][1] < 1.0)),
     Lane("_amplitudes", "test_fast_amplitudes_match_the_validating_path",
@@ -1357,15 +1358,10 @@ LANES = (
          stays=lambda seen, lam: type(lam) is float and math.isfinite(lam) and abs(lam) != 1),
     Lane("ContextTransform", "test_float_transform_matches_the_validating_spelling",
          transform_calls(ContextTransform), transform_calls(ValidatingTransform),
-         st.one_of(
-             cases(prior=PAIRS, rows=st.tuples(PAIRS, PAIRS), phases=st.tuples(PHASES, PHASES),
-                   signs=st.one_of(st.tuples(SIGNS, SIGNS), st.lists(SIGNS, max_size=3).map(tuple)),
-                   mode=st.sampled_from(("trig", "hyp", "x")),
-                   shape=st.sampled_from(("tuples", "lists", "rows as lists"))),
-             cases(prior=lane_pairs(), rows=st.tuples(lane_pairs(), lane_pairs()),
-                   phases=st.tuples(PHASES, PHASES), signs=st.tuples(SIGNS, SIGNS),
-                   mode=st.sampled_from(("trig", "hyp", "hyp", "x")),
-                   shape=st.sampled_from(("tuples", "tuples", "lists", "rows as lists")))),
+         cases(prior=lane_pairs(), rows=st.tuples(lane_pairs(), lane_pairs()),
+               phases=st.tuples(PHASES, PHASES), signs=st.tuples(SIGNS, SIGNS),
+               mode=st.sampled_from(("trig", "hyp", "hyp", "x")),
+               shape=st.sampled_from(("tuples", "tuples", "lists", "rows as lists"))),
          examples=(
             like(ROWS, signs=()),  # signs of every length but 2 are refused
             like(ROWS, signs=(1,), mode="trig", shape="lists"),
@@ -1397,7 +1393,12 @@ LANES = (
             like(ROWS, prior=(Fraction(1, 2), 0.5),
                  rows=((0.3, 0.7), (0.25, Fraction(3, 4)))),  # mixed types
             like(ROWS, mode="x"),
-         ), max_examples=420, where="context.ContextTransform.__post_init__",
+         ), max_examples=300, where="context.ContextTransform.__post_init__",
+         also=(("test_fast_transforms_match_the_validating_fields", cases(
+             prior=PAIRS, rows=st.tuples(PAIRS, PAIRS), phases=st.tuples(PHASES, PHASES),
+             signs=st.one_of(st.tuples(SIGNS, SIGNS), st.lists(SIGNS, max_size=3).map(tuple)),
+             mode=st.sampled_from(("trig", "hyp", "x")),
+             shape=st.sampled_from(("tuples", "lists", "rows as lists"))), 120),),
          hooks=("context._require_pair",), stays=transform_stays),
     Lane("_totals", "test_totals_are_the_pair_rule", totals_calls(True), totals_calls(False),
          cases(pb1=PAIR_PROBS, r0=PAIR_PROBS, r1=PAIR_PROBS,

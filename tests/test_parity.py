@@ -1,9 +1,9 @@
 """Parity of every fast lane with the one validating spelling it bypasses.
 
-For each entry of lanes.LANES this module makes one test.  On the entry's
-examples and on the cases its strategy draws, the lane's callables and its
-reference must give the same outcomes: the same values with the same types
-and signs of zero, or the same error type and message.  A case that must stay
+This module makes one test of each entry of lanes.LANES, and one of each
+strategy in its `also`.  On the entry's examples and the cases drawn, the
+lane's callables and its reference must give the same outcomes: the same
+values with the same types and signs of zero, or the same error and message.  A case that must stay
 on the lane is run again with the entry's refusal hooks installed, and any of
 them firing fails the test with a message naming the lane.  A few seeded
 sweeps hold the public rule, totals, transforms and fit to the same
@@ -82,6 +82,8 @@ def lane_test(lane):
 
 for _lane in lanes.LANES:
     globals()[_lane.test] = lane_test(_lane)
+    for _test, _cases, _n in _lane.also:
+        globals()[_test] = lane_test(_lane._replace(cases=_cases, examples=(), max_examples=_n))
 
 
 # -- seeded sweeps ------------------------------------------------------------

@@ -494,15 +494,14 @@ def _key(value):
 
 
 def test_the_table_keeps_the_inventory_of_the_parity_tests():
-    """Each example, and each max_examples, the parity tests held before
-    they became table entries, keyed by lane."""
-    budget = dict.fromkeys(lanes.LANE, 0)
+    """Each example the parity tests held before they became table entries,
+    keyed by lane, and each test under its name with at least its
+    max_examples."""
     for line in pathlib.Path(__file__).with_name("parity_inventory.txt").read_text().splitlines():
         if line.startswith("@"):
-            _, name, max_examples, _ = line.split("\t")
+            _, name, max_examples, test = line.split("\t")
             lane, kept = lanes.LANE[name], {_key(case) for case in lanes.LANE[name].examples}
-            budget[name] += int(max_examples)
+            drawn = {lane.test: lane.max_examples, **{t: m for t, _, m in lane.also}}
+            assert drawn[test] >= int(max_examples), (name, test)
         else:
             assert _key(eval(line.strip(), vars(lanes))) in kept, (lane.name, line)
-    for name, lane in lanes.LANE.items():
-        assert lane.max_examples >= budget[name], name
