@@ -19,6 +19,7 @@ Each public function chooses its algebra, ``engine.TRIG`` with signs +1 or
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 from .engine import HYP, TRIG, _amplitudes, _at_phase, _interfere, _is_sign, combine
 from .errors import NotAProbabilityError, ValidationError, _Record, shown
@@ -90,6 +91,8 @@ class ContextTransform(_Record):
             if not _is_sign(sign):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
         for j, theta in enumerate(phases):
+            if not isinstance(theta, Real):  # a complex phase would make the totals complex
+                raise ValidationError(f"phases[{j}] must be a real number, got {shown(theta)}")
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 

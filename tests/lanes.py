@@ -16,6 +16,7 @@ import copy
 import functools
 import io
 import math
+import numbers
 import operator
 import pickle
 import sys
@@ -299,17 +300,22 @@ def piecewise_points(partition, grid):
 
 def profile_calls(fast):
     """profile_trig, profile_hyp and profile_piecewise on grids run to the end
-    of each branch's window and past it, as calls of a case; the reference
+    of each branch's window and past it, as calls of a case; on the 2*pi grid
+    the partition's intervals lie in their branches' windows.  The reference
     sweeps without the float lane and keeps what the per-point filters kept."""
     def profile(end, kind):
         def run(pair, sign, extra, n, stretch):
             p1, p2 = pair
             try:
-                hi = (*theta_bounds(p1, p2), 2 * math.pi)[end] or 1.0
+                theta_max, theta_min = theta_bounds(p1, p2)
             except InterfereError:
-                hi = 2 * math.pi if end == 2 else 1.0
+                theta_max = theta_min = None
+            hi = (theta_max, theta_min, 2 * math.pi)[end] or 1.0
             grid = tuple(hi * stretch * i / max(n - 1, 1) for i in range(n)) + tuple(extra)
             partition = [(0.0, hi / 3, -1), (hi / 2, hi, sign)]
+            if end == 2 and theta_min is not None:  # [pi, 2*pi] would leave every window
+                top = (theta_max if sign == 1 else theta_min) or 1.0
+                partition = [(0.0, theta_min / 3, -1), (top / 2, top, sign)]
             func, args, spelled = {
                 "trig": (profile_trig, (p1, p2, grid), None),
                 "hyp": (profile_hyp, (p1, p2, sign, grid), lambda: hyp_window_points(*args)),
@@ -412,6 +418,8 @@ class ValidatingTransform(ContextTransform):
             if not _is_sign(sign):
                 raise ValidationError(f"signs[{j}] must be +1 or -1, got {shown(sign)}")
         for j, theta in enumerate(self.phases):
+            if not isinstance(theta, numbers.Real):
+                raise ValidationError(f"phases[{j}] must be a real number, got {shown(theta)}")
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
@@ -1305,6 +1313,8 @@ LANES = (
                  extra=[Fraction(1, 3), Fraction(-1, 3), Fraction(0), 2, Fraction(7, 2), 0]),
             dict(pair=(Fraction(1, 16), Fraction(1, 16)), sign=1, n=3, stretch=1.0,
                  extra=[Fraction(1, 3), 0, Fraction(-1, 10**400), Fraction(5, 2)]),
+            # no plus window: the partitions with a plus interval are refused
+            dict(pair=(0.36, 0.36), sign=1, extra=[], n=7, stretch=1.0),
          ), max_examples=50, where="engine._sweep", hooks=("engine.as_probability",),
          stays=sweep_stays),
     Lane("_interfere", "test_fast_rules_match_the_validating_path",
@@ -1374,6 +1384,7 @@ LANES = (
             like(HALVES, prior=(0.5, math.nan)),
             like(HALVES, rows=((0.5, 0.5), (math.inf, 0.5))),
             like(HALVES, phases=(math.inf, 1.0)),  # a phase that is not finite
+            like(HALVES, phases=(1j, 0.0)),  # a phase that is not real
             like(HALVES, phases=(0.0, -math.inf), signs=(1, 1), mode="trig"),
             like(HALVES, phases=(math.nan, 0.0), signs=(1, 1), mode="trig"),
             like(HALVES, prior=(-0.0, 1.0), phases=(-0.0, 0.0)),  # signed zeros

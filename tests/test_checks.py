@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from interfere import checks, cli
+from interfere import checks, cli, engine
 from interfere.engine import amplitudes_hyp, amplitudes_trig
 from interfere.hyperbolic import HyperbolicNumber
 from interfere.profiles import theta_bounds, uniform_grid
@@ -45,14 +45,22 @@ class TestLazyDetail:
         assert tally.detail == "first"
 
 
+def planted(monkeypatch, algebra, shift):
+    """Make the direct rule that the oracle sweeps call add shift(p1, theta)
+    to its value in `algebra` only; the faulty rule is returned."""
+    real = checks._interfere
+
+    def faulty(which, p1, p2, theta, sign, name="theta"):
+        value = real(which, p1, p2, theta, sign, name)
+        return value + shift(p1, theta) if which is algebra else value
+
+    monkeypatch.setattr(checks, "_interfere", faulty)
+    return faulty
+
+
 class TestInjectedFault:
     def test_hyp_oracle_keeps_its_counterexample(self, monkeypatch):
-        real = checks.interfere_hyp
-
-        def faulty(p1, p2, theta, sign):
-            return real(p1, p2, theta, sign) + 1e-6
-
-        monkeypatch.setattr(checks, "interfere_hyp", faulty)
+        faulty = planted(monkeypatch, engine.HYP, lambda p1, theta: 1e-6)
         result = checks.check_amplitude_oracle_hyp(n=5)
 
         expected, failures = None, 0
@@ -62,7 +70,7 @@ class TestInjectedFault:
                 theta_max, theta_min = theta_bounds(p1, p2)
                 for sign, hi in ((1, theta_max), (-1, theta_min)):
                     for theta in uniform_grid(0.0, hi, 5):
-                        direct = faulty(p1, p2, theta, sign)
+                        direct = faulty(engine.HYP, p1, p2, theta, sign)
                         a1, a2 = amplitudes_hyp(p1, p2, theta, sign)
                         oracle = (a1 + a2).norm_sq()
                         if not checks._close(direct, oracle):
@@ -77,17 +85,12 @@ class TestInjectedFault:
 
     def test_trig_oracle_reports_a_later_first_violation(self, monkeypatch):
         # only phases past pi are broken, so the first violation is mid-sweep
-        real = checks.interfere_trig
-
-        def faulty(p1, p2, theta):
-            return real(p1, p2, theta) + (1e-6 if theta > math.pi else 0)
-
-        monkeypatch.setattr(checks, "interfere_trig", faulty)
+        faulty = planted(monkeypatch, engine.TRIG, lambda p1, theta: 1e-6 if theta > math.pi else 0)
         result = checks.check_amplitude_oracle_trig(n=5)
 
         p1 = p2 = 0.005
         theta = uniform_grid(0.0, 2 * math.pi, 5)[3]
-        direct = faulty(p1, p2, theta)
+        direct = faulty(engine.TRIG, p1, p2, theta, 1)
         a1, a2 = amplitudes_trig(p1, p2, theta)
         oracle = abs(a1 + a2) ** 2
         assert result.cases == 125
@@ -215,10 +218,7 @@ class TestPool:
         reason="the fault is planted in this process, and only forked workers inherit it",
     )
     def test_a_failing_sweep_reaches_the_fail_line(self, monkeypatch, capsys, pools):
-        real = checks.interfere_hyp
-        monkeypatch.setattr(
-            checks, "interfere_hyp", lambda p1, p2, theta, sign: real(p1, p2, theta, sign) + 1e-6
-        )
+        planted(monkeypatch, engine.HYP, lambda p1, theta: 1e-6)
         expected = checks.check_amplitude_oracle_hyp(n=15)
         assert expected.violations > 0
         cpus(monkeypatch, 2)
@@ -230,6 +230,74 @@ class TestPool:
             f"FAIL  amplitude-oracle-hyp: 6750 cases, {expected.violations} violations "
             f"[{expected.detail}]"
         ) in lines
+
+
+FORKED = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the fault is planted in this process, and only forked workers inherit it",
+)
+# the p1 rows of the quick oracle sweeps
+QUICK_ROWS = uniform_grid(0.005, 0.25, 15)
+
+
+class TestRowJobs:
+    """run_all cuts each oracle sweep into jobs of p1 rows and merges them
+    in row order into what one serial sweep reports."""
+
+    def test_each_check_is_scheduled_once(self):
+        assert sorted(checks._LONGEST_FIRST) == sorted(name for name, _, _ in checks._sweeps(True))
+
+    @pytest.mark.parametrize("count", [1, pytest.param(2, marks=FORKED)])
+    @pytest.mark.parametrize(
+        "algebra, position, phases",
+        [(engine.TRIG, 4, 15), (engine.HYP, 5, 30)],
+        ids=["trig", "hyp"],
+    )
+    def test_faults_in_two_jobs_merge_to_the_serial_result(
+        self, monkeypatch, pools, count, algebra, position, phases
+    ):
+        broken = {QUICK_ROWS[4], QUICK_ROWS[10]}
+        planted(monkeypatch, algebra, lambda p1, theta: 1e-6 if p1 in broken else 0)
+        jobs = [
+            checks._oracle_sweep(algebra.name, 15, part, checks._ROW_JOBS)
+            for part in range(checks._ROW_JOBS)
+        ]
+        assert len([job for job in jobs if job.violations]) == 2
+        serial = getattr(checks, f"check_amplitude_oracle_{algebra.name}")(n=15)
+        assert serial.violations == 2 * 15 * phases
+        assert serial.detail.startswith(f"{algebra.name} oracle mismatch at p1={QUICK_ROWS[4]}, ")
+        cpus(monkeypatch, count)
+        assert checks.run_all(full=False)[position] == serial  # name, cases, violations, detail
+        assert pools == ([2] if count > 1 else [])
+
+    @pytest.mark.parametrize("count", [1, pytest.param(2, marks=FORKED)])
+    def test_the_earliest_raise_beats_an_earlier_violation(
+        self, monkeypatch, capsys, pools, fast_direct, count
+    ):
+        # row 1 violates; rows from 10 on raise, in two jobs, each with its own message
+        def shift(p1, theta):
+            if p1 >= QUICK_ROWS[10]:
+                raise RuntimeError(f"planted at p1={p1}")
+            return 1e-6 if p1 == QUICK_ROWS[1] else 0
+
+        planted(monkeypatch, engine.HYP, shift)
+        serial = checks._run_sweep("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15})
+        assert serial == (
+            checks.CheckResult(
+                "amplitude-oracle-hyp", 1, 1, f"raised RuntimeError: planted at p1={QUICK_ROWS[10]}"
+            ),
+            True,
+        )
+        cpus(monkeypatch, count)
+        code = cli.main(["check", "--fast"])
+        lines = capsys.readouterr().out.splitlines()
+        expected = [
+            f"PASS  {r.name}: {r.cases} cases, 0 violations" for r in fast_direct
+        ] + ["10/11 checks passed"]
+        expected[5] = f"FAIL  amplitude-oracle-hyp: 1 cases, 1 violations [{serial[0].detail}]"
+        assert code == 4
+        assert lines == expected
+        assert pools == ([2] if count > 1 else [])
 
 
 def smaller(quick, default):

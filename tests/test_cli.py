@@ -617,6 +617,8 @@ class TestExitCodeContract:
     @example(argv=["padic", "--p", "3", "--table", "--eps-max", "4611686018427387904"])
     @example(argv=["profile", "padic", "--p", "3", "--eps-max", "9223372036854775808"])
     @example(argv=["padic", "--p", "3", "--table", "--eps-max", "9223372036854775808"])
+    @example(argv=["profile", "trig", "--p1", "0.25", "--p2", "0.25", "--min=inf", "--max", "1",
+                   "--n", "1"])  # an end that is not finite on a one-point grid; rarely drawn
     def test_every_argv_ends_with_a_contract_code(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing" / "dir" / "x.csv"
         argv = [w.format(missing=missing, file=tmp_path / "out.txt") for w in argv]

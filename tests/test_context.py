@@ -60,6 +60,8 @@ class TestValidation:
             ({"prior": (0.5, -0.5)}, "prior[1] must lie in [0, 1], got -0.5"),
             ({"prior": (0.5, math.inf)}, "prior[1] must be finite, got inf"),
             ({"phases": (0.0, math.nan)}, "phases[1] must be finite, got nan"),
+            ({"phases": (1j, 0.0)}, "phases[0] must be a real number, got 1j"),
+            ({"phases": (0.0, "x")}, "phases[1] must be a real number, got 'x'"),
         ],
     )
     def test_out_of_range_value_is_named(self, kwargs, message):

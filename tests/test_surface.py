@@ -119,6 +119,8 @@ COMMAND_ARGUMENTS = {
 
 # "importer: module._name", from `from .module import _name` or `module._name`
 PRIVATE_IMPORTS = [
+    "checks: engine._amplitudes",
+    "checks: engine._interfere",
     "checks: errors._Record",
     "cli: padic._require_prime",
     "cli: profiles._window_end",
