@@ -290,20 +290,18 @@ def check_digit_expansions(cases: int = 2000, seed: int = 227, count: int = 10) 
 _GRID = 50  # points on each axis of a full oracle sweep
 
 
-def _oracle_sweep(kind: str, n: int = _GRID, part: int = 0, parts: int = 1) -> CheckResult:
+def _oracle_sweep(algebra, n: int) -> CheckResult:
     """Direct rule vs N(amplitude sum) on an n-point grid of (p1, p2), at each
-    phase of `kind`: n thetas over [0, 2*pi] for "trig", n over each sign's
-    validity window for "hyp".  It sweeps the p1 rows of band `part` of
-    `parts` equal bands, by default all of them.  A case is the two kernels
-    and a tolerance test; the counterexample is formatted at the first
-    violation and no other."""
-    algebra = engine.HYP if kind == "hyp" else engine.TRIG
+    phase of `algebra`: n thetas over [0, 2*pi] for TRIG, n over each sign's
+    validity window for HYP.  A case is the two kernels and a tolerance
+    test; the counterexample is formatted at the first violation and no
+    other."""
     norm = algebra.norm
     ps = uniform_grid(0.005, 0.25, n)
     turn = [(theta, 1) for theta in uniform_grid(0.0, 2 * math.pi, n)]
     cases = violations = 0
     detail = ""
-    for p1 in ps[n * part // parts:n * (part + 1) // parts]:
+    for p1 in ps:
         for p2 in ps:
             phases = turn if algebra is engine.TRIG else [
                 (theta, sign) for sign, hi in zip((1, -1), theta_bounds(p1, p2))
@@ -326,13 +324,13 @@ def _oracle_sweep(kind: str, n: int = _GRID, part: int = 0, parts: int = 1) -> C
 
 def check_amplitude_oracle_trig(n: int = _GRID) -> CheckResult:
     """Direct cosine rule vs squared modulus of the complex amplitude sum."""
-    return _oracle_sweep("trig", n)
+    return _oracle_sweep(engine.TRIG, n)
 
 
 def check_amplitude_oracle_hyp(n: int = _GRID) -> CheckResult:
     """Direct cosh rule vs split-complex norm of the amplitude sum, swept over
     each pair's validity window for both signs."""
-    return _oracle_sweep("hyp", n)
+    return _oracle_sweep(engine.HYP, n)
 
 
 # ---------------------------------------------------------------------------
@@ -677,100 +675,39 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 # suite
 # ---------------------------------------------------------------------------
 
-def _sweeps(full: bool) -> list[tuple[str, str, dict]]:
-    """The suite in its fixed order: (name of a check function, name of the
-    CheckResult it returns, its sizes).  The full pass runs each check at its
-    signature's defaults; `full=False` passes the quick pass's smaller sizes."""
-    quick = [
-        ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 1000}),
-        ("check_ultrametric", "ultrametric-valuation", {"cases": 1000}),
-        ("check_ball_geometry", "ball-geometry", {"cases": 200}),
-        ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}),
-        ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}),
-        ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}),
-        ("check_lambda_range", "padic-lambda-range", {"primes": (2, 3)}),
-        ("check_slit_fluctuations", "padic-slit-fluctuations", {}),
-        ("check_theta_bounds", "theta-window-bounds", {"cases": 100}),
-        ("check_profiles", "profile-invariants", {}),
-        ("check_total_probability", "total-probability-coherence", {"cases": 100}),
-    ]
-    return [(name, title, {}) for name, title, _ in quick] if full else quick
-
-
-# The suite's checks by decreasing cost, so that the workers start the
-# longest jobs first and finish close together.  Serial times at full size,
-# medians of five, Python 3.11.7 on a 2-CPU host: hyperbolic laws 0.87 s,
-# hyperbolic oracle 0.56 s, lambda range 0.40 s, ultrametric 0.31 s,
-# trigonometric oracle 0.18 s, ball geometry 0.16 s, digit expansions 0.15 s,
-# total probability 0.11 s, and theta bounds, slit fluctuations and profiles
-# under 0.01 s each.
-_LONGEST_FIRST = (
-    "check_hyperbolic_laws",
-    "check_amplitude_oracle_hyp",
-    "check_lambda_range",
-    "check_ultrametric",
-    "check_amplitude_oracle_trig",
-    "check_ball_geometry",
-    "check_digit_expansions",
-    "check_total_probability",
-    "check_theta_bounds",
-    "check_slit_fluctuations",
-    "check_profiles",
+# The suite in report order: (name of a check function, name of the
+# CheckResult it returns, its quick-pass sizes, its serial seconds).  The
+# full pass runs each check at its signature's defaults; `check --fast`
+# passes the quick sizes.  The seconds, medians of five at full size on
+# Python 3.11.7 and a 2-CPU host, set the order in which run_all starts
+# the checks, longest first.
+_SUITE = (
+    ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 1000}, 1.03),
+    ("check_ultrametric", "ultrametric-valuation", {"cases": 1000}, 0.34),
+    ("check_ball_geometry", "ball-geometry", {"cases": 200}, 0.20),
+    ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}, 0.22),
+    ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}, 0.23),
+    ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}, 0.66),
+    ("check_lambda_range", "padic-lambda-range", {"primes": (2, 3)}, 0.47),
+    ("check_slit_fluctuations", "padic-slit-fluctuations", {}, 0.003),
+    ("check_theta_bounds", "theta-window-bounds", {"cases": 100}, 0.005),
+    ("check_profiles", "profile-invariants", {}, 0.002),
+    ("check_total_probability", "total-probability-coherence", {"cases": 100}, 0.13),
 )
-_ROW_JOBS = 5  # jobs per oracle sweep, each an equal band of its p1 rows
 
 
-def _jobs(sweeps: list[tuple[str, str, dict]]) -> list[tuple[int, tuple[str, str, dict]]]:
-    """The suite's jobs, longest first: (position of the job's check in
-    `sweeps`, arguments of _run_sweep).  An oracle sweep is _ROW_JOBS jobs,
-    one per band of p1 rows, in row order; every other check is one job."""
-    position = {name: k for k, (name, _, _) in enumerate(sweeps)}
-    jobs = []
-    for name in _LONGEST_FIRST:
-        k = position[name]
-        _, title, sizes = sweeps[k]
-        if name.startswith("check_amplitude_oracle_"):
-            kind = name.rpartition("_")[2]
-            jobs += [
-                (k, ("_oracle_sweep", title, {"kind": kind, **sizes, "part": part,
-                                               "parts": _ROW_JOBS}))
-                for part in range(_ROW_JOBS)
-            ]
-        else:
-            jobs.append((k, sweeps[k]))
-    return jobs
-
-
-def _run_sweep(name: str, title: str, sizes: dict) -> tuple[CheckResult, bool]:
-    """Run the function called `name`: (its result, whether it raised).  A
-    sweep that raises fails as one violation of its check, titled `title`,
-    with the exception as the counterexample, so the other checks still run
-    and report.  A worker process is sent the name, not the function: a
-    function wrapped at run time (a tracing span) cannot be pickled by
-    reference, its name can."""
+def _run_sweep(name: str, title: str, sizes: dict) -> CheckResult:
+    """Run the check function called `name`.  A sweep that raises fails as
+    one violation of its check, titled `title`, with the exception as the
+    counterexample, so the other checks still run and report.  A worker
+    process is sent the name, not the function: a function wrapped at run
+    time (a tracing span) cannot be pickled by reference, its name can."""
     try:
-        return globals()[name](**sizes), False
+        return globals()[name](**sizes)
     except Exception as exc:
         failed = CheckResult(title)
         failed.case(False, f"raised {type(exc).__name__}: {exc}")
-        return failed, True
-
-
-def _merge(parts: list[tuple[CheckResult, bool]]) -> CheckResult:
-    """One check's result from those of its jobs, in row order, as one
-    serial sweep reports it: if a job raised, the earliest such job's
-    result; else the sums of cases and violations, with the counterexample
-    of the earliest job that has a violation."""
-    for result, raised in parts:
-        if raised:
-            return result
-    merged = CheckResult(parts[0][0].name)
-    for result, _ in parts:
-        if result.violations and not merged.violations:
-            merged.detail = result.detail
-        merged.cases += result.cases
-        merged.violations += result.violations
-    return merged
+        return failed
 
 
 def _available_cpus() -> int:
@@ -786,31 +723,21 @@ def run_all(full: bool = True) -> list[CheckResult]:
 
     The sweeps are independent and deterministic, so they share the CPUs
     available to this process, one worker process per CPU and no more
-    workers than checks.  Each oracle sweep is cut into bands of p1 rows, one
-    job per band, and all jobs start in decreasing order of their measured
-    cost (_LONGEST_FIRST), so the workers finish close together.  A check's
-    jobs are merged in row order: cases and violations add up, the
-    counterexample is the earliest job's that has one, and a job that raised
-    makes the check's result the earliest raising job's, as a serial sweep
-    reports them.  Results come back in the suite's order whatever the worker
-    count.  With one CPU, or where no worker process can start, the same jobs
-    run here one after another."""
-    sweeps = _sweeps(full)
-    positions, jobs = zip(*_jobs(sweeps))
-    results = None
+    workers than checks.  Each check is one job, and the jobs start longest
+    first by their serial seconds in _SUITE, so the workers finish close
+    together.  Results come back in the suite's order whatever the worker
+    count.  With one CPU, or where no worker process can start, the same
+    sweeps run here one after another."""
+    sweeps = [(name, title, {} if full else sizes) for name, title, sizes, _ in _SUITE]
     workers = min(_available_cpus(), len(sweeps))
     if workers > 1:
         import concurrent.futures as futures  # the process pool loads on first use
 
+        longest_first = sorted(range(len(sweeps)), key=lambda k: _SUITE[k][3], reverse=True)
         try:
             with futures.ProcessPoolExecutor(workers) as pool:
-                pending = [pool.submit(_run_sweep, *job) for job in jobs]
-                results = [job.result() for job in pending]
+                pending = {k: pool.submit(_run_sweep, *sweeps[k]) for k in longest_first}
+                return [pending[k].result() for k in range(len(sweeps))]
         except (ImportError, NotImplementedError, OSError, futures.BrokenExecutor):
             pass  # no worker processes on this platform, or one died: run here
-    if results is None:
-        results = [_run_sweep(*job) for job in jobs]
-    return [
-        _merge([result for at, result in zip(positions, results) if at == k])
-        for k in range(len(sweeps))
-    ]
+    return [_run_sweep(*sweep) for sweep in sweeps]

@@ -65,8 +65,8 @@ def _parse_angle(text: str, what: str) -> float:
     s = text.strip()
     m = _PI_FORM.match(s)
     if m:
-        num = int(m.group("num") or 1)
-        den = int(m.group("den") or 1)
+        num = _parse_fraction(m.group("num") or "1", what)
+        den = _parse_fraction(m.group("den") or "1", what)
         if den == 0:
             raise ConfigError(f"{what}: zero denominator in angle {text!r}")
         value = math.pi * _as_float(num) / _as_float(den)
@@ -233,8 +233,9 @@ def _read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as stream:
             lines = stream.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {path!r}: {reason}") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

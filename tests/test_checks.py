@@ -240,12 +240,31 @@ FORKED = pytest.mark.skipif(
 QUICK_ROWS = uniform_grid(0.005, 0.25, 15)
 
 
-class TestRowJobs:
-    """run_all cuts each oracle sweep into jobs of p1 rows and merges them
-    in row order into what one serial sweep reports."""
+class TestSuite:
+    """run_all starts one job per check, longest first by its serial
+    seconds in _SUITE, and reports the checks in the suite's order."""
 
     def test_each_check_is_scheduled_once(self):
-        assert sorted(checks._LONGEST_FIRST) == sorted(name for name, _, _ in checks._sweeps(True))
+        defined = [
+            name for name, value in vars(checks).items()
+            if name.startswith("check_") and inspect.isfunction(value)
+        ]
+        assert sorted(name for name, _, _, _ in checks._SUITE) == sorted(defined)
+
+    def test_jobs_start_longest_first_and_report_in_suite_order(self, monkeypatch, fast_direct):
+        submitted = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args[0])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        cpus(monkeypatch, 2)
+        assert checks.run_all(full=False) == fast_direct
+        cost = {name: seconds for name, _, _, seconds in checks._SUITE}
+        assert sorted(submitted) == sorted(cost)
+        assert [cost[name] for name in submitted] == sorted(cost.values(), reverse=True)
 
     @pytest.mark.parametrize("count", [1, pytest.param(2, marks=FORKED)])
     @pytest.mark.parametrize(
@@ -253,50 +272,16 @@ class TestRowJobs:
         [(engine.TRIG, 4, 15), (engine.HYP, 5, 30)],
         ids=["trig", "hyp"],
     )
-    def test_faults_in_two_jobs_merge_to_the_serial_result(
+    def test_a_faulted_oracle_reports_as_its_serial_check(
         self, monkeypatch, pools, count, algebra, position, phases
     ):
         broken = {QUICK_ROWS[4], QUICK_ROWS[10]}
         planted(monkeypatch, algebra, lambda p1, theta: 1e-6 if p1 in broken else 0)
-        jobs = [
-            checks._oracle_sweep(algebra.name, 15, part, checks._ROW_JOBS)
-            for part in range(checks._ROW_JOBS)
-        ]
-        assert len([job for job in jobs if job.violations]) == 2
         serial = getattr(checks, f"check_amplitude_oracle_{algebra.name}")(n=15)
         assert serial.violations == 2 * 15 * phases
         assert serial.detail.startswith(f"{algebra.name} oracle mismatch at p1={QUICK_ROWS[4]}, ")
         cpus(monkeypatch, count)
         assert checks.run_all(full=False)[position] == serial  # name, cases, violations, detail
-        assert pools == ([2] if count > 1 else [])
-
-    @pytest.mark.parametrize("count", [1, pytest.param(2, marks=FORKED)])
-    def test_the_earliest_raise_beats_an_earlier_violation(
-        self, monkeypatch, capsys, pools, fast_direct, count
-    ):
-        # row 1 violates; rows from 10 on raise, in two jobs, each with its own message
-        def shift(p1, theta):
-            if p1 >= QUICK_ROWS[10]:
-                raise RuntimeError(f"planted at p1={p1}")
-            return 1e-6 if p1 == QUICK_ROWS[1] else 0
-
-        planted(monkeypatch, engine.HYP, shift)
-        serial = checks._run_sweep("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15})
-        assert serial == (
-            checks.CheckResult(
-                "amplitude-oracle-hyp", 1, 1, f"raised RuntimeError: planted at p1={QUICK_ROWS[10]}"
-            ),
-            True,
-        )
-        cpus(monkeypatch, count)
-        code = cli.main(["check", "--fast"])
-        lines = capsys.readouterr().out.splitlines()
-        expected = [
-            f"PASS  {r.name}: {r.cases} cases, 0 violations" for r in fast_direct
-        ] + ["10/11 checks passed"]
-        expected[5] = f"FAIL  amplitude-oracle-hyp: 1 cases, 1 violations [{serial[0].detail}]"
-        assert code == 4
-        assert lines == expected
         assert pools == ([2] if count > 1 else [])
 
 
@@ -313,12 +298,20 @@ class TestRaisingSweep:
     the suite still runs and reports, and `check` exits 4."""
 
     def test_titles_are_the_names_the_sweeps_return(self, fast_direct):
-        assert [title for _, title, _ in checks._sweeps(False)] == [r.name for r in fast_direct]
+        assert [title for _, title, _, _ in checks._SUITE] == [r.name for r in fast_direct]
 
-    def test_the_full_pass_runs_each_check_at_its_defaults(self):
-        quick = checks._sweeps(False)
-        assert checks._sweeps(True) == [(name, title, {}) for name, title, _ in quick]
-        for name, _, sizes in quick:
+    def test_the_full_pass_runs_each_check_at_its_defaults(self, monkeypatch):
+        given = []
+
+        def recording(name, title, sizes):
+            given.append((name, sizes))
+            return checks.CheckResult(title)
+
+        monkeypatch.setattr(checks, "_run_sweep", recording)
+        cpus(monkeypatch, 1)
+        checks.run_all(full=True)
+        assert given == [(name, {}) for name, _, _, _ in checks._SUITE]
+        for name, _, sizes, _ in checks._SUITE:
             defaults = inspect.signature(getattr(checks, name)).parameters
             assert all(smaller(value, defaults[key].default) for key, value in sizes.items())
 

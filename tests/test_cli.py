@@ -24,6 +24,10 @@ theta2 = pi
 """
 
 
+# an integer with more digits than Python converts from text (4300)
+ONES = "1" * 5000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -451,13 +455,16 @@ class TestBoundaryInputs:
             ("padic --p 3 --table --eps-max 4611686018427387904", 3),
             ("profile padic --p 3 --eps-max 9223372036854775808", 3),
             ("padic --p 3 --table --eps-max 9223372036854775808", 3),
+            # a multiple of pi whose digits are past what int() converts
+            ("totalprob --config {config} --theta1 {ones}pi", 2),
+            ("totalprob --config {config} --theta1 pi/{ones}", 2),
         ],
     )
     def test_exit_codes_without_traceback(self, capsys, tmp_path, argv, expected):
         config = tmp_path / "two_slit.cfg"
         config.write_text(TWO_SLIT_CONFIG)
         missing = tmp_path / "missing" / "dir" / "x.csv"
-        argv = argv.format(config=config, missing=missing, power=3**5000)
+        argv = argv.format(config=config, missing=missing, power=3**5000, ones=ONES)
         code, out, err = run(capsys, *argv.split())
         assert code == expected
         assert out == ""
@@ -480,16 +487,30 @@ class TestBoundaryInputs:
              "{config}:11: cannot parse number 'x' (Invalid literal for Fraction: 'x')"),
             ("totalprob --config {config}x", "",
              "cannot read config '{config}x': No such file or directory"),
+            ("totalprob --config {config}", "theta1 = {ones}pi",
+             "{config}:11: cannot parse number '{ones}' (Exceeds the limit (4300 digits) for "
+             "integer string conversion: value has 5000 digits; use "
+             "sys.set_int_max_str_digits() to increase the limit)"),
             ("profile piecewise --p1 0.25 --p2 0.0625 --intervals 0:0.5", "",
              "--intervals: expected 'lo:hi:sign' got '0:0.5'"),
         ],
     )
     def test_parse_errors_name_their_source(self, capsys, tmp_path, argv, line, message):
         config = tmp_path / "two_slit.cfg"
-        config.write_text(TWO_SLIT_CONFIG + line + "\n")
+        config.write_text(TWO_SLIT_CONFIG + line.format(ones=ONES) + "\n")
         code, out, err = run(capsys, *argv.format(config=config).split())
         assert (code, out) == (2, "")
-        assert err == f"error: {message.format(config=config)}\n"
+        assert err == f"error: {message.format(config=config, ones=ONES)}\n"
+
+    def test_a_config_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"pb1 = 0.5\n\xff\xfe = 1\n")
+        code, out, err = run(capsys, "totalprob", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read config '{config}': 'utf-8' codec can't decode byte 0xff "
+            "in position 10: invalid start byte\n"
+        )
 
     def test_no_subcommand_prints_help_and_exits_2(self, capsys):
         code, out, err = run(capsys)
