@@ -30,7 +30,7 @@ from .context import (
     total_prob_hyperbolic,
     total_prob_quantum,
 )
-from .engine import _amplitudes, _interfere, combine, interfere_hyp
+from .engine import _interfere, combine, interfere_hyp
 from .errors import _Record
 from .numeric import exact_sqrt
 from .padic import PadicBall, PadicRational, prime_multiplicity
@@ -291,32 +291,32 @@ _GRID = 50  # points on each axis of a full oracle sweep
 
 
 def _oracle_sweep(algebra, n: int) -> CheckResult:
-    """Direct rule vs N(amplitude sum) on an n-point grid of (p1, p2), at each
-    phase of `algebra`: n thetas over [0, 2*pi] for TRIG, n over each sign's
-    validity window for HYP.  A case is the two kernels and a tolerance
-    test; the counterexample is formatted at the first violation and no
-    other."""
-    norm = algebra.norm
+    """Direct rule vs N(lift(sqrt(p1)) + unit(theta, sign*sqrt(p2))), the
+    algebra's own amplitude sum, on an n-point grid of (p1, p2), at each phase
+    of `algebra`: n thetas over [0, 2*pi] for TRIG, n over each sign's validity
+    window for HYP.  A case is the two kernels and a tolerance test; the
+    counterexample is formatted at the first violation and no other."""
+    lift, unit, norm = algebra.lift, algebra.unit, algebra.norm
+    trig = algebra.name == engine.TRIG.name  # by name: TRIG with a field replaced too
     ps = uniform_grid(0.005, 0.25, n)
     turn = [(theta, 1) for theta in uniform_grid(0.0, 2 * math.pi, n)]
     cases = violations = 0
     detail = ""
     for p1 in ps:
         for p2 in ps:
-            phases = turn if algebra is engine.TRIG else [
+            phases = turn if trig else [
                 (theta, sign) for sign, hi in zip((1, -1), theta_bounds(p1, p2))
                 for theta in uniform_grid(0.0, hi, n)
             ]
             for theta, sign in phases:
                 direct = _interfere(algebra, p1, p2, theta, sign)
-                a1, a2 = _amplitudes(algebra, p1, p2, theta, sign)
-                oracle = norm(a1 + a2)
+                oracle = norm(lift(math.sqrt(p1)) + unit(theta, sign * math.sqrt(p2)))
                 cases += 1
                 # not _close(direct, oracle)
                 if not abs(direct - oracle) <= 1e-12 * max(1.0, abs(direct), abs(oracle)):
                     violations += 1
                     if violations == 1:
-                        signed = f", sign={sign}" if algebra is engine.HYP else ""
+                        signed = "" if trig else f", sign={sign}"
                         detail = (f"{algebra.name} oracle mismatch at p1={p1}, p2={p2}, "
                                   f"theta={theta}{signed}: {direct} vs {oracle}")
     return CheckResult(f"amplitude-oracle-{algebra.name}", cases, violations, detail)

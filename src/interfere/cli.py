@@ -40,11 +40,21 @@ _PI_FORM = re.compile(
 )
 
 
+def _quoted(text: str, detail: str = "") -> str:
+    """repr(text) and detail, for an error line.  A text longer than Python
+    converts an integer to text is named by its length alone, without a
+    detail that could quote it again, so the line stays short."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        return f"<an input of {len(text)} characters>"
+    return repr(text) + detail
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what}: cannot parse number {text!r} ({exc})") from None
+        raise ConfigError(f"{what}: cannot parse number {_quoted(text, f' ({exc})')}") from None
 
 
 def _as_float(value) -> float:
@@ -68,7 +78,7 @@ def _parse_angle(text: str, what: str) -> float:
         num = _parse_fraction(m.group("num") or "1", what)
         den = _parse_fraction(m.group("den") or "1", what)
         if den == 0:
-            raise ConfigError(f"{what}: zero denominator in angle {text!r}")
+            raise ConfigError(f"{what}: zero denominator in angle {_quoted(text)}")
         value = math.pi * _as_float(num) / _as_float(den)
         return -value if m.group("sign") == "-" else value
     return _as_float(_parse_fraction(s, what))
@@ -79,7 +89,7 @@ def _parse_sign(text: str, what: str) -> int:
     try:
         return mapping[text.strip()]
     except KeyError:
-        raise ConfigError(f"{what}: sign must be '+' or '-', got {text!r}") from None
+        raise ConfigError(f"{what}: sign must be '+' or '-', got {_quoted(text)}") from None
 
 
 def _jsonable(value):
@@ -172,7 +182,7 @@ def _parse_intervals(text: str):
     for chunk in text.split(","):
         parts = chunk.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"--intervals: expected 'lo:hi:sign' got {chunk!r}")
+            raise ConfigError(f"--intervals: expected 'lo:hi:sign' got {_quoted(chunk)}")
         lo = _as_float(_parse_fraction(parts[0], "--intervals lo"))
         hi = _as_float(_parse_fraction(parts[1], "--intervals hi"))
         pieces.append((lo, hi, _parse_sign(parts[2], "--intervals sign")))
@@ -241,11 +251,12 @@ def _read_config(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {_quoted(raw.rstrip())}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown field {_quoted(key)}")
         values[key] = (value.strip(), f"{path}:{lineno}")
     return values
 
@@ -280,7 +291,7 @@ def _cmd_totalprob(args) -> int:
 
     mode, where = raw.get("mode", ("trig", "mode"))
     if mode not in _KINDS:
-        raise ConfigError(f"{where}: mode must be 'trig' or 'hyp', got {mode!r}")
+        raise ConfigError(f"{where}: mode must be 'trig' or 'hyp', got {_quoted(mode)}")
     t = ContextTransform(
         prior=(number("pb1"), number("pb2")),
         cond=((number("p11"), number("p12")), (number("p21"), number("p22"))),
@@ -300,7 +311,7 @@ def _cmd_totalprob(args) -> int:
         "transform": dict(zip(CONFIG_KEYS, flat)),
         "classical": list(total_prob_classical(t)),
         "quantum": attempt(total_prob_quantum, t),
-        "hyperbolic": attempt(total_prob_hyperbolic, t.with_mode("hyp")),
+        "hyperbolic": attempt(total_prob_hyperbolic, t._replace(mode="hyp")),
         "normalization_defect": float(normalization_defect(t)),
     }
     _emit_json(payload, args.out)

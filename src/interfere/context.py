@@ -96,9 +96,6 @@ class ContextTransform(_Record):
             if isinstance(theta, float) and not math.isfinite(theta):
                 raise ValidationError(f"phases[{j}] must be finite, got {theta!r}")
 
-    def with_mode(self, mode: str) -> "ContextTransform":
-        return self._replace(mode=mode)
-
 
 def _require_pair(pair, name: str) -> None:
     """Raise ValidationError naming the first entry of pair outside [0, 1]."""
@@ -118,31 +115,15 @@ def _totals(t: ContextTransform, algebra, signs, what: str):
     """Both components, each engine's checked rule on its pair (pb1*p1j,
     pb2*p2j): one outside [0, 1] raises NotAProbabilityError naming the
     component, a phase out of range raises ValidationError naming it."""
-    (pb1, pb2), ((c, d), (e, f)), (t0, t1), (s0, s1) = t.prior, t.cond, t.phases, signs
-    (a0, b0), (a1, b1) = pairs = (pb1 * c, pb2 * e), (pb1 * d, pb2 * f)
-    # Fast accept: _interfere's float lane on both pairs.  The transform has
-    # proved its entries in [0, 1], float phases finite and signs +/-1, and
-    # each sign it accepts (int, bool, float or Fraction) gives the bits of
-    # the int through s * cross(t).  Anything else (exact values, an
-    # overflowing cross factor, a component outside (0, 1]) takes the loop,
-    # which snaps or names the component or the phase.
-    if type(a0) is type(b0) is type(a1) is type(b1) is type(t0) is type(t1) is float:
-        cross = algebra.cross
-        try:
-            v0 = (a0 + b0) + 2.0 * math.sqrt(a0 * b0) * (s0 * cross(t0))
-            v1 = (a1 + b1) + 2.0 * math.sqrt(a1 * b1) * (s1 * cross(t1))
-        except OverflowError:
-            pass
-        else:
-            if 0.0 < v0 <= 1.0 and 0.0 < v1 <= 1.0:
-                return v0, v1
-    out = []
-    for j, (p1, p2) in enumerate(pairs):
-        try:
-            out.append(_interfere(algebra, p1, p2, t.phases[j], signs[j], _PHASES[j]))
-        except NotAProbabilityError as exc:
-            raise NotAProbabilityError(exc.value, what=what, component=j + 1) from None
-    return tuple(out)
+    (pb1, pb2), ((c, d), (e, f)), (t0, t1) = t.prior, t.cond, t.phases
+    j = 0
+    try:
+        first = _interfere(algebra, pb1 * c, pb2 * e, t0, signs[0], _PHASES[0])
+        j = 1
+        second = _interfere(algebra, pb1 * d, pb2 * f, t1, signs[1], _PHASES[1])
+    except NotAProbabilityError as exc:
+        raise NotAProbabilityError(exc.value, what=what, component=j + 1) from None
+    return first, second
 
 
 def total_prob_classical(t: ContextTransform):

@@ -172,10 +172,8 @@ def classify(lam) -> Regime:
     """Regime of a finite deviation: |lam| < 1, = 1, or > 1."""
     if type(lam) is Fraction:  # exact: compare its integers
         magnitude, one = abs(lam.numerator), lam.denominator
-    elif isinstance(lam, float):  # compared with 1.0, float with float
-        if not math.isfinite(lam):
-            raise ValidationError(f"deviation must be finite, got {lam!r}")
-        magnitude, one = abs(lam), 1.0
+    elif isinstance(lam, float) and not math.isfinite(lam):
+        raise ValidationError(f"deviation must be finite, got {lam!r}")
     else:
         magnitude, one = abs(lam), 1
     if magnitude < one:
@@ -202,12 +200,8 @@ def phase_of(lam):
             return math.acosh(abs(num) / den), (1 if num > 0 else -1)
         except OverflowError:
             pass  # past the float range: named below
-    elif isinstance(lam, float):  # compared with float constants
-        if not math.isfinite(lam):
-            raise ValidationError(f"deviation must be finite, got {lam!r}")
-        if -1.0 <= lam <= 1.0:
-            return math.acos(lam), 1
-        return math.acosh(abs(lam)), (1 if lam > 0.0 else -1)
+    elif isinstance(lam, float) and not math.isfinite(lam):
+        raise ValidationError(f"deviation must be finite, got {lam!r}")
     if abs(lam) <= 1:
         return math.acos(lam), 1
     try:
@@ -305,15 +299,6 @@ def interfere_hyp(p1, p2, theta, sign):
 
 def _amplitudes(algebra: _Algebra, p1, p2, theta, sign, name="theta"):
     """(sqrt(p1), sign * u(theta) * sqrt(p2)), whose sum has norm _interfere."""
-    # Fast accept: _interfere's lane test.  An overflow takes the validating
-    # path below, which names the phase.
-    if (type(p1) is float and type(p2) is float and type(theta) is float
-            and type(sign) is int and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
-            and (sign == 1 or sign == -1) and math.isfinite(theta)):
-        try:
-            return algebra.lift(math.sqrt(p1)), algebra.unit(theta, sign * math.sqrt(p2))
-        except OverflowError:
-            pass
     _require_inputs(p1, p2, sign)
     _at_phase(algebra, algebra.cross, theta, name)  # unit overflows where cross does
     return algebra.lift(math.sqrt(p1)), algebra.unit(theta, sign * math.sqrt(p2))

@@ -66,7 +66,7 @@ def _require_finite(name: str, value) -> None:
 def uniform_grid(lo: float, hi: float, n: int):
     """n evenly spaced samples covering [lo, hi] inclusive.  ValidationError names
     an end or span hi - lo that is not finite or past the float range; ProfileError
-    names an n that is not an int within the float range."""
+    names an n that is not an int within the float range or is past the index range."""
     if n < 1:
         raise ProfileError(f"grid needs at least one sample, got n = {n}")
     _require_finite("end lo", lo)
@@ -80,6 +80,8 @@ def uniform_grid(lo: float, hi: float, n: int):
         step = (hi - lo) / (n - 1)
     except (OverflowError, TypeError):  # an int n past the float range, a float n
         raise ProfileError(f"grid n must be an int in the float range, got {shown(n)}") from None
+    if n > sys.maxsize:
+        raise ProfileError(f"grid n = {n} is too large: a grid holds at most {sys.maxsize} samples")
     return tuple(lo + i * step for i in samples)
 
 

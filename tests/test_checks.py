@@ -99,6 +99,18 @@ class TestInjectedFault:
             f"trig oracle mismatch at p1={p1}, p2={p2}, theta={theta}: {direct} vs {oracle}"
         )
 
+    @pytest.mark.parametrize("algebra", [engine.TRIG, engine.HYP], ids=["trig", "hyp"])
+    def test_the_oracle_is_the_algebras_amplitude_sum(self, algebra):
+        """The sweep holds the rule against the sum of the algebra's own
+        amplitudes: a unit scaled by 1 + 1e-9 is a violation."""
+        clean = checks._oracle_sweep(algebra, 5)
+        assert clean.violations == 0 and clean.detail == ""
+        scaled = algebra._replace(unit=lambda theta, k: algebra.unit(theta, k * (1 + 1e-9)))
+        result = checks._oracle_sweep(scaled, 5)
+        assert (result.name, result.cases) == (clean.name, clean.cases)
+        assert result.violations > 0
+        assert result.detail.startswith(f"{algebra.name} oracle mismatch at p1=0.005, p2=0.005")
+
     @pytest.mark.parametrize(
         "fault",
         [lambda values: (values[0] + 1e-6, values[1]), lambda values: values[::-1]],

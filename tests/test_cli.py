@@ -26,6 +26,10 @@ theta2 = pi
 
 # an integer with more digits than Python converts from text (4300)
 ONES = "1" * 5000
+# inputs of parse errors: 5000 characters each, which an error names as `long`
+# does, and `limit`, 4300, the longest one an error quotes
+TEXTS = dict(ones=ONES, letters="x" * 5000, gap=" " * 4996, limit="x" * 4300,
+             long="<an input of 5000 characters>")
 
 
 def run(capsys, *argv):
@@ -455,6 +459,9 @@ class TestBoundaryInputs:
             ("padic --p 3 --table --eps-max 4611686018427387904", 3),
             ("profile padic --p 3 --eps-max 9223372036854775808", 3),
             ("padic --p 3 --table --eps-max 9223372036854775808", 3),
+            # grids of 2**63 and 10**20 samples are past the index range
+            ("profile hyp --p1 0.01 --p2 0.01 --sign + --max 1 --n 9223372036854775808", 3),
+            ("profile trig --p1 0.01 --p2 0.01 --max 1 --n 100000000000000000000", 3),
             # a multiple of pi whose digits are past what int() converts
             ("totalprob --config {config} --theta1 {ones}pi", 2),
             ("totalprob --config {config} --theta1 pi/{ones}", 2),
@@ -488,19 +495,35 @@ class TestBoundaryInputs:
             ("totalprob --config {config}x", "",
              "cannot read config '{config}x': No such file or directory"),
             ("totalprob --config {config}", "theta1 = {ones}pi",
-             "{config}:11: cannot parse number '{ones}' (Exceeds the limit (4300 digits) for "
-             "integer string conversion: value has 5000 digits; use "
-             "sys.set_int_max_str_digits() to increase the limit)"),
+             "{config}:11: cannot parse number {long}"),
             ("profile piecewise --p1 0.25 --p2 0.0625 --intervals 0:0.5", "",
              "--intervals: expected 'lo:hi:sign' got '0:0.5'"),
+            # a text longer than Python converts an integer to text is named by
+            # its length, at every site that quotes an input
+            ("fit {ones} 0.1 0.2", "", "p1: cannot parse number {long}"),
+            ("fit 0.1 {letters} 0.2", "", "p2: cannot parse number {long}"),
+            ("profile hyp --p1 0.01 --p2 0.01 --max 1 --sign {letters}", "",
+             "--sign: sign must be '+' or '-', got {long}"),
+            ("profile piecewise --p1 0.25 --p2 0.0625 --intervals {letters}", "",
+             "--intervals: expected 'lo:hi:sign' got {long}"),
+            ("totalprob --config {config}", "{letters}",
+             "{config}:11: expected 'key = value', got {long}"),
+            ("totalprob --config {config}", "{letters} = 1", "{config}:11: unknown field {long}"),
+            ("totalprob --config {config}", "mode = {letters}",
+             "{config}:11: mode must be 'trig' or 'hyp', got {long}"),
+            ("totalprob --config {config}", "theta1 = pi/{gap}0",
+             "{config}:11: zero denominator in angle {long}"),
+            # and one of exactly that length is quoted as before
+            ("fit {limit} 0.1 0.2", "",
+             "p1: cannot parse number '{limit}' (Invalid literal for Fraction: '{limit}')"),
         ],
     )
     def test_parse_errors_name_their_source(self, capsys, tmp_path, argv, line, message):
         config = tmp_path / "two_slit.cfg"
-        config.write_text(TWO_SLIT_CONFIG + line.format(ones=ONES) + "\n")
-        code, out, err = run(capsys, *argv.format(config=config).split())
+        config.write_text(TWO_SLIT_CONFIG + line.format(**TEXTS) + "\n")
+        code, out, err = run(capsys, *argv.format(config=config, **TEXTS).split())
         assert (code, out) == (2, "")
-        assert err == f"error: {message.format(config=config, ones=ONES)}\n"
+        assert err == f"error: {message.format(config=config, **TEXTS)}\n"
 
     def test_a_config_that_is_not_utf8_is_named(self, capsys, tmp_path):
         config = tmp_path / "latin.cfg"

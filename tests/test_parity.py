@@ -133,7 +133,7 @@ def test_totals_and_transforms():
         check(LANE["_totals"], case)
         t = lanes.transform(**case)
         for build, mode in ((sqrt_linear_transform, "trig"), (hyperbolic_sqrt_transform, "hyp")):
-            t = t.with_mode(mode)
+            t = t._replace(mode=mode)
             assert outcome(build, t) == outcome(lanes.validating(build), t)
 
 

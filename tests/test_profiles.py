@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -73,6 +74,14 @@ class TestUniformGrid:
         with pytest.raises(ProfileError) as info:
             uniform_grid(0.0, 1.0, n)
         assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
+
+    @pytest.mark.parametrize("n", [2**63, 10**20], ids=["2**63", "10**20"])
+    def test_an_n_past_the_index_range_is_named(self, n):
+        # range(n) and float(n) take such an n; the tuple would fill the memory
+        with pytest.raises(ProfileError) as info:
+            uniform_grid(0.0, 1.0, n)
+        assert str(info.value) == (
+            f"grid n = {n} is too large: a grid holds at most {sys.maxsize} samples")
 
     def test_a_bool_n_counts_as_an_int(self):
         assert uniform_grid(2.0, 9.0, True) == (2.0,)
