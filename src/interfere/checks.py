@@ -32,7 +32,7 @@ from .context import (
 )
 from .engine import _interfere, combine, interfere_hyp
 from .errors import _Record
-from .numeric import exact_sqrt
+from .hyperbolic import _exact
 from .padic import PadicBall, PadicRational, prime_multiplicity
 from .padic_rule import PadicAmplitudePair, padic_interfere, padic_slit_profile
 from .profiles import profile_hyp, profile_padic, profile_trig, theta_bounds, uniform_grid
@@ -70,13 +70,6 @@ def _unit_phase(phase: float) -> complex:
     return complex(math.cos(phase), math.sin(phase))
 
 
-def _random_fraction(rng, span=60, nonzero=False) -> Fraction:
-    while True:
-        f = Fraction(rng.randint(-span, span), rng.randint(1, span))
-        if f or not nonzero:
-            return f
-
-
 # ---------------------------------------------------------------------------
 # split-complex algebra
 # ---------------------------------------------------------------------------
@@ -85,8 +78,34 @@ def _hyperbola_point(m: int, n: int) -> hyperbolic.HyperbolicNumber:
     """Exact rational point ((t + 1/t)/2, (t - 1/t)/2) on x**2 - y**2 = 1 for
     t = m/n, that is ((m**2 + n**2)/2mn, (m**2 - n**2)/2mn); scaling (m, n)
     leaves it unchanged."""
-    d = 2 * m * n
-    return hyperbolic.HyperbolicNumber(Fraction(m * m + n * n, d), Fraction(m * m - n * n, d))
+    return _exact(m * m + n * n, m * m - n * n, 2 * m * n)
+
+
+def _random_ratio(rng, nonzero=False) -> tuple:
+    """(n, d) for a rational n/d, d > 0, not reduced: the draws of a random
+    component, redrawn while n = 0 if `nonzero`."""
+    while True:
+        n, d = rng.randint(-60, 60), rng.randint(1, 60)
+        if n or not nonzero:
+            return n, d
+
+
+def _random_number(rng) -> hyperbolic.HyperbolicNumber:
+    """x + j*y for two random components x = n1/d1, y = n2/d2."""
+    n1, d1 = _random_ratio(rng)
+    n2, d2 = _random_ratio(rng)
+    return _exact(n1 * d2, n2 * d1, d1 * d2)
+
+
+def _light_cone(rng) -> tuple:
+    """Nonzero a = n/d and b = m/e as (n, d) and (m, e), and the numbers the
+    zero-divisor laws multiply: a + j*a, b - j*b, b + j*b, 2ab + j*2ab, and
+    off the cone a + j*b, or a when |a| = |b|."""
+    n, d = _random_ratio(rng, nonzero=True)
+    m, e = _random_ratio(rng, nonzero=True)
+    off = _exact(n * e, m * d, d * e) if abs(n) * e != abs(m) * d else _exact(n, 0, d)
+    twice = _exact(2 * n * m, 2 * n * m, d * e)
+    return (n, d), (m, e), _exact(n, n, d), _exact(m, -m, e), _exact(m, m, e), twice, off
 
 
 def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckResult:
@@ -98,9 +117,7 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
 
     # exact ring laws and norm multiplicativity on rational components
     for _ in range(cases_per_law):
-        a = H(_random_fraction(rng), _random_fraction(rng))
-        b = H(_random_fraction(rng), _random_fraction(rng))
-        c = H(_random_fraction(rng), _random_fraction(rng))
+        a, b, c = _random_number(rng), _random_number(rng), _random_number(rng)
         ok = (
             a + b == b + a
             and a * b == b * a
@@ -159,20 +176,20 @@ def check_hyperbolic_laws(cases_per_law: int = 10000, seed: int = 101) -> CheckR
 
     # zero divisors live exactly on the light cone
     for _ in range(cases_per_law):
-        a = _random_fraction(rng, nonzero=True)
-        b = _random_fraction(rng, nonzero=True)
-        cone_plus = H(a, a)
-        cone_minus = H(b, -b)
-        off = H(a, b) if abs(a) != abs(b) else H(a, 0)
+        a, b, cone_plus, cone_minus, cone_b, twice, off = _light_cone(rng)
         ok = (
             cone_plus * cone_minus == hyperbolic.ZERO
-            and cone_plus * H(b, b) == H(2 * a * b, 2 * a * b)
-            and cone_plus * H(b, b) != hyperbolic.ZERO
+            and cone_plus * cone_b == twice
+            and cone_plus * cone_b != hyperbolic.ZERO
             and off * cone_plus != hyperbolic.ZERO
             and (off * off).norm_sq() == off.norm_sq() ** 2
             and off * off != hyperbolic.ZERO
         )
-        tally.case(ok, lambda: f"zero-divisor characterization failed for a={a}, b={b}")
+        tally.case(
+            ok,
+            lambda: f"zero-divisor characterization failed for a={Fraction(*a)}, "
+            f"b={Fraction(*b)}",
+        )
 
     return tally
 
@@ -185,9 +202,14 @@ _ULTRA_PRIMES = (2, 3, 5, 7, 11)
 
 
 def _random_padic(rng, p, span=40) -> PadicRational:
-    base = _random_fraction(rng, span)
+    """n/d * p**shift for random n, d and shift in [-3, 3]."""
+    n, d = rng.randint(-span, span), rng.randint(1, span)
     shift = rng.randint(-3, 3)
-    return PadicRational(p, base * Fraction(p) ** shift)
+    if shift >= 0:
+        n *= p ** shift
+    else:
+        d *= p ** -shift
+    return PadicRational(p, Fraction(n, d))
 
 
 def check_ultrametric(cases: int = 10000, seed: int = 211) -> CheckResult:
@@ -303,14 +325,16 @@ def _oracle_sweep(algebra, n: int) -> CheckResult:
     cases = violations = 0
     detail = ""
     for p1 in ps:
+        amplitude1 = lift(math.sqrt(p1))
         for p2 in ps:
+            root2 = math.sqrt(p2)
             phases = turn if trig else [
                 (theta, sign) for sign, hi in zip((1, -1), theta_bounds(p1, p2))
                 for theta in uniform_grid(0.0, hi, n)
             ]
             for theta, sign in phases:
                 direct = _interfere(algebra, p1, p2, theta, sign)
-                oracle = norm(lift(math.sqrt(p1)) + unit(theta, sign * math.sqrt(p2)))
+                oracle = norm(amplitude1 + unit(theta, sign * root2))
                 cases += 1
                 # not _close(direct, oracle)
                 if not abs(direct - oracle) <= 1e-12 * max(1.0, abs(direct), abs(oracle)):
@@ -364,16 +388,36 @@ def check_lambda_range(primes=(2, 3, 5), max_order: int = 4) -> CheckResult:
             pair = PadicAmplitudePair(p, alpha1, alpha2, eps)
             result = padic_interfere(pair)
             lam, theta = result.lam, result.theta
-            ok = result.within_claimed_range and -1 <= lam <= 0
+            # each value as num/den with den > 0: a test of values is a test
+            # of integers, cross-multiplied
+            ln, ld = lam.as_integer_ratio()
+            pn, pd = result.probability.as_integer_ratio()
+            n1, d1 = result.p1.as_integer_ratio()
+            n2, d2 = result.p2.as_integer_ratio()
+            ok = result.within_claimed_range and -ld <= ln <= 0  # -1 <= lam <= 0
             ok = ok and math.pi / 2 - 1e-12 <= theta <= math.pi + 1e-12
             if result.case == "C":
-                ok = ok and result.cross_factor is not None
-                ok = ok and 0 <= result.cross_factor <= 1
-                ok = ok and result.probability == result.cross_factor * result.p1
+                cross = result.cross_factor
+                ok = ok and cross is not None
+                if ok:
+                    cn, cd = cross.as_integer_ratio()
+                    # 0 <= c <= 1 and P == c * P1
+                    ok = 0 <= cn <= cd and pn * cd * d1 == cn * n1 * pd
+            elif n1 * d2 >= n2 * d1:
+                ok = ok and pn * d1 == n1 * pd  # P == max(P1, P2) == P1
             else:
-                ok = ok and result.probability == max(result.p1, result.p2)
-            root = exact_sqrt(result.p1 * result.p2)
-            ok = ok and result.probability == result.p1 + result.p2 + 2 * root * lam
+                ok = ok and pn * d2 == n2 * pd  # P == max(P1, P2) == P2
+            if ok:
+                # P == P1 + P2 + 2*r/s*lam, where r/s is the root of P1*P2 in
+                # lowest terms; a product that is no square fails the case
+                num, den = n1 * n2, d1 * d2
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                r, s = math.isqrt(max(num, 0)), math.isqrt(den)
+                ok = r * r == num and s * s == den and (
+                    pn * d1 * d2 * s * ld
+                    == pd * ((n1 * d2 + n2 * d1) * s * ld + 2 * r * ln * d1 * d2)
+                )
             tally.case(
                 ok,
                 lambda: f"lambda range violated for p={p}, alpha1={alpha1}, "
@@ -682,17 +726,17 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
 # Python 3.11.7 and a 2-CPU host, set the order in which run_all starts
 # the checks, longest first.
 _SUITE = (
-    ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 1000}, 1.03),
-    ("check_ultrametric", "ultrametric-valuation", {"cases": 1000}, 0.34),
-    ("check_ball_geometry", "ball-geometry", {"cases": 200}, 0.20),
-    ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}, 0.22),
-    ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}, 0.23),
-    ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}, 0.66),
-    ("check_lambda_range", "padic-lambda-range", {"primes": (2, 3)}, 0.47),
+    ("check_hyperbolic_laws", "hyperbolic-algebra-laws", {"cases_per_law": 1000}, 0.85),
+    ("check_ultrametric", "ultrametric-valuation", {"cases": 1000}, 0.33),
+    ("check_ball_geometry", "ball-geometry", {"cases": 200}, 0.24),
+    ("check_digit_expansions", "digit-expansion-convergence", {"cases": 200}, 0.19),
+    ("check_amplitude_oracle_trig", "amplitude-oracle-trig", {"n": 15}, 0.16),
+    ("check_amplitude_oracle_hyp", "amplitude-oracle-hyp", {"n": 15}, 0.65),
+    ("check_lambda_range", "padic-lambda-range", {"primes": (2, 3)}, 0.23),
     ("check_slit_fluctuations", "padic-slit-fluctuations", {}, 0.003),
-    ("check_theta_bounds", "theta-window-bounds", {"cases": 100}, 0.005),
+    ("check_theta_bounds", "theta-window-bounds", {"cases": 100}, 0.006),
     ("check_profiles", "profile-invariants", {}, 0.002),
-    ("check_total_probability", "total-probability-coherence", {"cases": 100}, 0.13),
+    ("check_total_probability", "total-probability-coherence", {"cases": 100}, 0.14),
 )
 
 

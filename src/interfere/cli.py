@@ -50,6 +50,21 @@ def _quoted(text: str, detail: str = "") -> str:
     return repr(text) + detail
 
 
+def _number(kind):
+    """An argparse type that reads its text with `kind` (int or float).  A
+    text it cannot read is quoted through _quoted, so an over-long one is
+    named by its length; a shorter one reads as argparse's own error."""
+
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            message = f"invalid {kind.__name__} value: {_quoted(text)}"
+            raise argparse.ArgumentTypeError(message) from None
+
+    return read
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -412,10 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False, parents=[mode])
     pair.add_argument("--p1", required=True)
     pair.add_argument("--p2", required=True)
-    pair.add_argument("--n", type=int, default=100)
+    pair.add_argument("--n", type=_number(int), default=100)
     modulus = argparse.ArgumentParser(add_help=False, parents=[out])
-    modulus.add_argument("--p", type=int, required=True, help=_P_HELP)
-    modulus.add_argument("--l", type=int, default=0)
+    modulus.add_argument("--p", type=_number(int), required=True, help=_P_HELP)
+    modulus.add_argument("--l", type=_number(int), default=0)
 
     fit = sub.add_parser(
         "fit", parents=[mode], help="fit the deviation form to a (p1, p2, p) triple"
@@ -429,13 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = profile.add_subparsers(dest="kind")
 
     trig = kinds.add_parser("trig", parents=[pair], help="trigonometric oscillation")
-    trig.add_argument("--min", type=float, default=0.0)
-    trig.add_argument("--max", type=float, required=True)
+    trig.add_argument("--min", type=_number(float), default=0.0)
+    trig.add_argument("--max", type=_number(float), required=True)
     trig.set_defaults(handler=_cmd_profile_trig)
 
     hyp = kinds.add_parser("hyp", parents=[pair], help="one hyperbolic branch")
     hyp.add_argument("--sign", required=True, help="'+' or '-'")
-    hyp.add_argument("--max", type=float)
+    hyp.add_argument("--max", type=_number(float))
     hyp.add_argument("--auto-window", action="store_true", help="sample the full validity window")
     hyp.set_defaults(handler=_cmd_profile_hyp)
 
@@ -444,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     piecewise.set_defaults(handler=_cmd_profile_piecewise)
 
     padic_profile = kinds.add_parser("padic", parents=[modulus], help="p-adic circle brightness")
-    padic_profile.add_argument("--eps-max", type=int, required=True)
+    padic_profile.add_argument("--eps-max", type=_number(int), required=True)
     padic_profile.set_defaults(handler=_cmd_profile_padic)
 
     totalprob = sub.add_parser(
@@ -463,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     padic.add_argument("--alpha2")
     padic.add_argument("--eps")
     padic.add_argument("--table", action="store_true", help="emit the two-slit CSV table")
-    padic.add_argument("--eps-max", type=int, default=20)
+    padic.add_argument("--eps-max", type=_number(int), default=20)
     padic.set_defaults(handler=_cmd_padic)
 
     check = sub.add_parser("check", parents=[out], help="run the invariant suite")

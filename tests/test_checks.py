@@ -5,13 +5,15 @@ import concurrent.futures
 import inspect
 import math
 import multiprocessing
+import random
 from fractions import Fraction
 
 import pytest
 
-from interfere import checks, cli, engine
+from interfere import checks, cli, engine, hyperbolic
 from interfere.engine import amplitudes_hyp, amplitudes_trig
 from interfere.hyperbolic import HyperbolicNumber
+from interfere.padic import PadicRational
 from interfere.profiles import theta_bounds, uniform_grid
 
 
@@ -151,6 +153,158 @@ class TestHyperbolaPoint:
                 assert point == HyperbolicNumber((t + 1 / t) / 2, (t - 1 / t) / 2)
                 assert point.norm_sq() == 1
                 assert checks._hyperbola_point(3 * m, 3 * n) == point
+
+
+# The draws and operands the sweeps built on Fractions, kept as references:
+# the sweeps now draw the same integers and build the same values from them.
+
+def fraction_draw(rng, span=60, nonzero=False) -> Fraction:
+    while True:
+        f = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        if f or not nonzero:
+            return f
+
+
+def fraction_padic(rng, p, span=40) -> PadicRational:
+    base = fraction_draw(rng, span)
+    shift = rng.randint(-3, 3)
+    return PadicRational(p, base * Fraction(p) ** shift)
+
+
+def fraction_hyperbola_point(m, n) -> HyperbolicNumber:
+    d = 2 * m * n
+    return HyperbolicNumber(Fraction(m * m + n * n, d), Fraction(m * m - n * n, d))
+
+
+def same(new, old):
+    """Equal values, shown alike (a counterexample quotes them)."""
+    return new == old and repr(new) == repr(old) and str(new) == str(old)
+
+
+class TestInputDraws:
+    """Each sweep draws the same integers in the same order as its Fraction
+    spelling did, builds equal operands and leaves its rng in the same state."""
+
+    @pytest.mark.parametrize("seed", [101, 0, 7])
+    def test_ring_law_operands(self, seed):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            expected = HyperbolicNumber(fraction_draw(old), fraction_draw(old))
+            assert same(checks._random_number(new), expected)
+        assert new.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("seed", [101, 0, 7])
+    def test_light_cone_operands(self, seed):
+        new, old = random.Random(seed), random.Random(seed)
+        H = HyperbolicNumber
+        redrawn = 0
+        for _ in range(2000):
+            (n, d), (m, e), *operands = checks._light_cone(new)
+            a, b = fraction_draw(old, nonzero=True), fraction_draw(old, nonzero=True)
+            off = H(a, b) if abs(a) != abs(b) else H(a, 0)
+            expected = [H(a, a), H(b, -b), H(b, b), H(2 * a * b, 2 * a * b), off]
+            assert (Fraction(n, d), Fraction(m, e)) == (a, b)
+            assert all(map(same, operands, expected))
+            redrawn += abs(a) == abs(b)
+        assert new.getstate() == old.getstate()
+        assert redrawn > 0  # both branches of `off` are drawn
+
+    @pytest.mark.parametrize("seed", [211, 223, 227])
+    @pytest.mark.parametrize("span", [40, 25])
+    def test_padic_operands(self, seed, span):
+        new, old = random.Random(seed), random.Random(seed)
+        for i in range(2000):
+            p = checks._ULTRA_PRIMES[i % len(checks._ULTRA_PRIMES)]
+            x, expected = checks._random_padic(new, p, span), fraction_padic(old, p, span)
+            assert same(x, expected) and x.order == expected.order
+        assert new.getstate() == old.getstate()
+
+    def test_hyperbola_points(self):
+        for m in range(1, 41):
+            for n in range(1, 41):
+                assert same(checks._hyperbola_point(m, n), fraction_hyperbola_point(m, n))
+        # the products the Euler law compares against
+        rng = random.Random(101)
+        for _ in range(500):
+            m, n = rng.randint(1, 40) * rng.randint(1, 40), rng.randint(1, 40) * rng.randint(1, 40)
+            assert same(checks._hyperbola_point(m, n), fraction_hyperbola_point(m, n))
+
+
+def figures(result):
+    return result.cases, result.violations, result.detail
+
+
+class TestPlantedFaults:
+    """A fault planted in the code a sweep tests gives the figures that the
+    sweep gave on Fractions, recorded before it drew integers."""
+
+    def test_a_sign_in_the_exact_product(self, monkeypatch):
+        real = HyperbolicNumber.__mul__
+
+        def faulty(self, other):
+            if isinstance(other, HyperbolicNumber) and self._d and other._d:
+                a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+                return hyperbolic._exact(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1,
+                                         self._d * other._d)
+            return real(self, other)
+
+        monkeypatch.setattr(HyperbolicNumber, "__mul__", faulty)
+        assert figures(checks.check_hyperbolic_laws(cases_per_law=300)) == (
+            1200, 877,
+            "ring law failed for HyperbolicNumber(x=Fraction(14, 55), y=Fraction(-36, 59)), "
+            "HyperbolicNumber(x=Fraction(3, 20), y=Fraction(-1, 2)), "
+            "HyperbolicNumber(x=Fraction(-54, 43), y=Fraction(2, 7))",
+        )
+
+    @staticmethod
+    def rule(monkeypatch, change):
+        """Make padic_interfere, as the lambda sweep calls it, return its
+        result with change(result) in place where that is not None."""
+        real = checks.padic_interfere
+
+        def faulty(pair):
+            result = real(pair)
+            return change(result) or result
+
+        monkeypatch.setattr(checks, "padic_interfere", faulty)
+
+    def test_a_shifted_deviation(self, monkeypatch):
+        self.rule(monkeypatch, lambda r: r._replace(lam=r.lam + Fraction(1, 10**9)))
+        assert figures(checks.check_lambda_range(primes=(2, 3))) == (
+            2040, 2040,
+            "lambda range violated for p=2, alpha1=1, alpha2=1, eps=1: lam=-874999999/1000000000",
+        )
+
+    def test_a_doubled_cross_factor(self, monkeypatch):
+        self.rule(monkeypatch, lambda r: r._replace(cross_factor=2 * r.cross_factor)
+                  if r.case == "C" else None)
+        assert figures(checks.check_lambda_range(primes=(2, 3))) == (
+            2040, 670, "lambda range violated for p=2, alpha1=1, alpha2=1, eps=1: lam=-7/8",
+        )
+
+    def test_a_product_that_is_no_square_fails_its_cases(self, monkeypatch):
+        # P2 * p keeps P == max(P1, P2) in case A but leaves no root of
+        # P1*P2; on Fractions the sweep raised TypeError at the first such case
+        self.rule(monkeypatch, lambda r: r._replace(p2=r.p2 * r.p) if r.case == "A" else None)
+        assert figures(checks.check_lambda_range(primes=(2, 3))) == (
+            2040, 680, "lambda range violated for p=2, alpha1=1, alpha2=2, eps=1: lam=-1/4",
+        )
+
+    def test_a_wrong_valuation_below_order_zero(self, monkeypatch):
+        real = PadicRational.abs
+        monkeypatch.setattr(
+            PadicRational, "abs",
+            lambda x: Fraction(x.p) ** -(x.order + 1) if x.order < 0 else real(x),
+        )
+        assert figures(checks.check_ultrametric(cases=300)) == (
+            300, 121, "ultrametric failed for p=2, x=128/23, y=-5/2",
+        )
+        assert figures(checks.check_ball_geometry(cases=100)) == (
+            100, 9, "ball geometry failed for p=2, n=2, m=1",
+        )
+        assert figures(checks.check_digit_expansions(cases=100)) == (
+            100, 23, "digit expansion failed for p=11, x=-19/1089",
+        )
 
 
 @pytest.fixture(scope="module")

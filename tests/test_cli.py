@@ -525,6 +525,40 @@ class TestBoundaryInputs:
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(config=config, **TEXTS)}\n"
 
+    @pytest.mark.parametrize(
+        "argv, option, kind",
+        [
+            ("profile trig --p1 0.1 --p2 0.1 --max 1 --n {text}", "--n", "int"),
+            ("profile padic --p 3 --l {text} --eps-max 3", "--l", "int"),
+            ("padic --p {text} --table --eps-max 3", "--p", "int"),
+            ("padic --p 3 --table --eps-max {text}", "--eps-max", "int"),
+            ("profile padic --p 3 --eps-max {text}", "--eps-max", "int"),
+            ("profile trig --p1 0.1 --p2 0.1 --min {text} --max 1", "--min", "float"),
+            ("profile trig --p1 0.1 --p2 0.1 --max {text}", "--max", "float"),
+            ("profile hyp --p1 0.1 --p2 0.1 --sign + --max {text}", "--max", "float"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("{letters}", "{long}"), ("{ones}x", "<an input of 5001 characters>"),
+         ("{limit}", "'{limit}'"), ("abc", "'abc'")],
+        ids=["letters", "ones", "limit", "short"],
+    )
+    def test_option_types_quote_their_text(self, capsys, argv, option, kind, text, shown):
+        """An int or float option that cannot be read is named as every other
+        parse error names its input; argparse's usage line and prefix stay."""
+        argv = argv.format(text=text).format(**TEXTS).split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        command = " ".join(argv[:2 if argv[0] == "profile" else 1])
+        assert exc.value.code == 2
+        assert err.startswith("usage: interfere ") and "Traceback" not in err
+        assert err.endswith(
+            f"interfere {command}: error: argument {option}: "
+            f"invalid {kind} value: {shown.format(**TEXTS)}\n"
+        )
+
     def test_a_config_that_is_not_utf8_is_named(self, capsys, tmp_path):
         config = tmp_path / "latin.cfg"
         config.write_bytes(b"pb1 = 0.5\n\xff\xfe = 1\n")

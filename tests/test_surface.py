@@ -121,6 +121,7 @@ COMMAND_ARGUMENTS = {
 PRIVATE_IMPORTS = [
     "checks: engine._interfere",
     "checks: errors._Record",
+    "checks: hyperbolic._exact",
     "cli: padic._require_prime",
     "cli: profiles._window_end",
     "cli: profiles._write_slit_table",
