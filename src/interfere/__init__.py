@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "context": (
         "ContextTransform",
-        "hyperbolic_sqrt_transform",
         "normalization_defect",
         "phases_from_state_expansion",
         "raw_quantum_components",

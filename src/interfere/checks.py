@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import engine, hyperbolic
 from .context import (
     ContextTransform,
-    hyperbolic_sqrt_transform,
     normalization_defect,
     phases_from_state_expansion,
     raw_quantum_components,
@@ -60,9 +59,9 @@ class CheckResult(_Record, frozen=False):
                 self.detail = detail() if callable(detail) else detail
 
 
-def _close(a, b, tol=1e-12) -> bool:
-    """|a - b| within tol relative to the probability scale max(1, |a|, |b|)."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a, b) -> bool:
+    """|a - b| within 1e-12 relative to the probability scale max(1, |a|, |b|)."""
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 def _unit_phase(phase: float) -> complex:
@@ -694,7 +693,7 @@ def check_total_probability(cases: int = 1000, seed: int = 401) -> CheckResult:
             mode="hyp",
         )
         values = total_prob_hyperbolic(t)
-        _, outputs = hyperbolic_sqrt_transform(t)
+        _, outputs = sqrt_linear_transform(t)
         ok = all(_close(values[j], outputs[j].norm_sq()) for j in (0, 1))
         tally.case(ok, "hyperbolic totals disagree with the split-complex oracle")
 

@@ -159,14 +159,18 @@ def total_prob_hyperbolic(t: ContextTransform):
     return _totals(t, HYP, t.signs, "hyperbolic total probability")
 
 
-def _sqrt_transform(t: ContextTransform, algebra, signs):
-    """The amplitude form: a 2x2 matrix acting on sqrt-probabilities.
+def sqrt_linear_transform(t: ContextTransform):
+    """The amplitude form in the transform's own algebra: a 2x2 matrix acting
+    on sqrt-probabilities, complex in trig mode, split-complex with the
+    transform's signs in hyp mode.
 
     x_i = sqrt(prior_i); column j is the amplitude pair of (cond[0][j],
     cond[1][j]), whose relative phase on the second row reproduces the cross
-    term, so y_j = sum_i x_i d_ij has N(y_j) = perturbed component j.  (On
-    both rows it would be a global phase of the column and cancel.)
+    term, so y_j = sum_i x_i d_ij has |y_j|**2 = total_prob_quantum component
+    j (norm_sq(y_j) = total_prob_hyperbolic component j).  (On both rows it
+    would be a global phase of the column and cancel.)
     """
+    algebra, signs = (TRIG, (1, 1)) if t.mode == "trig" else (HYP, t.signs)
     x = (math.sqrt(t.prior[0]), math.sqrt(t.prior[1]))
     columns = [
         _amplitudes(algebra, t.cond[0][j], t.cond[1][j], t.phases[j], signs[j], _PHASES[j])
@@ -174,23 +178,6 @@ def _sqrt_transform(t: ContextTransform, algebra, signs):
     ]
     outputs = tuple(first * x[0] + second * x[1] for first, second in columns)
     return tuple(zip(*columns)), outputs
-
-
-def sqrt_linear_transform(t: ContextTransform):
-    """The complex amplitude form: |y_j|**2 = total_prob_quantum component
-    j; see _sqrt_transform."""
-    if t.mode != "trig":
-        raise ValidationError("sqrt_linear_transform needs a trigonometric-mode transform")
-    return _sqrt_transform(t, TRIG, (1, 1))
-
-
-def hyperbolic_sqrt_transform(t: ContextTransform):
-    """The split-complex amplitude form, second-row entries sign_j * e^{j
-    theta_j} * sqrt(cond[1][j]): norm_sq(y_j) = total_prob_hyperbolic
-    component j."""
-    if t.mode != "hyp":
-        raise ValidationError("hyperbolic_sqrt_transform needs a hyperbolic-mode transform")
-    return _sqrt_transform(t, HYP, t.signs)
 
 
 def phases_from_state_expansion(xi_cond, xi_prior):

@@ -72,7 +72,7 @@ def require_probability(value, name):
     raise ValidationError(f"{name} must lie in [0, 1], got {shown(value)}")
 
 
-def as_probability(value, what="result", component=None):
+def as_probability(value, what):
     """Validate a computed probability, absorbing float roundoff at 0 and 1.
 
     Float results within TOLERANCE outside the unit interval are endpoint
@@ -87,7 +87,7 @@ def as_probability(value, what="result", component=None):
             return 0.0
         if 1 < value <= 1 + TOLERANCE:
             return 1.0
-    raise NotAProbabilityError(value, what=what, component=component)
+    raise NotAProbabilityError(value, what=what)
 
 
 def fmt_float(value) -> str:

@@ -31,7 +31,10 @@ _PSI_13 = 3317044064679887385961981  # no modulus at or above it is accepted
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, exact below psi_13 ~ 3.3e24.  At or above
     it, False is still proof of a composite, but True only means that n is a
-    strong probable prime to the first 13 prime bases."""
+    strong probable prime to the first 13 prime bases.  A non-int n raises
+    ValueError."""
+    if not isinstance(n, int):
+        raise ValueError(f"primality needs an int, got {shown(n)}")
     if n < 2:
         return False
     for w in _WITNESSES:
@@ -58,9 +61,11 @@ def is_prime(n: int) -> bool:
 
 
 def prime_multiplicity(p: int, n: int) -> int:
-    """How many times p >= 2 divides the nonzero integer n."""
-    if p < 2:
-        raise ValueError(f"multiplicity needs a divisor p >= 2, got {p}")
+    """How many times the int p >= 2 divides the nonzero int n."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"multiplicity needs an int divisor p >= 2, got {shown(p)}")
+    if not isinstance(n, int):
+        raise ValueError(f"multiplicity needs an int n, got {shown(n)}")
     n = abs(n)
     if n == 0:
         raise ValueError("multiplicity of p in 0 is undefined (infinite)")

@@ -225,15 +225,17 @@ SPELLED_AMPLITUDES = both(lambda *a: validating_amplitudes(TRIG, *a, 1),
 
 
 def sqrt_transforms(fast):
-    """Both square-root transforms of a transform that holds the case's pair."""
-    def transform(build, mode):
+    """The square-root transform, in trig and in hyp mode, of a transform that
+    holds the case's pair."""
+    build = context.sqrt_linear_transform if fast else validating(context.sqrt_linear_transform)
+
+    def transform(mode):
         def run(p1, p2, theta, sign):
             t = ContextTransform((0.5, 0.5), ((p1, 1 - p1), (p2, 1 - p2)), (theta, 0.5),
                                  (sign, 1), "hyp")
-            return (build if fast else validating(build))(t._replace(mode=mode))
+            return build(t._replace(mode=mode))
         return run
-    return (transform(context.sqrt_linear_transform, "trig"),
-            transform(context.hyperbolic_sqrt_transform, "hyp"))
+    return transform("trig"), transform("hyp")
 
 
 PROBS = st.one_of(

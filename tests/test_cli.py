@@ -462,6 +462,8 @@ class TestBoundaryInputs:
             # grids of 2**63 and 10**20 samples are past the index range
             ("profile hyp --p1 0.01 --p2 0.01 --sign + --max 1 --n 9223372036854775808", 3),
             ("profile trig --p1 0.01 --p2 0.01 --max 1 --n 100000000000000000000", 3),
+            # a grid of 10**12 samples is past the maximum, refused before it is built
+            ("profile trig --p1 0.1 --p2 0.1 --max 1 --n 1000000000000", 3),
             # a multiple of pi whose digits are past what int() converts
             ("totalprob --config {config} --theta1 {ones}pi", 2),
             ("totalprob --config {config} --theta1 pi/{ones}", 2),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from interfere.context import (
     ContextTransform,
-    hyperbolic_sqrt_transform,
     normalization_defect,
     phases_from_state_expansion,
     raw_quantum_components,
@@ -18,6 +17,7 @@ from interfere.context import (
     total_prob_hyperbolic,
     total_prob_quantum,
 )
+from interfere.engine import amplitudes_hyp, amplitudes_trig
 from interfere.errors import FrozenRecordError, NotAProbabilityError, ValidationError
 
 HALF = ((0.5, 0.5), (0.5, 0.5))
@@ -181,10 +181,30 @@ class TestQuantum:
             assert values == reference
 
 
+sign_pairs = st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+
+
 class TestSqrtLinearTransform:
-    def test_requires_trig_mode(self):
-        with pytest.raises(ValidationError):
-            sqrt_linear_transform(make(mode="hyp"))
+    @given(transforms(), st.tuples(angles, angles), sign_pairs)
+    def test_trig_mode_is_complex_and_ignores_signs(self, base, phases, signs):
+        t = make(prior=base.prior, cond=base.cond, phases=phases, signs=signs)
+        matrix, outputs = sqrt_linear_transform(t)
+        assert (matrix, outputs) == sqrt_linear_transform(t._replace(signs=(1, 1)))
+        for j in (0, 1):
+            column = amplitudes_trig(t.cond[0][j], t.cond[1][j], phases[j])
+            assert (matrix[0][j], matrix[1][j]) == column
+            assert outputs[j] == column[0] * math.sqrt(t.prior[0]) + column[1] * math.sqrt(
+                t.prior[1])
+
+    @given(transforms(), st.tuples(angles, angles), sign_pairs)
+    def test_hyp_mode_is_split_complex_with_the_signs(self, base, phases, signs):
+        t = make(prior=base.prior, cond=base.cond, phases=phases, signs=signs, mode="hyp")
+        matrix, outputs = sqrt_linear_transform(t)
+        for j in (0, 1):
+            column = amplitudes_hyp(t.cond[0][j], t.cond[1][j], phases[j], signs[j])
+            assert (matrix[0][j], matrix[1][j]) == column
+            assert outputs[j] == column[0] * math.sqrt(t.prior[0]) + column[1] * math.sqrt(
+                t.prior[1])
 
     def test_deterministic_prior_reads_first_row(self):
         t = make(prior=(1.0, 0.0), cond=((0.25, 0.75), (0.5, 0.5)), phases=(0.0, 0.0))
@@ -270,8 +290,6 @@ class TestHyperbolic:
     def test_requires_hyp_mode(self):
         with pytest.raises(ValidationError):
             total_prob_hyperbolic(make())
-        with pytest.raises(ValidationError):
-            hyperbolic_sqrt_transform(make())
 
     @given(transforms(), st.floats(min_value=0.0, max_value=0.95))
     def test_split_complex_oracle(self, base, fraction):
@@ -290,7 +308,7 @@ class TestHyperbolic:
             mode="hyp",
         )
         values = total_prob_hyperbolic(t)
-        _, outputs = hyperbolic_sqrt_transform(t)
+        _, outputs = sqrt_linear_transform(t)
         for j in (0, 1):
             assert values[j] == pytest.approx(outputs[j].norm_sq(), abs=1e-12)
 

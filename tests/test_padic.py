@@ -75,6 +75,34 @@ class TestPrimality:
         with pytest.raises(ValueError, match="multiplicity of p in 0 is undefined"):
             prime_multiplicity(3, 0)
 
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            # each of these answered before: 1, 0, 0, True, TypeError from pow
+            (prime_multiplicity, (2.5, 5), "an int divisor p >= 2, got 2.5"),
+            (prime_multiplicity, (3, 2.5), "an int n, got 2.5"),
+            (prime_multiplicity, (3, Fraction(9, 2)), "an int n, got Fraction(9, 2)"),
+            (prime_multiplicity, (3.0, 9), "an int divisor p >= 2, got 3.0"),
+            (prime_multiplicity, (3, 9.0), "an int n, got 9.0"),
+            (prime_multiplicity, (-(10**5000), 9),
+             "an int divisor p >= 2, got <an exact value of more than 4300 digits>"),
+            (is_prime, (7.0,), "primality needs an int, got 7.0"),
+            (is_prime, (43.0,), "primality needs an int, got 43.0"),
+            (is_prime, (Fraction(7),), "primality needs an int, got Fraction(7, 1)"),
+            (is_prime, ("7",), "primality needs an int, got '7'"),
+        ],
+        ids=["p=2.5", "n=2.5", "n=9/2", "p=3.0", "n=9.0", "p=-10**5000",
+             "7.0", "43.0", "Fraction(7)", "'7'"],
+    )
+    def test_only_ints_are_answered(self, func, args, message):
+        with pytest.raises(ValueError) as info:
+            func(*args)
+        assert str(info.value).endswith(message)
+
+    def test_a_bool_counts_as_an_int(self):
+        assert prime_multiplicity(3, True) == 0
+        assert is_prime(True) is False
+
     @pytest.mark.parametrize("bad", [1, 4, 6, 9, 100, -3, 0])
     def test_composite_modulus_rejected(self, bad):
         with pytest.raises(ValidationError):

@@ -2,7 +2,6 @@
 
 import io
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from interfere.errors import (
 from interfere.padic_rule import padic_slit_profile
 from interfere.numeric import fmt_float, fmt_number, is_exact
 from interfere.profiles import (
+    MAX_GRID_POINTS,
     BrightnessProfile,
     _write_header,
     profile_hyp,
@@ -75,13 +75,22 @@ class TestUniformGrid:
             uniform_grid(0.0, 1.0, n)
         assert str(info.value) == f"grid n must be an int in the float range, got {n!r}"
 
-    @pytest.mark.parametrize("n", [2**63, 10**20], ids=["2**63", "10**20"])
+    @pytest.mark.parametrize(
+        "n", [2**63, 10**20, MAX_GRID_POINTS + 1, 10**12],
+        ids=["2**63", "10**20", "max + 1", "10**12"],
+    )
     def test_an_n_past_the_index_range_is_named(self, n):
         # range(n) and float(n) take such an n; the tuple would fill the memory
         with pytest.raises(ProfileError) as info:
             uniform_grid(0.0, 1.0, n)
         assert str(info.value) == (
-            f"grid n = {n} is too large: a grid holds at most {sys.maxsize} samples")
+            f"grid n = {n} is too large: a grid holds at most {MAX_GRID_POINTS} samples")
+
+    def test_the_maximum_is_a_grid(self):
+        assert MAX_GRID_POINTS == 10**6
+        grid = uniform_grid(0.0, 1.0, MAX_GRID_POINTS)
+        assert len(grid) == MAX_GRID_POINTS and grid[0] == 0.0
+        assert grid[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_a_bool_n_counts_as_an_int(self):
         assert uniform_grid(2.0, 9.0, True) == (2.0,)

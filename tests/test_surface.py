@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "classify",
     "combine",
     "fit_record",
-    "hyperbolic_sqrt_transform",
     "interfere_hyp",
     "interfere_trig",
     "inverse",
